@@ -202,34 +202,17 @@ class NlpInstance:
             shape=(self.n_vars, self.n_vars),
         )
 
-    def dump(self, x=None):
-        """Plain-text listing of the instance, optionally with residuals at x."""
-        lines = [f"nlp instance: {self.n_vars} variables, {self.n_cons} constraints"]
-        names = self.variable_names()
-        for i, name in enumerate(names):
-            entry = f"  var {i:5d} {name:30s} in [{self.lb[i]:.6g}, {self.ub[i]:.6g}]"
-            if self.grad[i] != 0.0:
-                entry += f" obj_coef {self.grad[i]:.6g}"
-            if x is not None:
-                entry += f" value {x[i]:.10g}"
-            lines.append(entry)
-        if x is not None:
-            c = self.constraints(x)
-            lines.append(f"  max constraint violation {np.max(np.abs(c)):.3e}")
-        return "\n".join(lines)
 
-    def variable_names(self):
-        names = [""] * self.n_vars
-        for node, i in self.node_idx.items():
-            names[i] = f"p[{node}]"
-        for arc, i in self.flow_idx.items():
-            names[i] = f"q[{arc}]"
-        for comp, i in self.lift_idx.items():
-            names[i] = f"dp[{comp}]"
-        for pipe, idx in self.interior_idx.items():
-            for k, i in enumerate(idx, start=1):
-                names[i] = f"p[{pipe},{k}]"
-        return names
+@dataclass
+class Multipliers:
+    """Converged multipliers keyed by network structure instead of position,
+    so that a solve on other grids or model levels can start from them."""
+
+    rows: dict  # ("balance", node) or ("coupling", compressor) -> y
+    bounds: dict  # ("p", node), ("q", arc) or ("dp", compressor) -> (zl, zu)
+    # pipe id -> (y of its n gridpoint relations, zl and zu of its n-1
+    # interior pressures)
+    pipes: dict
 
 
 @dataclass
@@ -243,9 +226,9 @@ class NlpSolution:
     kkt_error: float
     n_iterations: int
     solve_seconds: float = 0.0
-    # converged multipliers (y, zl, zu) for warm starts; only reusable on an
-    # instance with identical dimensions
-    duals: tuple = None
+    # converged multipliers for warm starts; a solve on other grids or levels
+    # takes them over by id and interpolates them along each pipe
+    duals: Multipliers = None
 
     def pipe_inlet(self, pipe):
         """Inlet node id and pressure for the flow direction on this pipe."""
@@ -429,6 +412,75 @@ def _initial_point(inst: NlpInstance, warm_start: NlpSolution = None) -> np.ndar
     return x
 
 
+def _linear_row_keys(net):
+    """Keys of the linear rows in assembly order: one mass balance per node,
+    then one coupling per compressor."""
+    return [("balance", node) for node in net.nodes] + [
+        ("coupling", comp) for comp in net.compressors
+    ]
+
+
+def _scalar_variables(inst):
+    """(key, index) of every variable that is not an interior pipe pressure."""
+    return (
+        [(("p", node), i) for node, i in inst.node_idx.items()]
+        + [(("q", arc), i) for arc, i in inst.flow_idx.items()]
+        + [(("dp", comp), i) for comp, i in inst.lift_idx.items()]
+    )
+
+
+def _keyed_multipliers(inst, y, zl, zu) -> Multipliers:
+    n_lin = inst.linear_A.shape[0]
+    pipes = {}
+    row0 = n_lin
+    for block in inst.pipe_blocks:
+        interior = block.pressure_idx[1:-1]
+        pipes[block.pipe_id] = (
+            y[row0 : row0 + block.n_constraints].copy(),
+            zl[interior],
+            zu[interior],
+        )
+        row0 += block.n_constraints
+    return Multipliers(
+        rows=dict(zip(_linear_row_keys(inst.net), y[:n_lin].tolist())),
+        bounds={
+            key: (float(zl[i]), float(zu[i])) for key, i in _scalar_variables(inst)
+        },
+        pipes=pipes,
+    )
+
+
+def _regrid(values, n_old, n_new, count):
+    """Values at the gridpoints k/n_old (k = 1, 2, ...) of a pipe,
+    interpolated onto the gridpoints k/n_new, k = 1..count."""
+    old_pos = np.arange(1, len(values) + 1) / n_old
+    new_pos = np.arange(1, count + 1) / n_new
+    return np.interp(new_pos, old_pos, values)
+
+
+def _warm_multipliers(inst, warm: Multipliers, y, zl, zu):
+    """Overwrite y, zl and zu in place with the multipliers of a previous
+    solve: by id for linear rows and scalar variables, interpolated onto the
+    new grid for each pipe. Entries without a counterpart keep their value."""
+    for i, key in enumerate(_linear_row_keys(inst.net)):
+        if key in warm.rows:
+            y[i] = warm.rows[key]
+    for key, i in _scalar_variables(inst):
+        if key in warm.bounds:
+            zl[i], zu[i] = warm.bounds[key]
+    row0 = inst.linear_A.shape[0]
+    for block in inst.pipe_blocks:
+        n = block.n_constraints
+        if block.pipe_id in warm.pipes:
+            y_old, zl_old, zu_old = warm.pipes[block.pipe_id]
+            n_old = len(y_old)
+            interior = block.pressure_idx[1:-1]
+            y[row0 : row0 + n] = _regrid(y_old, n_old, n, n)
+            zl[interior] = _regrid(zl_old, n_old, n, n - 1)
+            zu[interior] = _regrid(zu_old, n_old, n, n - 1)
+        row0 += n
+
+
 def _extract_solution(inst, x, status, kkt_error, iterations, seconds, duals=None):
     node_pressures = {
         node: float(x[i]) * PRESSURE_SCALE for node, i in inst.node_idx.items()
@@ -460,6 +512,45 @@ def _extract_solution(inst, x, status, kkt_error, iterations, seconds, duals=Non
 # -- interior-point solver ------------------------------------------------
 
 
+def _fixed_mask(lb, ub):
+    return (ub - lb) <= 1e-12 * np.maximum(1.0, np.abs(lb))
+
+
+def kkt_ordering(inst: NlpInstance) -> np.ndarray:
+    """Symmetric permutation of the KKT matrix [[W, J^T], [J, -dI]], whose
+    first nfree rows are the free variables and whose last m rows are the
+    constraints in assembly order.
+
+    Each pipe's gridpoint relations come interleaved with its interior
+    pressures, r_1, p_1, r_2, p_2, ..., p_{n-1}, r_n, so that the pipe is a
+    band bordered only by its flow and its two end pressures. The remaining
+    free variables (node pressures, arc flows, lifts) follow, and the linear
+    rows (mass balance, compressor coupling) come last. LU fill under
+    partial pivoting then stays within a small multiple of nnz(K).
+    """
+    free = ~_fixed_mask(inst.lb, inst.ub)
+    nfree = int(np.sum(free))
+    pos = np.full(inst.n_vars, -1)
+    pos[free] = np.arange(nfree)
+    n_lin = inst.linear_A.shape[0]
+
+    rest = free.copy()
+    parts = []
+    row0 = nfree + n_lin
+    for block in inst.pipe_blocks:
+        n = block.n_constraints
+        interior = block.pressure_idx[1:-1]
+        band = np.empty(2 * n - 1, dtype=int)
+        band[0::2] = row0 + np.arange(n)
+        band[1::2] = pos[interior]
+        parts.append(band)
+        rest[interior] = False
+        row0 += n
+    parts.append(pos[rest])
+    parts.append(nfree + np.arange(n_lin))
+    return np.concatenate(parts)
+
+
 def solve(
     inst: NlpInstance,
     warm_start: NlpSolution = None,
@@ -473,7 +564,7 @@ def solve(
     n, m = inst.n_vars, inst.n_cons
     lb, ub = inst.lb.copy(), inst.ub.copy()
 
-    fixed = (ub - lb) <= 1e-12 * np.maximum(1.0, np.abs(lb))
+    fixed = _fixed_mask(lb, ub)
     has_lb = np.isfinite(lb) & ~fixed
     has_ub = np.isfinite(ub) & ~fixed
 
@@ -489,42 +580,30 @@ def solve(
     x[has_ub] = np.minimum(x[has_ub], ub[has_ub] - push_u[has_ub])
 
     free = ~fixed
+    free_idx = np.where(free)[0]
+    nfree = len(free_idx)
+    perm = kkt_ordering(inst)
     mu_min = max(eps_opt / 10.0, 1e-14)
 
+    # a warm start continues at the final barrier parameter from the
+    # multipliers of the previous solve, carried over onto this instance
+    mu = 0.1 if warm_start is None else mu_min
     y = np.zeros(m)
-    reused_duals = (
-        warm_start is not None
-        and warm_start.duals is not None
-        and len(warm_start.duals[0]) == m
-        and len(warm_start.duals[1]) == n
-    )
-    if reused_duals:
-        # identical instance dimensions: continue from the converged
-        # multipliers so a solve from an exact solution terminates immediately
-        y = warm_start.duals[0].copy()
-        zl = np.where(has_lb, np.maximum(warm_start.duals[1], 1e-16), 0.0)
-        zu = np.where(has_ub, np.maximum(warm_start.duals[2], 1e-16), 0.0)
-        mu = mu_min
-    elif warm_start is not None:
-        mu = 1e-3
-        zl = np.where(has_lb, mu / np.maximum(x - lb, 1e-8), 0.0)
-        zu = np.where(has_ub, mu / np.maximum(ub - x, 1e-8), 0.0)
-        zl = np.clip(zl, 0.0, 1e8) * has_lb
-        zu = np.clip(zu, 0.0, 1e8) * has_ub
-    else:
-        mu = 0.1
-        zl = np.where(has_lb, mu / np.maximum(x - lb, 1e-8), 0.0)
-        zu = np.where(has_ub, mu / np.maximum(ub - x, 1e-8), 0.0)
-        zl = np.clip(zl, 0.0, 1e8) * has_lb
-        zu = np.clip(zu, 0.0, 1e8) * has_ub
+    zl = np.where(has_lb, mu / np.maximum(x - lb, 1e-8), 0.0)
+    zu = np.where(has_ub, mu / np.maximum(ub - x, 1e-8), 0.0)
+    zl = np.clip(zl, 0.0, 1e8) * has_lb
+    zu = np.clip(zu, 0.0, 1e8) * has_ub
+    if warm_start is not None and warm_start.duals is not None:
+        _warm_multipliers(inst, warm_start.duals, y, zl, zu)
+        zl = np.where(has_lb, np.maximum(zl, 1e-16), 0.0)
+        zu = np.where(has_ub, np.maximum(zu, 1e-16), 0.0)
     delta_w = 0.0
     nu = 1.0  # l1 penalty weight for the merit function
     best_viol = np.inf
     stall = 0
 
-    def kkt_errors(x, y, zl, zu, mu):
-        g = inst.grad + inst.jacobian(x).T @ y - zl + zu
-        c = inst.constraints(x)
+    def kkt_errors(x, J, c, y, zl, zu, mu):
+        g = inst.grad + J.T @ y - zl + zu
         comp_l = np.zeros(n)
         comp_l[has_lb] = (x[has_lb] - lb[has_lb]) * zl[has_lb] - mu
         comp_u = np.zeros(n)
@@ -552,7 +631,9 @@ def solve(
     status = STATUS_ITERATION_LIMIT
     while iterations < max_iterations:
         iterations += 1
-        e_dual, e_primal, e_comp = kkt_errors(x, y, zl, zu, 0.0)
+        c = inst.constraints(x)
+        J = inst.jacobian(x)
+        e_dual, e_primal, e_comp = kkt_errors(x, J, c, y, zl, zu, 0.0)
         kkt = max(e_dual, e_primal, e_comp)
         if kkt <= eps_opt:
             status = STATUS_OPTIMAL
@@ -575,14 +656,11 @@ def solve(
             status = STATUS_INFEASIBLE
             break
 
-        e_dual_mu, e_primal_mu, e_comp_mu = kkt_errors(x, y, zl, zu, mu)
+        e_dual_mu, e_primal_mu, e_comp_mu = kkt_errors(x, J, c, y, zl, zu, mu)
         if max(e_dual_mu, e_primal_mu, e_comp_mu) <= 10.0 * mu and mu > mu_min:
             mu = max(mu_min, 0.2 * mu)
             continue
 
-        c = inst.constraints(x)
-        J = inst.jacobian(x)
-        g = inst.grad + J.T @ y - zl + zu
         sl = np.where(has_lb, x - lb, 1.0)
         su = np.where(has_ub, ub - x, 1.0)
         sigma = np.where(has_lb, zl / sl, 0.0) + np.where(has_ub, zu / su, 0.0)
@@ -591,11 +669,6 @@ def solve(
         rd = rd - np.where(has_lb, mu / sl, 0.0) + np.where(has_ub, mu / su, 0.0)
 
         W = inst.lagrangian_hessian(x, y)
-        nfree = int(np.sum(free))
-        free_idx = np.where(free)[0]
-        pos = -np.ones(n, dtype=int)
-        pos[free_idx] = np.arange(nfree)
-
         Wff = W[free_idx][:, free_idx]
         Jf = J[:, free_idx]
         rd_f = rd[free_idx]
@@ -608,17 +681,22 @@ def solve(
             K = sp.bmat(
                 [[H, Jf.T], [Jf, -sp.eye(m) * 1e-12]], format="csc"
             )
-            rhs_kkt = np.concatenate([-rd_f, -c])
+            # factor in the pipe-interleaved order; SuperLU keeps its
+            # partial pivoting, which the -1e-12 (2,2) block needs
+            Kp = K[perm][:, perm]
+            rhs_p = np.concatenate([-rd_f, -c])[perm]
             try:
-                lu = spla.splu(K)
-                step = lu.solve(rhs_kkt)
+                lu = spla.splu(Kp, permc_spec="NATURAL")
+                z = lu.solve(rhs_p)
                 # one round of iterative refinement sharpens the attainable
                 # KKT tolerance near convergence
-                step -= lu.solve(K @ step - rhs_kkt)
+                z -= lu.solve(Kp @ z - rhs_p)
             except (RuntimeError, ValueError):
                 trial_delta = max(1e-8, 10.0 * trial_delta, 1e-8)
                 continue
-            if np.all(np.isfinite(step)):
+            if np.all(np.isfinite(z)):
+                step = np.empty_like(z)
+                step[perm] = z
                 solved = True
                 break
             trial_delta = max(1e-8, 10.0 * trial_delta)
@@ -700,11 +778,14 @@ def solve(
         zl = np.where(has_lb, np.clip(zl, mu / (1e10 * sl), 1e10 * mu / sl), 0.0)
         zu = np.where(has_ub, np.clip(zu, mu / (1e10 * su), 1e10 * mu / su), 0.0)
 
-    e_dual, e_primal, e_comp = kkt_errors(x, y, zl, zu, 0.0)
+    e_dual, e_primal, e_comp = kkt_errors(
+        x, inst.jacobian(x), inst.constraints(x), y, zl, zu, 0.0
+    )
     kkt = max(e_dual, e_primal, e_comp)
     if status == STATUS_ITERATION_LIMIT and kkt <= eps_opt:
         status = STATUS_OPTIMAL
     seconds = time.perf_counter() - t0
     return _extract_solution(
-        inst, x, status, kkt, iterations, seconds, duals=(y, zl, zu)
+        inst, x, status, kkt, iterations, seconds,
+        duals=_keyed_multipliers(inst, y, zl, zu),
     )

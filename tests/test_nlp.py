@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gasadapt import nlp
-from gasadapt.fixtures import chain5
+from gasadapt.controller import AdaptiveConfig, run
+from gasadapt.fixtures import chain5, tree12
 from gasadapt.integrate import Grid, integrate
 from gasadapt.models import ModelLevel
 from gasadapt.network import (
@@ -16,6 +17,9 @@ from gasadapt.network import (
     Scenario,
     mass_balance_residual,
 )
+
+# objective of the cold level-1 n=512 solve on tree-12
+TREE12_UNIFORM_OBJECTIVE = 1.0719919384122125
 
 # required compressor lift for the chain oracle below: backward inversion of
 # the implicit-Euler level-3 recursion p_{k-1} = p_k + h K / p_k from the
@@ -175,3 +179,112 @@ def test_solution_determinism():
     assert a.node_pressures == b.node_pressures
     assert a.arc_flows == b.arc_flows
     assert np.array_equal(a.interior_pressures["p"], b.interior_pressures["p"])
+
+
+# -- KKT ordering --------------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", [chain5, tree12])
+def test_kkt_ordering_is_a_permutation(fixture):
+    net, gas, scn = fixture()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    nfree = int(np.sum(inst.lb < inst.ub))  # entry pressures are fixed
+    perm = nlp.kkt_ordering(inst)
+    assert np.array_equal(np.sort(perm), np.arange(nfree + inst.n_cons))
+
+
+@pytest.fixture(scope="module")
+def tree12_uniform_solve():
+    """Cold level-1 n=512 solve on tree-12 with (K.nnz, L.nnz + U.nnz) of
+    every factorization it made."""
+    factors = []
+    splu = nlp.spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        factors.append((A.nnz, lu.L.nnz + lu.U.nnz))
+        return lu
+
+    net, gas, scn = tree12()
+    state = {pid: (ModelLevel.FULL, p.length / 512) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nlp.spla, "splu", recording_splu)
+        sol = nlp.solve(inst)
+    return sol, factors
+
+
+def test_kkt_fill_stays_proportional_to_nnz(tree12_uniform_solve):
+    _, factors = tree12_uniform_solve
+    assert factors
+    for nnz, fill in factors:
+        assert fill <= 4 * nnz
+
+
+def test_tree12_uniform_solve_unchanged(tree12_uniform_solve):
+    sol, _ = tree12_uniform_solve
+    assert sol.status == nlp.STATUS_OPTIMAL
+    assert sol.n_iterations == 33
+    assert sol.objective == pytest.approx(TREE12_UNIFORM_OBJECTIVE, rel=1e-9)
+
+
+# -- warm starts across grid and model changes -----------------------------
+
+
+def _with_state(instance, level, n):
+    net, scn, gas, _ = instance
+    return net, scn, gas, {"p": (ModelLevel.of(level), 20000.0 / n)}
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [single_pipe_instance(1), compressor_chain()],
+    ids=["single-pipe", "compressor-chain"],
+)
+@pytest.mark.parametrize(
+    "before, after",
+    [((1, 16), (1, 32)), ((3, 16), (1, 16))],
+    ids=["refine", "switch-3-to-1"],
+)
+def test_warm_start_carries_multipliers(instance, before, after):
+    net, scn, gas, state = _with_state(instance, *before)
+    previous = nlp.solve(nlp.assemble(net, scn, gas, state))
+    assert previous.status == nlp.STATUS_OPTIMAL
+    net, scn, gas, state = _with_state(instance, *after)
+    inst = nlp.assemble(net, scn, gas, state)
+    cold = nlp.solve(inst)
+
+    # the multipliers carried onto the new instance are close to its own
+    carried = [np.zeros(inst.n_cons), np.zeros(inst.n_vars), np.zeros(inst.n_vars)]
+    nlp._warm_multipliers(inst, previous.duals, *carried)
+    converged = [np.zeros(inst.n_cons), np.zeros(inst.n_vars), np.zeros(inst.n_vars)]
+    nlp._warm_multipliers(inst, cold.duals, *converged)
+    for got, want in zip(carried, converged):
+        scale = max(1.0, np.max(np.abs(want)))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-2 * scale)
+
+    warm = nlp.solve(inst, warm_start=previous)
+    assert warm.status == nlp.STATUS_OPTIMAL
+    assert warm.n_iterations <= 5
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
+    for node, p in cold.node_pressures.items():
+        assert warm.node_pressures[node] == pytest.approx(p, rel=1e-8)
+
+
+def test_warm_start_from_own_solution_stops_at_first_check():
+    # the carried multipliers make the KKT error of the warm start point
+    # meet the tolerance before any Newton step
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    cold = nlp.solve(inst)
+    warm = nlp.solve(inst, warm_start=cold)
+    assert warm.status == nlp.STATUS_OPTIMAL
+    assert warm.n_iterations == 1
+
+
+def test_chain5_adaptive_run_solve_count():
+    net, gas, scn = chain5()
+    _, state = run(net, scn, gas, AdaptiveConfig())
+    assert len(state.trace) == 13
