@@ -13,7 +13,6 @@ from .controller import (
     AdaptiveState,
     TraceRecord,
     compute_estimates,
-    estimator_threads,
     is_eps_feasible,
     mark_coarsen,
     mark_refine,
@@ -107,7 +106,6 @@ __all__ = [
     "compute_estimates",
     "discretization_error",
     "estimate_with_alternatives",
-    "estimator_threads",
     "export_estimates",
     "export_profile",
     "export_trace",

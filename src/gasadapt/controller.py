@@ -7,9 +7,7 @@ error estimate drops below the tolerance.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import nlp
@@ -17,13 +15,6 @@ from .errors import EmptyNetwork, InfeasibleProblem, IterationLimit
 from .estimators import estimate_with_alternatives, network_error_summary
 from .models import ModelLevel
 from .network import GasParameters, Network, Scenario, slope_of
-
-THREADS_ENV_VAR = "GASADAPT_THREADS"
-
-
-def estimator_threads() -> int:
-    return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-
 
 @dataclass
 class AdaptiveConfig:
@@ -39,7 +30,6 @@ class AdaptiveConfig:
     initial_intervals: int = 4
     initial_level: int = 3
     split_tolerance: bool = False  # check feasibility against eps - eps_opt
-    adaptive_eps_opt: bool = False  # reserved; rejected as unimplemented
 
     def __post_init__(self):
         for name in ("theta_d", "theta_m", "phi_d", "phi_m"):
@@ -213,10 +203,8 @@ def compute_estimates(
     levels: dict,
     stepsizes: dict,
 ) -> tuple:
-    """Per-pipe estimate bundles at the current NLP solution.
-
-    Evaluation fans out over a thread pool capped by GASADAPT_THREADS;
-    results are aggregated in pipe-id order for determinism."""
+    """Per-pipe estimate bundles at the current NLP solution, in pipe-id
+    order."""
 
     def one(pipe):
         q = sol.arc_flows[pipe.id]
@@ -240,15 +228,9 @@ def compute_estimates(
             extra_levels=_extra_levels(ModelLevel.of(level)),
         )
 
-    pipes = sorted(net.pipes.values(), key=lambda p: p.id)
-    workers = estimator_threads()
-    if workers == 1:
-        bundles = [one(p) for p in pipes]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bundles = list(pool.map(one, pipes))
-    estimates = {p.id: b.estimate for p, b in zip(pipes, bundles)}
-    eta_m_by_level = {p.id: b.eta_m_by_level for p, b in zip(pipes, bundles)}
+    bundles = {pid: one(net.pipes[pid]) for pid in sorted(net.pipes)}
+    estimates = {pid: b.estimate for pid, b in bundles.items()}
+    eta_m_by_level = {pid: b.eta_m_by_level for pid, b in bundles.items()}
     return estimates, eta_m_by_level
 
 
@@ -295,8 +277,6 @@ def run(
 ) -> tuple:
     """Adaptive model and discretization control; returns the accepted NLP
     solution and the full adaptation state including the trace."""
-    if config.adaptive_eps_opt:
-        raise NotImplementedError("adaptive eps_opt tightening is unimplemented")
     if not net.pipes:
         raise EmptyNetwork("adaptive control requires at least one pipe")
 

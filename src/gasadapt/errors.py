@@ -22,7 +22,7 @@ class UnsupportedModel(GasAdaptError):
 
 
 class NewtonDivergence(GasAdaptError):
-    """The per-step scalar Newton solve failed, including the bisection fallback."""
+    """The level-1 Newton iteration on the implicit step did not converge."""
 
 
 class IncompatibleGrids(GasAdaptError):

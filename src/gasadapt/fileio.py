@@ -207,28 +207,30 @@ def save_scenario(scn: Scenario, path):
         handle.write("\n")
 
 
+CONFIG_FIELDS = (
+    "theta_d",
+    "theta_m",
+    "phi_d",
+    "phi_m",
+    "tau",
+    "mu",
+    "eps_opt",
+    "max_outer_iterations",
+    "initial_intervals",
+    "initial_level",
+    "split_tolerance",
+)
+
+
 def config_from_dict(doc) -> AdaptiveConfig:
-    kwargs = {}
+    unknown = sorted(set(doc) - {"format_version", "eps_bar", "eps", *CONFIG_FIELDS})
+    if unknown:
+        raise ParseError(f"config: unknown keys {unknown}")
+    kwargs = {key: doc[key] for key in CONFIG_FIELDS if key in doc}
     if "eps_bar" in doc:
         kwargs["eps"] = doc["eps_bar"] * BAR
     elif "eps" in doc:
         kwargs["eps"] = doc["eps"]
-    for key in (
-        "theta_d",
-        "theta_m",
-        "phi_d",
-        "phi_m",
-        "tau",
-        "mu",
-        "eps_opt",
-        "max_outer_iterations",
-        "initial_intervals",
-        "initial_level",
-        "split_tolerance",
-        "adaptive_eps_opt",
-    ):
-        if key in doc:
-            kwargs[key] = doc[key]
     try:
         return AdaptiveConfig(**kwargs)
     except ValueError as exc:

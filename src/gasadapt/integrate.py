@@ -1,7 +1,8 @@
 """Implicit-Euler integration of the discretized pipe models.
 
-Each step solves the scalar implicit relation with Newton's method
-(continuation from the previous gridpoint) and a bisection fallback.
+Each step is the largest root of a polynomial in the next gridpoint
+pressure: a quadratic in closed form at levels 2 and 3, a cubic polished by
+Newton from that root at level 1.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from .errors import (
     InvalidGrid,
     NewtonDivergence,
     NonPositivePressure,
+    SonicFlow,
 )
-from .models import ModelLevel, rhs, rhs_pressure_derivative
+from .models import SONIC_GUARD, ModelLevel, pipe_coefficients
 from .network import GasParameters, Pipe
 
 NEWTON_RTOL = 1e-10
 NEWTON_MAX_ITER = 50
-BISECTION_FLOOR = 1.0  # Pa
 GRID_RTOL = 1e-9
 
 
@@ -72,67 +73,37 @@ class PressureProfile:
         return float(self.values[-1])
 
 
-def _newton_step_root(level, p_prev, q, pipe, gas, slope, h):
-    """Solve p - p_prev - h * rhs(p) = 0 for the next gridpoint pressure."""
+def _implicit_step(p_prev, hK, ha, b):
+    """Next gridpoint pressure of the implicit Euler step, i.e. the largest
+    root of (1 + h alpha) p^3 - p_prev p^2 + (hK - b) p + b p_prev = 0, which
+    is p^2 times p - p_prev - h rhs(p) with hK = h K and b = beta q^2.
 
-    def residual(p):
-        return p - p_prev - h * rhs(level, p, q, pipe, gas, slope)
-
-    p = p_prev
+    b = 0 (levels 2 and 3, or no flow) leaves the quadratic
+    (1 + h alpha) p^2 - p_prev p + hK = 0, solved in closed form. At level 1
+    Newton runs on the cubic from that quadratic root; the cubic is convex
+    there, so the iterates approach the subsonic root monotonically."""
+    a = 1.0 + ha
+    disc = p_prev * p_prev - 4.0 * a * hK
+    if disc < 0.0 and b == 0.0:
+        raise DrainedPipe(f"implicit step from p={p_prev} has no real root")
+    if disc < 0.0:
+        raise SonicFlow(f"implicit step from p={p_prev} has no subsonic root")
+    p = (p_prev + math.sqrt(disc)) / (2.0 * a)
+    if b == 0.0:
+        return p
     for _ in range(NEWTON_MAX_ITER):
-        try:
-            f = residual(p)
-            fprime = 1.0 - h * rhs_pressure_derivative(level, p, q, pipe, gas, slope)
-        except NonPositivePressure:
-            break
-        if abs(f) <= NEWTON_RTOL * abs(p):
+        f = ((a * p - p_prev) * p + hK - b) * p + b * p_prev
+        fprime = (3.0 * a * p - 2.0 * p_prev) * p + hK - b
+        if fprime <= 0.0:
+            raise SonicFlow(f"implicit step from p={p_prev} has no subsonic root")
+        step = f / fprime
+        p -= step
+        # every iterate now lies above the root: if it is sonic, so is the root
+        if p <= 0.0 or 1.0 - b / (p * p) <= SONIC_GUARD:
+            raise SonicFlow(f"implicit step from p={p_prev} has no subsonic root")
+        if abs(step) <= NEWTON_RTOL * p:
             return p
-        if fprime == 0.0:
-            break
-        p_next = p - f / fprime
-        if not math.isfinite(p_next) or p_next <= 0.0:
-            break
-        p = p_next
-
-    return _bisection_fallback(residual, p_prev)
-
-
-def _bisection_fallback(residual, p_prev):
-    """Scan [1 Pa, 2 p_prev] for a sign change, then bisect."""
-    lo_candidates = np.geomspace(BISECTION_FLOOR, 2.0 * p_prev, 64)
-    values = []
-    for p in lo_candidates:
-        try:
-            values.append(residual(p))
-        except (NonPositivePressure, DrainedPipe):
-            values.append(math.nan)
-    bracket = None
-    for (a, fa), (b, fb) in zip(
-        zip(lo_candidates, values), zip(lo_candidates[1:], values[1:])
-    ):
-        if math.isnan(fa) or math.isnan(fb):
-            continue
-        if fa == 0.0:
-            return a
-        if fa * fb < 0.0:
-            bracket = (a, b, fa)
-            break
-    if bracket is None:
-        finite = [v for v in values if not math.isnan(v)]
-        if finite and min(finite) > 0.0:
-            raise DrainedPipe("implicit step has no positive-pressure root")
-        raise NewtonDivergence("no bracketing interval for the implicit step")
-    a, b, fa = bracket
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = residual(mid)
-        if abs(fm) <= NEWTON_RTOL * abs(mid) or (b - a) <= 1e-14 * mid:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    raise NewtonDivergence("bisection did not converge")
+    raise NewtonDivergence(f"implicit step from p={p_prev} did not converge")
 
 
 def integrate(
@@ -154,11 +125,11 @@ def integrate(
     values = np.empty(grid.n_intervals + 1)
     values[0] = p0
     p = p0
-    if q == 0.0 and slope == 0.0:
-        values[:] = p0
-        return PressureProfile(grid, values, level, q)
+    kappa, alpha, beta = pipe_coefficients(level, pipe, gas, slope)
+    h = grid.stepsize
+    hK, ha, b = h * kappa * abs(q) * q, h * alpha, beta * q * q
     for k in range(1, grid.n_intervals + 1):
-        p = _newton_step_root(level, p, q, pipe, gas, slope, grid.stepsize)
+        p = _implicit_step(p, hK, ha, b)
         values[k] = p
     return PressureProfile(grid, values, level, q)
 

@@ -27,23 +27,46 @@ class ModelLevel(enum.IntEnum):
         return cls(int(value))
 
 
+def _sound_speed_squared(gas: GasParameters) -> float:
+    return gas.specific_gas_constant * gas.temperature * gas.compressibility
+
+
 def sound_speed(gas: GasParameters) -> float:
     """Isothermal sound speed c = sqrt(R_s * T * z)."""
-    return math.sqrt(
-        gas.specific_gas_constant * gas.temperature * gas.compressibility
-    )
+    return math.sqrt(_sound_speed_squared(gas))
 
 
 def friction_coefficient(pipe: Pipe, gas: GasParameters, q: float) -> float:
     """K = lambda c^2 |q| q / (2 A^2 D); signed so reverse flow gains pressure."""
-    c2 = gas.specific_gas_constant * gas.temperature * gas.compressibility
+    c2 = _sound_speed_squared(gas)
     return pipe.friction * c2 * abs(q) * q / (2.0 * pipe.cross_area**2 * pipe.diameter)
 
 
 def gravity_coefficient(pipe: Pipe, gas: GasParameters, slope: float) -> float:
     """alpha = g s / c^2 in the linear-in-p gravity term."""
-    c2 = gas.specific_gas_constant * gas.temperature * gas.compressibility
-    return gas.gravity * slope / c2
+    return gas.gravity * slope / _sound_speed_squared(gas)
+
+
+def pipe_coefficients(
+    level: ModelLevel, pipe: Pipe, gas: GasParameters, slope: float = 0.0
+) -> tuple:
+    """(kappa, alpha, beta) of the level-l momentum balance
+
+        dp/dx = -(kappa |q| q / p + alpha p) / (1 - beta q^2 / p^2):
+
+    kappa is the friction factor per |q| q, alpha the gravity factor (0 at
+    level 3) and beta the ram-pressure factor per q^2 (0 below level 1).
+    The integrator and the NLP both build their discrete relation from it.
+    """
+    level = ModelLevel.of(level)
+    kappa = friction_coefficient(pipe, gas, 1.0)
+    alpha = 0.0
+    if level != ModelLevel.FRICTION:
+        alpha = gravity_coefficient(pipe, gas, slope)
+    beta = 0.0
+    if level == ModelLevel.FULL:
+        beta = _sound_speed_squared(gas) / pipe.cross_area**2
+    return kappa, alpha, beta
 
 
 def rhs(
@@ -57,47 +80,14 @@ def rhs(
     """dp/dx of the given model level at pressure p and constant mass flow q."""
     if p <= 0.0:
         raise NonPositivePressure(f"pressure {p} <= 0")
-    K = friction_coefficient(pipe, gas, q)
-    base = -K / p
-    if level == ModelLevel.FRICTION:
-        return base
-    alpha = gravity_coefficient(pipe, gas, slope)
-    base -= alpha * p
-    if level == ModelLevel.GRAVITY:
-        return base
-    c2 = gas.specific_gas_constant * gas.temperature * gas.compressibility
-    ram = 1.0 - q * q * c2 / (pipe.cross_area**2 * p * p)
+    kappa, alpha, beta = pipe_coefficients(level, pipe, gas, slope)
+    dpdx = -kappa * abs(q) * q / p - alpha * p
+    if level != ModelLevel.FULL:
+        return dpdx
+    ram = 1.0 - beta * q * q / (p * p)
     if abs(ram) < SONIC_GUARD:
         raise SonicFlow(f"ram factor {ram} at p={p}, q={q}")
-    return base / ram
-
-
-def rhs_pressure_derivative(
-    level: ModelLevel,
-    p: float,
-    q: float,
-    pipe: Pipe,
-    gas: GasParameters,
-    slope: float = 0.0,
-) -> float:
-    """d(rhs)/dp, used by the per-step Newton solve."""
-    if p <= 0.0:
-        raise NonPositivePressure(f"pressure {p} <= 0")
-    K = friction_coefficient(pipe, gas, q)
-    if level == ModelLevel.FRICTION:
-        return K / (p * p)
-    alpha = gravity_coefficient(pipe, gas, slope)
-    if level == ModelLevel.GRAVITY:
-        return K / (p * p) - alpha
-    c2 = gas.specific_gas_constant * gas.temperature * gas.compressibility
-    b = q * q * c2 / pipe.cross_area**2
-    ram = 1.0 - b / (p * p)
-    if abs(ram) < SONIC_GUARD:
-        raise SonicFlow(f"ram factor {ram} at p={p}, q={q}")
-    numerator = -K / p - alpha * p
-    d_numerator = K / (p * p) - alpha
-    d_ram = 2.0 * b / p**3
-    return (d_numerator * ram - numerator * d_ram) / (ram * ram)
+    return dpdx / ram
 
 
 def analytic_pressure(

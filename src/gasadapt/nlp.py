@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidGrid
-from .models import ModelLevel
+from .models import ModelLevel, pipe_coefficients
 from .network import GasParameters, Network, Scenario, slope_of
 
 PRESSURE_SCALE = 1e5  # internal pressure unit is bar
@@ -53,9 +53,10 @@ class _PipeBlock:
     h: float
     pressure_idx: np.ndarray  # n+1 variable indices, inlet to outlet
     flow_idx: int
-    k_coef: float  # h * lambda c^2 / (2 A^2 D) / PRESSURE_SCALE^2 (bar units)
-    grav_coef: float  # h * g * s / c^2
-    ram_coef: float  # c^2 / (A^2 * PRESSURE_SCALE^2); zero below level 1
+    # from models.pipe_coefficients (kappa, alpha, beta), in bar units
+    k_coef: float  # h * kappa / PRESSURE_SCALE^2
+    grav_coef: float  # h * alpha; zero at level 3
+    ram_coef: float  # beta / PRESSURE_SCALE^2; zero below level 1
 
     @property
     def n_constraints(self):
@@ -242,7 +243,6 @@ def assemble(
 ) -> NlpInstance:
     """Build the NLP for the given per-pipe (level, stepsize) assignment."""
     inst = NlpInstance(net=net, scn=scn, gas=gas, state=dict(state))
-    c2 = gas.specific_gas_constant * gas.temperature * gas.compressibility
 
     idx = 0
     lb, ub, grad = [], [], []
@@ -329,21 +329,7 @@ def assemble(
                 [inst.node_idx[pipe.to_node]],
             ]
         ).astype(int)
-        k_coef = (
-            h
-            * pipe.friction
-            * c2
-            / (2.0 * pipe.cross_area**2 * pipe.diameter)
-            / PRESSURE_SCALE**2
-        )
-        grav_coef = (
-            h * gas.gravity * slope / c2 if level != ModelLevel.FRICTION else 0.0
-        )
-        ram_coef = (
-            c2 / (pipe.cross_area**2 * PRESSURE_SCALE**2)
-            if level == ModelLevel.FULL
-            else 0.0
-        )
+        kappa, alpha, beta = pipe_coefficients(level, pipe, gas, slope)
         inst.pipe_blocks.append(
             _PipeBlock(
                 pipe_id=pipe.id,
@@ -351,9 +337,9 @@ def assemble(
                 h=h,
                 pressure_idx=pressure_idx,
                 flow_idx=inst.flow_idx[pipe.id],
-                k_coef=k_coef,
-                grav_coef=grav_coef,
-                ram_coef=ram_coef,
+                k_coef=h * kappa / PRESSURE_SCALE**2,
+                grav_coef=h * alpha,
+                ram_coef=beta / PRESSURE_SCALE**2,
             )
         )
     inst.n_cons = inst.linear_A.shape[0] + sum(

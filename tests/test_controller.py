@@ -5,7 +5,6 @@ import pytest
 from gasadapt.controller import (
     AdaptiveConfig,
     compute_estimates,
-    estimator_threads,
     is_eps_feasible,
     run,
     validate_parameters,
@@ -48,12 +47,6 @@ def test_split_tolerance_shifts_feasibility_threshold():
     assert AdaptiveConfig(eps=10.0).eps_feasibility == 10.0
 
 
-def test_adaptive_eps_opt_is_rejected():
-    net, gas, scn = chain5()
-    with pytest.raises(NotImplementedError):
-        run(net, scn, gas, AdaptiveConfig(adaptive_eps_opt=True))
-
-
 # -- parameter validator ------------------------------------------------------
 
 
@@ -79,14 +72,7 @@ def test_validator_inequalities_are_strict():
     assert any("refinement/coarsening" in w for w in warnings)
 
 
-# -- estimator concurrency ----------------------------------------------------
-
-
-def test_estimator_threads_env(monkeypatch):
-    monkeypatch.delenv("GASADAPT_THREADS", raising=False)
-    assert estimator_threads() == 1
-    monkeypatch.setenv("GASADAPT_THREADS", "4")
-    assert estimator_threads() == 4
+# -- estimator determinism ----------------------------------------------------
 
 
 def test_compute_estimates_thread_count_invariant(monkeypatch):

@@ -1,13 +1,16 @@
 """Implicit-Euler integrator: convergence order, guards, grid algebra."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gasadapt.errors import DrainedPipe, IncompatibleGrids, InvalidGrid
+from gasadapt import nlp
+from gasadapt.errors import DrainedPipe, IncompatibleGrids, InvalidGrid, SonicFlow
 from gasadapt.integrate import Grid, integrate, restrict_to_grid
-from gasadapt.models import ModelLevel, analytic_pressure, gravity_coefficient
+from gasadapt.models import ModelLevel, analytic_pressure, gravity_coefficient, rhs
+from gasadapt.network import Network, Node, Scenario
 
 
 def _max_error(level, pipe, gas, p0, q, grid, slope=0.0):
@@ -88,8 +91,17 @@ def test_monotone_decrease_under_forward_flow(test_pipe, gas):
 
 def test_drained_pipe_raises(test_pipe, gas):
     grid = Grid.for_pipe(10000.0, 16)
-    with pytest.raises(DrainedPipe):
-        integrate(ModelLevel.FRICTION, test_pipe, gas, 6e5, 100.0, grid)
+    for level in (ModelLevel.GRAVITY, ModelLevel.FRICTION):
+        with pytest.raises(DrainedPipe):
+            integrate(level, test_pipe, gas, 6e5, 100.0, grid)
+
+
+def test_level1_runs_sonic_where_lower_levels_drain(test_pipe, gas):
+    # same inputs as the drained case: the ram-pressure term makes the full
+    # model lose its subsonic step root before the pressure runs out
+    grid = Grid.for_pipe(10000.0, 16)
+    with pytest.raises(SonicFlow):
+        integrate(ModelLevel.FULL, test_pipe, gas, 6e5, 100.0, grid)
 
 
 def test_grid_for_pipe_requires_multiple_of_four():
@@ -134,12 +146,30 @@ def test_restrict_to_grid_misaligned_raises(test_pipe, gas):
 
 
 def test_implicit_euler_step_relation(test_pipe, gas):
-    # each gridpoint satisfies p_k - p_{k-1} = h * rhs(p_k) to Newton tolerance
-    from gasadapt.models import rhs
-
+    # each gridpoint satisfies p_k - p_{k-1} = h * rhs(p_k) at every level
     grid = Grid.for_pipe(10000.0, 8)
-    profile = integrate(ModelLevel.FULL, test_pipe, gas, 60e5, 100.0, grid, 0.01)
-    for k in range(1, grid.n_intervals + 1):
-        pk, pk1 = profile.values[k], profile.values[k - 1]
-        step = grid.stepsize * rhs(ModelLevel.FULL, pk, 100.0, test_pipe, gas, 0.01)
-        assert pk - pk1 == pytest.approx(step, abs=1e-9 * pk)
+    for level in ModelLevel:
+        profile = integrate(level, test_pipe, gas, 60e5, 100.0, grid, 0.01)
+        for k in range(1, grid.n_intervals + 1):
+            pk, pk1 = profile.values[k], profile.values[k - 1]
+            step = grid.stepsize * rhs(level, pk, 100.0, test_pipe, gas, 0.01)
+            assert pk - pk1 == pytest.approx(step, abs=1e-9 * pk)
+
+
+@pytest.mark.parametrize("q", [50.0, -50.0])
+@pytest.mark.parametrize("level", list(ModelLevel))
+def test_profile_satisfies_nlp_pipe_relation(test_pipe, gas, level, q):
+    # the integrator and the NLP discretize the same relation: an integrated
+    # profile is a zero of the NLP's gridpoint constraints to rounding
+    pipe = dataclasses.replace(test_pipe, slope=0.01)
+    net = Network(
+        [Node("a", "entry", 1e5, 100e5), Node("b", "exit", 1e5, 100e5)], [pipe]
+    )
+    grid = Grid.for_pipe(pipe.length, 32)
+    inst = nlp.assemble(net, Scenario(), gas, {pipe.id: (level, grid.stepsize)})
+    profile = integrate(level, pipe, gas, 60e5, q, grid, 0.01)
+    block = inst.pipe_blocks[0]
+    x = np.zeros(inst.n_vars)
+    x[block.pressure_idx] = profile.values / nlp.PRESSURE_SCALE
+    x[block.flow_idx] = q
+    assert np.max(np.abs(block.residual(x))) <= 1e-12  # bar

@@ -107,6 +107,32 @@ def test_config_bad_value_is_parse_error():
         fileio.config_from_dict({"tau": 0.5})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"thetad": 0.5},  # misspelled theta_d
+        {"adaptive_eps_opt": True},  # removed, never implemented
+    ],
+)
+def test_config_unknown_key_is_parse_error(doc, chain5_files, tmp_path):
+    with pytest.raises(ParseError):
+        fileio.config_from_dict(doc)
+    net_path, scn_path = chain5_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = cli_main(
+        [
+            "run",
+            "--network", net_path,
+            "--scenario", scn_path,
+            "--config", str(cfg_path),
+            "--out", str(tmp_path / "artifacts"),
+            "--quiet",
+        ]
+    )
+    assert code == 1
+
+
 def test_solution_round_trip(tmp_path):
     import numpy as np
 

@@ -17,7 +17,6 @@ from gasadapt.models import (
     friction_coefficient,
     gravity_coefficient,
     rhs,
-    rhs_pressure_derivative,
     sound_speed,
 )
 from gasadapt.network import GasParameters, Pipe
@@ -138,25 +137,6 @@ def test_level1_has_no_closed_form(test_pipe, gas):
 def test_drained_pipe_raises(test_pipe, gas):
     with pytest.raises(DrainedPipe):
         analytic_pressure(ModelLevel.FRICTION, test_pipe, gas, 6e5, 100.0, 10000.0)
-
-
-@given(
-    p=st.floats(20e5, 80e5),
-    q=st.floats(-150.0, 150.0),
-    slope=st.floats(-0.05, 0.05),
-    level=st.sampled_from(list(ModelLevel)),
-)
-def test_rhs_derivative_matches_finite_difference(p, q, slope, level):
-    pipe = Pipe(
-        id="t", from_node="a", to_node="b", length=1e4, diameter=0.6, friction=0.01
-    )
-    gas = GasParameters()
-    dp = max(1.0, 1e-6 * p)
-    numeric = (
-        rhs(level, p + dp, q, pipe, gas, slope) - rhs(level, p - dp, q, pipe, gas, slope)
-    ) / (2.0 * dp)
-    analytic = rhs_pressure_derivative(level, p, q, pipe, gas, slope)
-    assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-12)
 
 
 def test_model_level_of():
