@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 infeasible problem, 1 any other error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -189,14 +188,9 @@ def _cmd_nlp_solve(args) -> int:
     }
     instance = nlp.assemble(net, scn, gas, state)
     sol = nlp.solve(instance, eps_opt=args.eps_opt)
-    doc = fileio.solution_to_dict(sol, state)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    fileio.write_json(
+        fileio.solution_to_dict(sol, state), args.out if args.out else sys.stdout
+    )
     if sol.status == nlp.STATUS_INFEASIBLE:
         print("infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE

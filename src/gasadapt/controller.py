@@ -79,7 +79,8 @@ class AdaptiveState:
     initial_stepsizes: dict = field(default_factory=dict)
     solution: nlp.NlpSolution = None
     estimates: dict = field(default_factory=dict)  # pipe id -> ErrorEstimate
-    eta_m_by_level: dict = field(default_factory=dict)  # pipe id -> {level: eta_m}
+    # pipe id -> {level: eta_m}, level 1 included at 0
+    eta_m_by_level: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
 
@@ -101,29 +102,42 @@ def switch_up_target(level, eta_m_at, eps) -> ModelLevel:
 # -- marking strategies ------------------------------------------------------
 
 
-def mark_refine(eta_d: dict, theta_d: float) -> set:
-    """Greedy bulk marking by descending discretization error."""
-    target = theta_d * sum(eta_d.values())
+def _mark_to_reach(values: dict, theta: float) -> set:
+    """Largest values first, until the marked ones reach theta times the sum
+    of all."""
+    target = theta * sum(values.values())
     marked, acc = set(), 0.0
-    for pid in sorted(eta_d, key=lambda p: (-eta_d[p], p)):
+    for pid in sorted(values, key=lambda p: (-values[p], p)):
         if acc >= target:
             break
         marked.add(pid)
-        acc += eta_d[pid]
+        acc += values[pid]
     return marked
+
+
+def _mark_within(values: dict, budget: float, candidates) -> set:
+    """Smallest values first among the candidates, while the marked ones
+    stay within the budget."""
+    marked, acc = set(), 0.0
+    for pid in sorted(set(candidates), key=lambda p: (values[p], p)):
+        if acc + values[pid] <= budget:
+            marked.add(pid)
+            acc += values[pid]
+        else:
+            break
+    return marked
+
+
+def mark_refine(eta_d: dict, theta_d: float) -> set:
+    """Greedy bulk marking by descending discretization error."""
+    return _mark_to_reach(eta_d, theta_d)
 
 
 def mark_switch_up(eta_m_reduction: dict, theta_m: float, eps: float) -> set:
     """Greedy marking among pipes whose switch-up reduction exceeds eps."""
-    eligible = {p: r for p, r in eta_m_reduction.items() if r > eps}
-    target = theta_m * sum(eligible.values())
-    marked, acc = set(), 0.0
-    for pid in sorted(eligible, key=lambda p: (-eligible[p], p)):
-        if acc >= target:
-            break
-        marked.add(pid)
-        acc += eligible[pid]
-    return marked
+    return _mark_to_reach(
+        {p: r for p, r in eta_m_reduction.items() if r > eps}, theta_m
+    )
 
 
 def mark_coarsen(eta_d: dict, phi_d: float, eligible=None) -> set:
@@ -131,31 +145,16 @@ def mark_coarsen(eta_d: dict, phi_d: float, eligible=None) -> set:
 
     Pipes already at their coarsest admissible grid are passed via
     `eligible`; the budget is always taken over all pipes."""
-    budget = phi_d * sum(eta_d.values())
-    candidates = set(eta_d) if eligible is None else set(eligible)
-    marked, acc = set(), 0.0
-    for pid in sorted(candidates, key=lambda p: (eta_d[p], p)):
-        if acc + eta_d[pid] <= budget:
-            marked.add(pid)
-            acc += eta_d[pid]
-        else:
-            break
-    return marked
+    return _mark_within(
+        eta_d, phi_d * sum(eta_d.values()), eta_d if eligible is None else eligible
+    )
 
 
 def mark_switch_down(eta_m_increase: dict, phi_m: float, tau: float, eps: float) -> set:
     """Greedy maximal set by ascending model-error increase, restricted to
     pipes whose increase stays below tau * eps."""
     eligible = {p: inc for p, inc in eta_m_increase.items() if inc <= tau * eps}
-    budget = phi_m * sum(eligible.values())
-    marked, acc = set(), 0.0
-    for pid in sorted(eligible, key=lambda p: (eligible[p], p)):
-        if acc + eligible[pid] <= budget:
-            marked.add(pid)
-            acc += eligible[pid]
-        else:
-            break
-    return marked
+    return _mark_within(eligible, phi_m * sum(eligible.values()), eligible)
 
 
 def is_eps_feasible(estimates, eps: float) -> bool:
@@ -203,8 +202,8 @@ def compute_estimates(
     levels: dict,
     stepsizes: dict,
 ) -> tuple:
-    """Per-pipe estimate bundles at the current NLP solution, in pipe-id
-    order."""
+    """Per-pipe error estimates at the current NLP solution, in pipe-id
+    order, and per pipe its eta_m by model level, level 1 included at 0."""
 
     def one(pipe):
         q = sol.arc_flows[pipe.id]
@@ -230,39 +229,30 @@ def compute_estimates(
 
     bundles = {pid: one(net.pipes[pid]) for pid in sorted(net.pipes)}
     estimates = {pid: b.estimate for pid, b in bundles.items()}
-    eta_m_by_level = {pid: b.eta_m_by_level for pid, b in bundles.items()}
+    eta_m_by_level = {
+        pid: {**b.eta_m_by_level, ModelLevel.FULL: 0.0} for pid, b in bundles.items()
+    }
     return estimates, eta_m_by_level
 
 
-def _switch_up_reductions(levels, estimates, eta_m_by_level, eps):
-    """eta_m(level) - eta_m(new level) per pipe, new level from the
-    switch-up rule."""
-    reductions = {}
+def _switch_up_targets(levels, eta_m_by_level, eps):
+    """Per pipe, the level the switch-up rule picks and the model-error
+    reduction eta_m(level) - eta_m(new level) it brings."""
+    targets = {}
     for pid, level in levels.items():
-        level = ModelLevel.of(level)
-        by_level = dict(eta_m_by_level[pid])
-        by_level[ModelLevel.FULL] = 0.0
-
-        def eta_m_at(lv, _by=by_level):
-            return _by[ModelLevel.of(lv)]
-
-        target = switch_up_target(level, eta_m_at, eps)
-        reductions[pid] = eta_m_at(level) - eta_m_at(target)
-    return reductions
+        by_level = eta_m_by_level[pid]
+        target = switch_up_target(level, by_level.__getitem__, eps)
+        targets[pid] = (target, by_level[level] - by_level[target])
+    return targets
 
 
 def _switch_down_increases(levels, eta_m_by_level):
     """eta_m(min(level+1, 3)) - eta_m(level) for pipes below level 3."""
-    increases = {}
-    for pid, level in levels.items():
-        level = ModelLevel.of(level)
-        if level == ModelLevel.FRICTION:
-            continue
-        by_level = dict(eta_m_by_level[pid])
-        by_level[ModelLevel.FULL] = 0.0
-        down = ModelLevel.of(min(level + 1, 3))
-        increases[pid] = by_level[down] - by_level[level]
-    return increases
+    return {
+        pid: eta_m_by_level[pid][ModelLevel.of(level + 1)] - eta_m_by_level[pid][level]
+        for pid, level in levels.items()
+        if level != ModelLevel.FRICTION
+    }
 
 
 # -- the control loop --------------------------------------------------------
@@ -343,21 +333,14 @@ def run(
 
     for k in range(1, config.max_outer_iterations + 1):
         for j in range(1, config.mu + 1):
-            reductions = _switch_up_reductions(
-                state.levels, state.estimates, state.eta_m_by_level, eps
-            )
+            targets = _switch_up_targets(state.levels, state.eta_m_by_level, eps)
+            reductions = {pid: r for pid, (_, r) in targets.items()}
             marked_up = mark_switch_up(reductions, config.theta_m, eps)
             eta_d = {pid: e.eta_d for pid, e in state.estimates.items()}
             marked_refine = mark_refine(eta_d, config.theta_d)
 
             for pid in marked_up:
-                by_level = dict(state.eta_m_by_level[pid])
-                by_level[ModelLevel.FULL] = 0.0
-                state.levels[pid] = switch_up_target(
-                    state.levels[pid],
-                    lambda lv, _by=by_level: _by[ModelLevel.of(lv)],
-                    eps,
-                )
+                state.levels[pid] = targets[pid][0]
             for pid in marked_refine:
                 state.stepsizes[pid] /= 2.0
 

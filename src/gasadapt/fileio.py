@@ -7,6 +7,7 @@ converted to SI once on ingestion. All in-memory objects are strict SI.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 
@@ -32,14 +33,43 @@ BAR = 1e5
 def _load_json(path):
     try:
         with open(path) as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object at the top level")
+    return doc
+
+
+@contextlib.contextmanager
+def _writable(path_or_handle):
+    """The given handle, or the named file opened for writing."""
+    if hasattr(path_or_handle, "write"):
+        yield path_or_handle
+    else:
+        with open(path_or_handle, "w", newline="") as handle:
+            yield handle
+
+
+def write_json(doc, path_or_handle):
+    """Indented JSON with sorted keys and a trailing newline."""
+    with _writable(path_or_handle) as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def _write_csv(header, rows, path_or_handle):
+    with _writable(path_or_handle) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _require(doc, key, context):
+    if not isinstance(doc, dict):
+        raise ParseError(f"{context}: expected an object, got {doc!r}")
     if key not in doc:
         raise ParseError(f"{context}: missing required field '{key}'")
     return doc[key]
@@ -180,9 +210,7 @@ def load_network(path) -> tuple:
 
 
 def save_network(net, gas, path):
-    with open(path, "w") as handle:
-        json.dump(network_to_dict(net, gas), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(network_to_dict(net, gas), path)
 
 
 # -- scenario and config -----------------------------------------------------
@@ -197,14 +225,7 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scn: Scenario, path):
-    with open(path, "w") as handle:
-        json.dump(
-            {"format_version": FORMAT_VERSION, "flows": scn.flows},
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
-        handle.write("\n")
+    write_json({"format_version": FORMAT_VERSION, "flows": scn.flows}, path)
 
 
 CONFIG_FIELDS = (
@@ -268,9 +289,7 @@ def solution_to_dict(sol: NlpSolution, pipe_states: dict = None) -> dict:
 
 
 def save_solution(sol: NlpSolution, path, pipe_states: dict = None):
-    with open(path, "w") as handle:
-        json.dump(solution_to_dict(sol, pipe_states), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(solution_to_dict(sol, pipe_states), path)
 
 
 def load_solution(path) -> tuple:
@@ -329,11 +348,10 @@ def _fmt(value):
 
 def export_trace(state: AdaptiveState, path):
     """One CSV row per NLP solve, ordered by solve index."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for record in state.trace:
-            writer.writerow(_fmt(getattr(record, col)) for col in TRACE_COLUMNS)
+    rows = (
+        [_fmt(getattr(record, col)) for col in TRACE_COLUMNS] for record in state.trace
+    )
+    _write_csv(TRACE_COLUMNS, rows, path)
 
 
 ESTIMATE_COLUMNS = ["pipe_id", "level", "stepsize", "eta_d", "eta_m", "eta"]
@@ -341,41 +359,24 @@ ESTIMATE_COLUMNS = ["pipe_id", "level", "stepsize", "eta_d", "eta_m", "eta"]
 
 def export_estimates(estimates, path_or_handle):
     """Per-pipe estimator table, sorted by pipe id for determinism."""
-
-    def write(handle):
-        writer = csv.writer(handle)
-        writer.writerow(ESTIMATE_COLUMNS)
-        for est in sorted(estimates, key=lambda e: e.pipe_id):
-            writer.writerow(
-                [
-                    est.pipe_id,
-                    int(est.level),
-                    _fmt(est.stepsize),
-                    _fmt(est.eta_d),
-                    _fmt(est.eta_m),
-                    _fmt(est.eta),
-                ]
-            )
-
-    if hasattr(path_or_handle, "write"):
-        write(path_or_handle)
-    else:
-        with open(path_or_handle, "w", newline="") as handle:
-            write(handle)
+    rows = (
+        [
+            est.pipe_id,
+            int(est.level),
+            _fmt(est.stepsize),
+            _fmt(est.eta_d),
+            _fmt(est.eta_m),
+            _fmt(est.eta),
+        ]
+        for est in sorted(estimates, key=lambda e: e.pipe_id)
+    )
+    _write_csv(ESTIMATE_COLUMNS, rows, path_or_handle)
 
 
 def export_profile(profile, path_or_handle):
     """Position/pressure CSV for one integrated pipe profile."""
-    rows = zip(profile.grid.positions(), profile.values)
-
-    def write(handle):
-        writer = csv.writer(handle)
-        writer.writerow(["x", "pressure"])
-        for x, p in rows:
-            writer.writerow([_fmt(float(x)), _fmt(float(p))])
-
-    if hasattr(path_or_handle, "write"):
-        write(path_or_handle)
-    else:
-        with open(path_or_handle, "w", newline="") as handle:
-            write(handle)
+    rows = (
+        [_fmt(float(x)), _fmt(float(p))]
+        for x, p in zip(profile.grid.positions(), profile.values)
+    )
+    _write_csv(["x", "pressure"], rows, path_or_handle)

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidGrid
-from .models import ModelLevel, pipe_coefficients
+from .models import pipe_coefficients
 from .network import GasParameters, Network, Scenario, slope_of
 
 PRESSURE_SCALE = 1e5  # internal pressure unit is bar
@@ -33,108 +33,17 @@ STATUS_ITERATION_LIMIT = "IterationLimit"
 
 def _smooth_abs_flow(q):
     """phi(q) = q * sqrt(q^2 + sigma^2), a smooth stand-in for |q| q."""
-    return q * math.sqrt(q * q + FLOW_SMOOTHING**2)
+    return q * np.sqrt(q * q + FLOW_SMOOTHING**2)
 
 
 def _smooth_abs_flow_d1(q):
-    s = math.sqrt(q * q + FLOW_SMOOTHING**2)
+    s = np.sqrt(q * q + FLOW_SMOOTHING**2)
     return s + q * q / s
 
 
 def _smooth_abs_flow_d2(q):
-    s = math.sqrt(q * q + FLOW_SMOOTHING**2)
+    s = np.sqrt(q * q + FLOW_SMOOTHING**2)
     return q * (2.0 * q * q + 3.0 * FLOW_SMOOTHING**2) / s**3
-
-
-@dataclass
-class _PipeBlock:
-    pipe_id: str
-    level: ModelLevel
-    h: float
-    pressure_idx: np.ndarray  # n+1 variable indices, inlet to outlet
-    flow_idx: int
-    # from models.pipe_coefficients (kappa, alpha, beta), in bar units
-    k_coef: float  # h * kappa / PRESSURE_SCALE^2
-    grav_coef: float  # h * alpha; zero at level 3
-    ram_coef: float  # beta / PRESSURE_SCALE^2; zero below level 1
-
-    @property
-    def n_constraints(self):
-        return len(self.pressure_idx) - 1
-
-    def residual(self, x):
-        p = x[self.pressure_idx]
-        q = x[self.flow_idx]
-        pk, pkm1 = p[1:], p[:-1]
-        phi = _smooth_abs_flow(q)
-        ram = 1.0 - self.ram_coef * q * q / pk**2
-        return (pk - pkm1) * ram + self.k_coef * phi / pk + self.grav_coef * pk
-
-    def jacobian_triplets(self, x, row0):
-        p = x[self.pressure_idx]
-        q = x[self.flow_idx]
-        pk, pkm1 = p[1:], p[:-1]
-        delta = pk - pkm1
-        phi = _smooth_abs_flow(q)
-        dphi = _smooth_abs_flow_d1(q)
-        bq2 = self.ram_coef * q * q
-        ram = 1.0 - bq2 / pk**2
-        n = self.n_constraints
-        rows = np.concatenate([np.arange(n)] * 3) + row0
-        d_pkm1 = -ram
-        d_pk = (
-            ram
-            + 2.0 * delta * bq2 / pk**3
-            - self.k_coef * phi / pk**2
-            + self.grav_coef
-        )
-        d_q = (
-            -2.0 * delta * self.ram_coef * q / pk**2 + self.k_coef * dphi / pk
-        )
-        cols = np.concatenate(
-            [
-                self.pressure_idx[:-1],
-                self.pressure_idx[1:],
-                np.full(n, self.flow_idx),
-            ]
-        )
-        data = np.concatenate([d_pkm1, d_pk, d_q])
-        return rows, cols, data
-
-    def hessian_triplets(self, x, y):
-        """Triplets of sum_k y_k * Hess(r_k); lower and upper both emitted."""
-        p = x[self.pressure_idx]
-        q = x[self.flow_idx]
-        pk, pkm1 = p[1:], p[:-1]
-        delta = pk - pkm1
-        phi = _smooth_abs_flow(q)
-        dphi = _smooth_abs_flow_d1(q)
-        d2phi = _smooth_abs_flow_d2(q)
-        b = self.ram_coef
-        bq2 = b * q * q
-        h_pk_pk = y * (
-            4.0 * bq2 / pk**3
-            - 6.0 * delta * bq2 / pk**4
-            + 2.0 * self.k_coef * phi / pk**3
-        )
-        h_pk_pkm1 = y * (-2.0 * bq2 / pk**3)
-        h_q_pkm1 = y * (2.0 * b * q / pk**2)
-        h_q_pk = y * (
-            -2.0 * b * q / pk**2
-            + 4.0 * delta * b * q / pk**3
-            - self.k_coef * dphi / pk**2
-        )
-        h_qq = y * (-2.0 * delta * b / pk**2 + self.k_coef * d2phi / pk)
-        iq = self.flow_idx
-        ipk = self.pressure_idx[1:]
-        ipkm1 = self.pressure_idx[:-1]
-        nfull = np.full(len(pk), iq)
-        rows = np.concatenate([ipk, ipk, ipkm1, ipkm1, nfull, ipk, nfull, nfull])
-        cols = np.concatenate([ipk, ipkm1, ipk, nfull, ipkm1, nfull, ipk, nfull])
-        data = np.concatenate(
-            [h_pk_pk, h_pk_pkm1, h_pk_pkm1, h_q_pkm1, h_q_pkm1, h_q_pk, h_q_pk, h_qq]
-        )
-        return rows, cols, data
 
 
 @dataclass
@@ -154,8 +63,16 @@ class NlpInstance:
     grad: np.ndarray = None  # linear objective gradient (scaled units)
     linear_A: sp.csr_matrix = None
     linear_b: np.ndarray = None
-    pipe_blocks: list = field(default_factory=list)
     n_cons: int = 0
+    # the gridpoint relations, one entry each, pipe after pipe in assembly
+    # order: variable indices of p_{k-1}, p_k and q, and the coefficients
+    # (kappa, alpha, beta) of models.pipe_coefficients in bar units
+    ipkm1: np.ndarray = None
+    ipk: np.ndarray = None
+    iq: np.ndarray = None
+    k_coef: np.ndarray = None  # h * kappa / PRESSURE_SCALE^2
+    grav_coef: np.ndarray = None  # h * alpha; zero at level 3
+    ram_coef: np.ndarray = None  # beta / PRESSURE_SCALE^2; zero below level 1
 
     # -- evaluation in scaled units -------------------------------------
 
@@ -163,45 +80,77 @@ class NlpInstance:
         return float(self.grad @ x)
 
     def constraints(self, x):
-        parts = [self.linear_A @ x - self.linear_b]
-        for block in self.pipe_blocks:
-            parts.append(block.residual(x))
-        return np.concatenate(parts)
+        pk, pkm1, q = x[self.ipk], x[self.ipkm1], x[self.iq]
+        ram = 1.0 - self.ram_coef * q * q / pk**2
+        r = (
+            (pk - pkm1) * ram
+            + self.k_coef * _smooth_abs_flow(q) / pk
+            + self.grav_coef * pk
+        )
+        return np.concatenate([self.linear_A @ x - self.linear_b, r])
 
     def jacobian(self, x):
-        rows, cols, data = [], [], []
-        coo = self.linear_A.tocoo()
-        rows.append(coo.row)
-        cols.append(coo.col)
-        data.append(coo.data)
-        row0 = self.linear_A.shape[0]
-        for block in self.pipe_blocks:
-            r, c, d = block.jacobian_triplets(x, row0)
-            rows.append(r)
-            cols.append(c)
-            data.append(d)
-            row0 += block.n_constraints
+        pk, pkm1, q = x[self.ipk], x[self.ipkm1], x[self.iq]
+        delta = pk - pkm1
+        phi = _smooth_abs_flow(q)
+        dphi = _smooth_abs_flow_d1(q)
+        bq2 = self.ram_coef * q * q
+        ram = 1.0 - bq2 / pk**2
+        d_pkm1 = -ram
+        d_pk = (
+            ram
+            + 2.0 * delta * bq2 / pk**3
+            - self.k_coef * phi / pk**2
+            + self.grav_coef
+        )
+        d_q = (
+            -2.0 * delta * self.ram_coef * q / pk**2 + self.k_coef * dphi / pk
+        )
+        lin = self.linear_A.tocoo()
+        rows = np.arange(lin.shape[0], self.n_cons)
         return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            (
+                np.concatenate([lin.data, d_pkm1, d_pk, d_q]),
+                (
+                    np.concatenate([lin.row, rows, rows, rows]),
+                    np.concatenate([lin.col, self.ipkm1, self.ipk, self.iq]),
+                ),
+            ),
             shape=(self.n_cons, self.n_vars),
         )
 
     def lagrangian_hessian(self, x, y):
-        rows, cols, data = [], [], []
-        row0 = self.linear_A.shape[0]
-        for block in self.pipe_blocks:
-            yb = y[row0 : row0 + block.n_constraints]
-            r, c, d = block.hessian_triplets(x, yb)
-            rows.append(r)
-            cols.append(c)
-            data.append(d)
-            row0 += block.n_constraints
-        if not rows:
-            return sp.csr_matrix((self.n_vars, self.n_vars))
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_vars, self.n_vars),
+        """sum_k y_k * Hess(r_k) over the gridpoint relations; the linear
+        rows contribute nothing."""
+        y = y[self.linear_A.shape[0] :]
+        pk, pkm1, q = x[self.ipk], x[self.ipkm1], x[self.iq]
+        delta = pk - pkm1
+        phi = _smooth_abs_flow(q)
+        dphi = _smooth_abs_flow_d1(q)
+        d2phi = _smooth_abs_flow_d2(q)
+        b = self.ram_coef
+        bq2 = b * q * q
+        h_pk_pk = y * (
+            4.0 * bq2 / pk**3
+            - 6.0 * delta * bq2 / pk**4
+            + 2.0 * self.k_coef * phi / pk**3
         )
+        h_pk_pkm1 = y * (-2.0 * bq2 / pk**3)
+        h_q_pkm1 = y * (2.0 * b * q / pk**2)
+        h_q_pk = y * (
+            -2.0 * b * q / pk**2
+            + 4.0 * delta * b * q / pk**3
+            - self.k_coef * dphi / pk**2
+        )
+        h_qq = y * (-2.0 * delta * b / pk**2 + self.k_coef * d2phi / pk)
+        ipk, ipkm1, iq = self.ipk, self.ipkm1, self.iq
+        # lower and upper triangle both emitted
+        rows = np.concatenate([ipk, ipk, ipkm1, ipkm1, iq, ipk, iq, iq])
+        cols = np.concatenate([ipk, ipkm1, ipk, iq, ipkm1, iq, ipk, iq])
+        data = np.concatenate(
+            [h_pk_pk, h_pk_pkm1, h_pk_pkm1, h_q_pkm1, h_q_pkm1, h_q_pk, h_q_pk, h_qq]
+        )
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.n_vars, self.n_vars))
 
 
 @dataclass
@@ -267,25 +216,43 @@ def assemble(
         inst.lift_idx[comp.id] = add_var(
             0.0, comp.lift_max / PRESSURE_SCALE, cost=comp.cost_coeff * PRESSURE_SCALE
         )
+
+    # each pipe: its n-1 interior pressures as one contiguous index range
+    # after the scalar variables, and its n gridpoint relations
+    # (the empty first entries keep a network without pipes valid)
+    n_scalar = idx
+    ipkm1, ipk, iq, coefs = [[]], [[]], [[]], [np.empty((0, 3))]
     for pipe in net.pipes.values():
         level, h = state[pipe.id]
         n = round(pipe.length / h)
         if n % 4 != 0 or not math.isclose(n * h, pipe.length, rel_tol=1e-9):
             raise InvalidGrid(f"pipe {pipe.id}: L/h must be a multiple of 4")
         inst.n_intervals[pipe.id] = n
-        interior = np.array(
-            [
-                add_var(PRESSURE_FLOOR / PRESSURE_SCALE, np.inf)
-                for _ in range(n - 1)
-            ],
-            dtype=int,
-        )
+        interior = np.arange(idx, idx + n - 1)
         inst.interior_idx[pipe.id] = interior
-
+        idx += n - 1
+        p = np.concatenate(
+            [[inst.node_idx[pipe.from_node]], interior, [inst.node_idx[pipe.to_node]]]
+        )
+        ipkm1.append(p[:-1])
+        ipk.append(p[1:])
+        iq.append(np.full(n, inst.flow_idx[pipe.id]))
+        kappa, alpha, beta = pipe_coefficients(level, pipe, gas, slope_of(pipe, net))
+        coefs.append(
+            np.full(
+                (n, 3),
+                (h * kappa / PRESSURE_SCALE**2, h * alpha, beta / PRESSURE_SCALE**2),
+            )
+        )
     inst.n_vars = idx
-    inst.lb = np.array(lb)
-    inst.ub = np.array(ub)
-    inst.grad = np.array(grad)
+    n_interior = idx - n_scalar
+    inst.lb = np.concatenate([lb, np.full(n_interior, PRESSURE_FLOOR / PRESSURE_SCALE)])
+    inst.ub = np.concatenate([ub, np.full(n_interior, np.inf)])
+    inst.grad = np.concatenate([grad, np.zeros(n_interior)])
+    inst.ipkm1, inst.ipk, inst.iq = (
+        np.concatenate(i).astype(int) for i in (ipkm1, ipk, iq)
+    )
+    inst.k_coef, inst.grav_coef, inst.ram_coef = np.concatenate(coefs).T
 
     # linear constraints: mass balance per node, compressor coupling
     rows, cols, data, rhs = [], [], [], []
@@ -318,33 +285,7 @@ def assemble(
     )
     inst.linear_b = np.array(rhs)
 
-    for pipe in net.pipes.values():
-        level, h = state[pipe.id]
-        level = ModelLevel.of(level)
-        slope = slope_of(pipe, net)
-        pressure_idx = np.concatenate(
-            [
-                [inst.node_idx[pipe.from_node]],
-                inst.interior_idx[pipe.id],
-                [inst.node_idx[pipe.to_node]],
-            ]
-        ).astype(int)
-        kappa, alpha, beta = pipe_coefficients(level, pipe, gas, slope)
-        inst.pipe_blocks.append(
-            _PipeBlock(
-                pipe_id=pipe.id,
-                level=level,
-                h=h,
-                pressure_idx=pressure_idx,
-                flow_idx=inst.flow_idx[pipe.id],
-                k_coef=h * kappa / PRESSURE_SCALE**2,
-                grav_coef=h * alpha,
-                ram_coef=beta / PRESSURE_SCALE**2,
-            )
-        )
-    inst.n_cons = inst.linear_A.shape[0] + sum(
-        b.n_constraints for b in inst.pipe_blocks
-    )
+    inst.n_cons = row + len(inst.ipk)
     return inst
 
 
@@ -357,44 +298,32 @@ def _initial_point(inst: NlpInstance, warm_start: NlpSolution = None) -> np.ndar
     finite_ub = np.where(np.isfinite(inst.ub), inst.ub, finite_lb + 100.0)
     x[:] = 0.5 * (finite_lb + finite_ub)
 
-    if warm_start is None:
-        # default interior pipe pressures: linear between endpoint midpoints
-        for pipe in inst.net.pipes.values():
-            idx = inst.interior_idx[pipe.id]
-            if len(idx) == 0:
-                continue
-            p_from = x[inst.node_idx[pipe.from_node]]
-            p_to = x[inst.node_idx[pipe.to_node]]
-            frac = np.arange(1, len(idx) + 1) / (len(idx) + 1)
-            x[idx] = p_from + frac * (p_to - p_from)
-        return x
-
-    for node, i in inst.node_idx.items():
-        if node in warm_start.node_pressures:
-            x[i] = warm_start.node_pressures[node] / PRESSURE_SCALE
-    for arc, i in inst.flow_idx.items():
-        if arc in warm_start.arc_flows:
-            x[i] = warm_start.arc_flows[arc]
-    for comp, i in inst.lift_idx.items():
-        if comp in warm_start.compressor_lifts:
-            x[i] = warm_start.compressor_lifts[comp] / PRESSURE_SCALE
+    if warm_start is not None:
+        for node, i in inst.node_idx.items():
+            if node in warm_start.node_pressures:
+                x[i] = warm_start.node_pressures[node] / PRESSURE_SCALE
+        for arc, i in inst.flow_idx.items():
+            if arc in warm_start.arc_flows:
+                x[i] = warm_start.arc_flows[arc]
+        for comp, i in inst.lift_idx.items():
+            if comp in warm_start.compressor_lifts:
+                x[i] = warm_start.compressor_lifts[comp] / PRESSURE_SCALE
+    # interior pipe pressures: the warm start's profile (Pa) interpolated
+    # onto the new grid, else a straight line between the end pressures
     for pipe in inst.net.pipes.values():
         idx = inst.interior_idx[pipe.id]
-        if len(idx) == 0:
-            continue
-        old = warm_start.interior_pressures.get(pipe.id)
-        p_from = warm_start.node_pressures.get(pipe.from_node)
-        p_to = warm_start.node_pressures.get(pipe.to_node)
-        if old is None or p_from is None or p_to is None:
-            p_from_bar = x[inst.node_idx[pipe.from_node]]
-            p_to_bar = x[inst.node_idx[pipe.to_node]]
-            frac = np.arange(1, len(idx) + 1) / (len(idx) + 1)
-            x[idx] = p_from_bar + frac * (p_to_bar - p_from_bar)
-            continue
-        old_profile = np.concatenate([[p_from], np.asarray(old), [p_to]])
-        old_pos = np.linspace(0.0, 1.0, len(old_profile))
+        ends = (pipe.from_node, pipe.to_node)
+        profile = x[[inst.node_idx[node] for node in ends]]
+        scale = 1.0
+        if warm_start is not None:
+            old = warm_start.interior_pressures.get(pipe.id)
+            p_ends = [warm_start.node_pressures.get(node) for node in ends]
+            if old is not None and None not in p_ends:
+                profile = np.concatenate([[p_ends[0]], np.asarray(old), [p_ends[1]]])
+                scale = PRESSURE_SCALE
+        old_pos = np.linspace(0.0, 1.0, len(profile))
         new_pos = np.arange(1, len(idx) + 1) / (len(idx) + 1)
-        x[idx] = np.interp(new_pos, old_pos, old_profile) / PRESSURE_SCALE
+        x[idx] = np.interp(new_pos, old_pos, profile) / scale
     return x
 
 
@@ -419,14 +348,10 @@ def _keyed_multipliers(inst, y, zl, zu) -> Multipliers:
     n_lin = inst.linear_A.shape[0]
     pipes = {}
     row0 = n_lin
-    for block in inst.pipe_blocks:
-        interior = block.pressure_idx[1:-1]
-        pipes[block.pipe_id] = (
-            y[row0 : row0 + block.n_constraints].copy(),
-            zl[interior],
-            zu[interior],
-        )
-        row0 += block.n_constraints
+    for pid, interior in inst.interior_idx.items():
+        n = inst.n_intervals[pid]
+        pipes[pid] = (y[row0 : row0 + n].copy(), zl[interior], zu[interior])
+        row0 += n
     return Multipliers(
         rows=dict(zip(_linear_row_keys(inst.net), y[:n_lin].tolist())),
         bounds={
@@ -455,12 +380,11 @@ def _warm_multipliers(inst, warm: Multipliers, y, zl, zu):
         if key in warm.bounds:
             zl[i], zu[i] = warm.bounds[key]
     row0 = inst.linear_A.shape[0]
-    for block in inst.pipe_blocks:
-        n = block.n_constraints
-        if block.pipe_id in warm.pipes:
-            y_old, zl_old, zu_old = warm.pipes[block.pipe_id]
+    for pid, interior in inst.interior_idx.items():
+        n = inst.n_intervals[pid]
+        if pid in warm.pipes:
+            y_old, zl_old, zu_old = warm.pipes[pid]
             n_old = len(y_old)
-            interior = block.pressure_idx[1:-1]
             y[row0 : row0 + n] = _regrid(y_old, n_old, n, n)
             zl[interior] = _regrid(zl_old, n_old, n, n - 1)
             zu[interior] = _regrid(zu_old, n_old, n, n - 1)
@@ -520,21 +444,14 @@ def kkt_ordering(inst: NlpInstance) -> np.ndarray:
     pos[free] = np.arange(nfree)
     n_lin = inst.linear_A.shape[0]
 
+    # relation k, then p_k while p_k is an interior pressure; node pressures
+    # have the lowest variable indices
+    inner = inst.ipk >= len(inst.node_idx)
+    band = np.column_stack([nfree + n_lin + np.arange(len(inst.ipk)), pos[inst.ipk]])
+    band = band[np.column_stack([np.ones_like(inner), inner])]
     rest = free.copy()
-    parts = []
-    row0 = nfree + n_lin
-    for block in inst.pipe_blocks:
-        n = block.n_constraints
-        interior = block.pressure_idx[1:-1]
-        band = np.empty(2 * n - 1, dtype=int)
-        band[0::2] = row0 + np.arange(n)
-        band[1::2] = pos[interior]
-        parts.append(band)
-        rest[interior] = False
-        row0 += n
-    parts.append(pos[rest])
-    parts.append(nfree + np.arange(n_lin))
-    return np.concatenate(parts)
+    rest[inst.ipk[inner]] = False
+    return np.concatenate([band, pos[rest], nfree + np.arange(n_lin)])
 
 
 def solve(

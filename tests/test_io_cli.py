@@ -233,6 +233,27 @@ def test_cli_malformed_network_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["validate-params", "--n-pipes", "5", "--config", "BAD"], "5"),
+        (["validate-params", "--network", "BAD"], "[]"),
+        (["validate-params", "--network", "BAD"], '{"nodes": [5]}'),
+        (["estimate", "--network", "NET", "--solution", "BAD"], "[]"),
+    ],
+    ids=["config-number", "network-list", "node-number", "solution-list"],
+)
+def test_cli_non_object_document_exits_one(
+    argv, content, chain5_files, tmp_path, capsys
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    names = {"BAD": str(bad), "NET": chain5_files[0]}
+    code = cli_main([names.get(arg, arg) for arg in argv])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_nlp_solve_and_estimate(chain5_files, tmp_path, capsys):
     net_path, scn_path = chain5_files
     sol_path = str(tmp_path / "sol.json")

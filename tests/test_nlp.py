@@ -158,6 +158,44 @@ def test_assemble_rejects_bad_interval_count():
         nlp.assemble(net, scn, gas, {"p": (ModelLevel.FRICTION, 20000.0 / 6)})
 
 
+def test_derivatives_match_central_differences():
+    # the Jacobian against central differences of the constraints, and the
+    # Lagrangian Hessian against central differences of J^T y, at a point
+    # with mixed levels and random signed flows (second differences of
+    # y^T c lose too many digits to rounding to check the Hessian as tightly)
+    net, gas, scn = chain5()
+    state = {
+        pid: (ModelLevel.of(level), pipe.length / 8)
+        for level, (pid, pipe) in zip([1, 2, 3, 1, 2], net.pipes.items())
+    }
+    inst = nlp.assemble(net, scn, gas, state)
+    rng = np.random.default_rng(7)
+    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    for i in inst.flow_idx.values():
+        x[i] = rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 80.0)
+    y = rng.standard_normal(inst.n_cons)
+
+    h = 1e-4
+    fd_jac = np.column_stack(
+        [
+            (inst.constraints(x + e) - inst.constraints(x - e)) / (2 * h)
+            for e in np.eye(inst.n_vars) * h
+        ]
+    )
+    jac = inst.jacobian(x).toarray()
+    assert np.max(np.abs(jac - fd_jac)) <= 1e-6 * np.max(np.abs(jac))
+
+    h = 1e-3
+    fd_hess = np.array(
+        [
+            (inst.jacobian(x + e).T @ y - inst.jacobian(x - e).T @ y) / (2 * h)
+            for e in np.eye(inst.n_vars) * h
+        ]
+    )
+    hess = inst.lagrangian_hessian(x, y).toarray()
+    assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(hess))
+
+
 def test_warm_start_interpolates_onto_refined_grid():
     net, scn, gas, state = single_pipe_instance(3, n=16)
     sol = nlp.solve(nlp.assemble(net, scn, gas, state))
