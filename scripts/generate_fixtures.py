@@ -4,10 +4,10 @@
 Usage: python3 scripts/generate_fixtures.py [OUTDIR]   (default: fixtures/)
 """
 
-import json
 import os
 import sys
 
+from gasadapt.fileio import write_json
 from gasadapt.fixtures import (
     chain5_network_dict,
     chain5_scenario_dict,
@@ -27,9 +27,7 @@ def main() -> int:
     }
     for name, doc in files.items():
         path = os.path.join(outdir, name)
-        with open(path, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(doc, path)
         print(path)
     return 0
 

@@ -18,10 +18,10 @@ import sys
 
 from . import fileio, nlp
 from .controller import AdaptiveConfig, compute_estimates, run, validate_parameters
-from .errors import GasAdaptError, InfeasibleProblem
+from .errors import GasAdaptError, InfeasibleProblem, InvalidGrid, ValidationError
 from .integrate import Grid, integrate
 from .models import ModelLevel
-from .network import GasParameters, Pipe
+from .network import GasParameters, Pipe, validate_network
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -89,9 +89,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _load_problem(args):
+    """Network, gas and scenario of a command, the scenario checked against
+    the network."""
     net, gas = fileio.load_network(args.network)
     scn = fileio.load_scenario(args.scenario)
+    problems = validate_network(net, scn)
+    if problems:
+        raise ValidationError(problems)
+    return net, gas, scn
+
+
+def _cmd_run(args) -> int:
+    net, gas, scn = _load_problem(args)
     config = fileio.load_config(args.config) if args.config else AdaptiveConfig()
 
     for warning in validate_parameters(config, len(net.pipes)):
@@ -138,8 +148,9 @@ def _cmd_simulate(args) -> int:
     )
     gas = GasParameters()
     h = args.h if args.h is not None else args.length / 100.0
-    n = round(args.length / h)
-    grid = Grid(h, n)
+    if h <= 0.0:
+        raise InvalidGrid(f"stepsize {h} must be positive")
+    grid = Grid(h, round(args.length / h))
     profile = integrate(
         ModelLevel.of(args.level), pipe, gas, args.p0, args.q, grid, args.slope
     )
@@ -151,10 +162,18 @@ def _cmd_estimate(args) -> int:
     net, gas = fileio.load_network(args.network)
     sol, pipe_states = fileio.load_solution(args.solution)
     if pipe_states is None:
-        pipe_states = {
-            pid: (ModelLevel.of(args.level), p.length / args.intervals)
-            for pid, p in net.pipes.items()
-        }
+        pipe_states = _uniform_states(net, args)
+    problems = [
+        f"solution: {name} misses {missing}"
+        for name, given, needed in (
+            ("node_pressures", sol.node_pressures, net.nodes),
+            ("arc_flows", sol.arc_flows, net.pipes),
+            ("pipe_states", pipe_states, net.pipes),
+        )
+        if (missing := sorted(set(needed) - set(given)))
+    ]
+    if problems:
+        raise ValidationError(problems)
     levels = {pid: lv for pid, (lv, _) in pipe_states.items()}
     stepsizes = {pid: h for pid, (_, h) in pipe_states.items()}
     estimates, _ = compute_estimates(net, gas, sol, levels, stepsizes)
@@ -179,13 +198,18 @@ def _cmd_validate_params(args) -> int:
     return EXIT_OK
 
 
-def _cmd_nlp_solve(args) -> int:
-    net, gas = fileio.load_network(args.network)
-    scn = fileio.load_scenario(args.scenario)
-    state = {
-        pid: (ModelLevel.of(args.level), p.length / args.intervals)
+def _uniform_states(net, args):
+    """Every pipe at the level and interval count of the command line."""
+    level = ModelLevel.of(args.level)
+    return {
+        pid: (level, Grid.for_pipe(p.length, args.intervals).stepsize)
         for pid, p in net.pipes.items()
     }
+
+
+def _cmd_nlp_solve(args) -> int:
+    net, gas, scn = _load_problem(args)
+    state = _uniform_states(net, args)
     instance = nlp.assemble(net, scn, gas, state)
     sol = nlp.solve(instance, eps_opt=args.eps_opt)
     fileio.write_json(

@@ -44,6 +44,8 @@ class AdaptiveConfig:
             raise ValueError("eps must be positive")
         if self.initial_intervals % 4 != 0 or self.initial_intervals <= 0:
             raise ValueError("initial_intervals must be a positive multiple of 4")
+        if self.initial_level not in tuple(ModelLevel):
+            raise ValueError(f"initial_level = {self.initial_level} is not 1, 2 or 3")
         if self.split_tolerance and self.eps_opt >= self.eps:
             raise ValueError("tolerance splitting requires eps_opt < eps")
 

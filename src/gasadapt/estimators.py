@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyNetwork, InvalidGrid
 from .models import ModelLevel
-from .integrate import Grid, PressureProfile, integrate, restrict_to_grid
+from .integrate import Grid, integrate, restrict_to_grid
 from .network import GasParameters, Pipe
 
 
@@ -44,16 +44,6 @@ def _grids(pipe: Pipe, h: float):
     return fine, double, evaluation
 
 
-def _on_evaluation_grid(profile: PressureProfile, evaluation: Grid) -> np.ndarray:
-    return restrict_to_grid(profile, evaluation).values
-
-
-def reference_profile_2h(pipe, gas, p0, q, h, slope=0.0) -> PressureProfile:
-    """Level-1 integration at stepsize 2h, the anchor of both estimators."""
-    _, double, _ = _grids(pipe, h)
-    return integrate(ModelLevel.FULL, pipe, gas, p0, q, double, slope)
-
-
 def discretization_error(pipe, gas, p0, q, h, slope=0.0, ref_2h=None) -> float:
     """Max-norm difference of the level-1 profiles at 2h and 4h on the
     evaluation grid."""
@@ -61,7 +51,7 @@ def discretization_error(pipe, gas, p0, q, h, slope=0.0, ref_2h=None) -> float:
     if ref_2h is None:
         ref_2h = integrate(ModelLevel.FULL, pipe, gas, p0, q, double, slope)
     coarse = integrate(ModelLevel.FULL, pipe, gas, p0, q, evaluation, slope)
-    diff = _on_evaluation_grid(ref_2h, evaluation) - coarse.values
+    diff = restrict_to_grid(ref_2h, evaluation).values - coarse.values
     return float(np.max(np.abs(diff)))
 
 
@@ -75,8 +65,9 @@ def model_error(pipe, gas, p0, q, level, h, slope=0.0, ref_2h=None) -> float:
     if ref_2h is None:
         ref_2h = integrate(ModelLevel.FULL, pipe, gas, p0, q, double, slope)
     current = integrate(level, pipe, gas, p0, q, fine, slope)
-    diff = _on_evaluation_grid(ref_2h, evaluation) - _on_evaluation_grid(
-        current, evaluation
+    diff = (
+        restrict_to_grid(ref_2h, evaluation).values
+        - restrict_to_grid(current, evaluation).values
     )
     return float(np.max(np.abs(diff)))
 
@@ -84,16 +75,7 @@ def model_error(pipe, gas, p0, q, level, h, slope=0.0, ref_2h=None) -> float:
 def total_error(pipe, gas, p0, q, level, h, slope=0.0) -> ErrorEstimate:
     """The (eta_d, eta_m) pair from exactly three integrations: level 1 at
     2h and 4h, and the current level at h."""
-    ref_2h = reference_profile_2h(pipe, gas, p0, q, h, slope)
-    eta_d = discretization_error(pipe, gas, p0, q, h, slope, ref_2h=ref_2h)
-    eta_m = model_error(pipe, gas, p0, q, level, h, slope, ref_2h=ref_2h)
-    return ErrorEstimate(
-        pipe_id=pipe.id,
-        eta_d=eta_d,
-        eta_m=eta_m,
-        level=ModelLevel.of(level),
-        stepsize=h,
-    )
+    return estimate_with_alternatives(pipe, gas, p0, q, level, h, slope).estimate
 
 
 @dataclass(frozen=True)
@@ -110,17 +92,16 @@ def estimate_with_alternatives(
 ) -> PipeEstimateBundle:
     """Total error plus eta_m at the extra levels, sharing the 2h reference."""
     level = ModelLevel.of(level)
-    ref_2h = reference_profile_2h(pipe, gas, p0, q, h, slope)
+    _, double, _ = _grids(pipe, h)
+    ref_2h = integrate(ModelLevel.FULL, pipe, gas, p0, q, double, slope)
     eta_d = discretization_error(pipe, gas, p0, q, h, slope, ref_2h=ref_2h)
-    eta_m = model_error(pipe, gas, p0, q, level, h, slope, ref_2h=ref_2h)
-    by_level = {level: eta_m}
-    for other in extra_levels:
-        other = ModelLevel.of(other)
+    by_level = {}
+    for other in map(ModelLevel.of, (level, *extra_levels)):
         if other not in by_level:
             by_level[other] = model_error(
                 pipe, gas, p0, q, other, h, slope, ref_2h=ref_2h
             )
-    estimate = ErrorEstimate(pipe.id, eta_d, eta_m, level, h)
+    estimate = ErrorEstimate(pipe.id, eta_d, by_level[level], level, h)
     return PipeEstimateBundle(estimate, by_level)
 
 

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import json
+from dataclasses import MISSING
+
+import numpy as np
 
 from .controller import AdaptiveConfig, AdaptiveState
 from .errors import ParseError, ValidationError
@@ -38,9 +42,7 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object at the top level")
-    return doc
+    return _check(doc, "dict", f"{path}: top level")
 
 
 @contextlib.contextmanager
@@ -67,86 +69,99 @@ def _write_csv(header, rows, path_or_handle):
         writer.writerows(rows)
 
 
-def _require(doc, key, context):
-    if not isinstance(doc, dict):
-        raise ParseError(f"{context}: expected an object, got {doc!r}")
-    if key not in doc:
+_TYPES = dict(float=(int, float), int=int, str=str, bool=bool, list=list, dict=dict)
+ARC_KEYS = {"from_node": "from", "to_node": "to"}
+# fields given in the file's pressure unit; cost_coeff is per pressure unit
+PRESSURE_FIELDS = ("pressure_min", "pressure_max", "lift_max")
+
+
+def _check(value, kind, context):
+    """The value, if it has the JSON type `kind`; a bool is never a number."""
+    expected = _TYPES.get(kind, ())
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, expected):
+        raise ParseError(f"{context}: expected {kind}, got {value!r}")
+    return value
+
+
+def _get(doc, key, context, kind, default=None):
+    """The value under `key`, of type `kind`; required without a default."""
+    if key not in doc and default is None:
         raise ParseError(f"{context}: missing required field '{key}'")
-    return doc[key]
+    return _check(doc.get(key, default), kind, f"{context}: field '{key}'")
 
 
-def _pressure_scale(doc):
-    units = doc.get("units", "si")
-    if units == "si":
-        return 1.0
-    if units == "bar":
-        return BAR
-    raise ParseError(f"unknown units '{units}' (expected 'si' or 'bar')")
+def _record(cls, doc, context, convert=None, keys=None, **given):
+    """The dataclass `cls` read from the JSON object `doc`.
+
+    Each field not in `given` is read under its own name or under its
+    renamed key in `keys`. A field without a default is required; an absent
+    one takes the dataclass default. A value must have the type of the
+    field's annotation (None is allowed where the default is None) and is
+    then passed through its function in `convert`, if any."""
+    _check(doc, "dict", context)
+    if isinstance(doc.get("id"), str):
+        context = f"{context} {doc['id']}"
+    convert, keys = convert or {}, keys or {}
+    values = dict(given)
+    for field in dataclasses.fields(cls):
+        key = keys.get(field.name, field.name)
+        if field.name in given or (key not in doc and field.default is not MISSING):
+            continue
+        value = doc.get(key)
+        if value is not None or field.default is not None:
+            kind = getattr(field.type, "__name__", field.type)
+            value = _get(doc, key, context, kind)
+            if field.name in convert:
+                value = convert[field.name](value)
+        values[field.name] = value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ParseError(f"{context}: {exc}") from exc
+
+
+def _number(value, context):
+    return _check(value, "float", context)
+
+
+def _id_map(doc, key, context, default=None, read=_number):
+    """The object under `key` from ids to values that `read` checks;
+    required unless a default is given."""
+    items = _get(doc, key, context, "dict", default).items()
+    return {id_: read(value, f"{context}: {key} '{id_}'") for id_, value in items}
 
 
 # -- network -----------------------------------------------------------------
 
 
+def _pipe(entry):
+    if isinstance(entry, dict) and "friction" not in entry and "roughness" in entry:
+        context = f"pipe {entry.get('id')}"
+        diameter = _get(entry, "diameter", context, "float")
+        roughness = _get(entry, "roughness", context, "float")
+        if not 0.0 < roughness < diameter:
+            raise ParseError(f"{context}: roughness outside (0, diameter)")
+        entry = {**entry, "friction": nikuradse_friction(diameter, roughness)}
+    return _record(Pipe, entry, "pipe", keys=ARC_KEYS)
+
+
 def network_from_dict(doc) -> tuple:
-    scale = _pressure_scale(doc)
-    gas_doc = doc.get("gas", {})
-    gas = GasParameters(
-        specific_gas_constant=gas_doc.get("specific_gas_constant", 518.26),
-        temperature=gas_doc.get("temperature", 283.15),
-        compressibility=gas_doc.get("compressibility", 0.9),
-        gravity=gas_doc.get("gravity", 9.80665),
-    )
-    nodes = []
-    for entry in _require(doc, "nodes", "network"):
-        nodes.append(
-            Node(
-                id=_require(entry, "id", "node"),
-                kind=_require(entry, "kind", f"node {entry.get('id')}"),
-                pressure_min=_require(entry, "pressure_min", f"node {entry.get('id')}")
-                * scale,
-                pressure_max=_require(entry, "pressure_max", f"node {entry.get('id')}")
-                * scale,
-                elevation=entry.get("elevation", 0.0),
-            )
-        )
-    pipes = []
-    for entry in doc.get("pipes", []):
-        pid = _require(entry, "id", "pipe")
-        diameter = _require(entry, "diameter", f"pipe {pid}")
-        if "friction" in entry:
-            friction = entry["friction"]
-        elif "roughness" in entry:
-            friction = nikuradse_friction(diameter, entry["roughness"])
-        else:
-            raise ParseError(f"pipe {pid}: needs 'friction' or 'roughness'")
-        pipes.append(
-            Pipe(
-                id=pid,
-                from_node=_require(entry, "from", f"pipe {pid}"),
-                to_node=_require(entry, "to", f"pipe {pid}"),
-                length=_require(entry, "length", f"pipe {pid}"),
-                diameter=diameter,
-                friction=friction,
-                cross_area=entry.get("cross_area"),
-                slope=entry.get("slope"),
-                flow_min=entry.get("flow_min", -1e6),
-                flow_max=entry.get("flow_max", 1e6),
-            )
-        )
-    compressors = []
-    for entry in doc.get("compressors", []):
-        cid = _require(entry, "id", "compressor")
-        compressors.append(
-            Compressor(
-                id=cid,
-                from_node=_require(entry, "from", f"compressor {cid}"),
-                to_node=_require(entry, "to", f"compressor {cid}"),
-                lift_max=_require(entry, "lift_max", f"compressor {cid}") * scale,
-                cost_coeff=_require(entry, "cost_coeff", f"compressor {cid}") / scale,
-                flow_min=entry.get("flow_min", -1e6),
-                flow_max=entry.get("flow_max", 1e6),
-            )
-        )
+    units = _check(doc, "dict", "network").get("units", "si")
+    if units not in ("si", "bar"):
+        raise ParseError(f"unknown units '{units}' (expected 'si' or 'bar')")
+    scale = BAR if units == "bar" else 1.0
+    to_si = {name: lambda value: value * scale for name in PRESSURE_FIELDS}
+    to_si["cost_coeff"] = lambda value: value / scale
+    gas = _record(GasParameters, doc.get("gas", {}), "gas")
+    nodes = [
+        _record(Node, entry, "node", to_si)
+        for entry in _get(doc, "nodes", "network", "list")
+    ]
+    pipes = [_pipe(entry) for entry in _get(doc, "pipes", "network", "list", [])]
+    compressors = [
+        _record(Compressor, entry, "compressor", to_si, ARC_KEYS)
+        for entry in _get(doc, "compressors", "network", "list", [])
+    ]
     net = Network(nodes, pipes, compressors)
     problems = validate_network(net)
     if problems:
@@ -154,53 +169,19 @@ def network_from_dict(doc) -> tuple:
     return net, gas
 
 
+def _as_dict(record, keys=None):
+    keys = keys or {}
+    return {keys.get(k, k): v for k, v in dataclasses.asdict(record).items()}
+
+
 def network_to_dict(net: Network, gas: GasParameters) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "units": "si",
-        "gas": {
-            "specific_gas_constant": gas.specific_gas_constant,
-            "temperature": gas.temperature,
-            "compressibility": gas.compressibility,
-            "gravity": gas.gravity,
-        },
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind,
-                "pressure_min": n.pressure_min,
-                "pressure_max": n.pressure_max,
-                "elevation": n.elevation,
-            }
-            for n in net.nodes.values()
-        ],
-        "pipes": [
-            {
-                "id": p.id,
-                "from": p.from_node,
-                "to": p.to_node,
-                "length": p.length,
-                "diameter": p.diameter,
-                "cross_area": p.cross_area,
-                "friction": p.friction,
-                **({"slope": p.slope} if p.slope is not None else {}),
-                "flow_min": p.flow_min,
-                "flow_max": p.flow_max,
-            }
-            for p in net.pipes.values()
-        ],
-        "compressors": [
-            {
-                "id": c.id,
-                "from": c.from_node,
-                "to": c.to_node,
-                "lift_max": c.lift_max,
-                "cost_coeff": c.cost_coeff,
-                "flow_min": c.flow_min,
-                "flow_max": c.flow_max,
-            }
-            for c in net.compressors.values()
-        ],
+        "gas": _as_dict(gas),
+        "nodes": [_as_dict(n) for n in net.nodes.values()],
+        "pipes": [_as_dict(p, ARC_KEYS) for p in net.pipes.values()],
+        "compressors": [_as_dict(c, ARC_KEYS) for c in net.compressors.values()],
     }
 
 
@@ -217,7 +198,7 @@ def save_network(net, gas, path):
 
 
 def scenario_from_dict(doc) -> Scenario:
-    return Scenario(dict(_require(doc, "flows", "scenario")))
+    return Scenario(_id_map(_check(doc, "dict", "scenario"), "flows", "scenario"))
 
 
 def load_scenario(path) -> Scenario:
@@ -228,34 +209,17 @@ def save_scenario(scn: Scenario, path):
     write_json({"format_version": FORMAT_VERSION, "flows": scn.flows}, path)
 
 
-CONFIG_FIELDS = (
-    "theta_d",
-    "theta_m",
-    "phi_d",
-    "phi_m",
-    "tau",
-    "mu",
-    "eps_opt",
-    "max_outer_iterations",
-    "initial_intervals",
-    "initial_level",
-    "split_tolerance",
-)
-
-
 def config_from_dict(doc) -> AdaptiveConfig:
-    unknown = sorted(set(doc) - {"format_version", "eps_bar", "eps", *CONFIG_FIELDS})
+    """The config; `eps_bar`, in bar, takes precedence over `eps` in Pa."""
+    known = {f.name for f in dataclasses.fields(AdaptiveConfig)}
+    known |= {"format_version", "eps_bar"}
+    unknown = sorted(set(_check(doc, "dict", "config")) - known)
     if unknown:
         raise ParseError(f"config: unknown keys {unknown}")
-    kwargs = {key: doc[key] for key in CONFIG_FIELDS if key in doc}
     if "eps_bar" in doc:
-        kwargs["eps"] = doc["eps_bar"] * BAR
-    elif "eps" in doc:
-        kwargs["eps"] = doc["eps"]
-    try:
-        return AdaptiveConfig(**kwargs)
-    except ValueError as exc:
-        raise ParseError(f"config: {exc}") from exc
+        bar = {"eps": lambda eps: eps * BAR}
+        return _record(AdaptiveConfig, doc, "config", bar, {"eps": "eps_bar"})
+    return _record(AdaptiveConfig, doc, "config")
 
 
 def load_config(path) -> AdaptiveConfig:
@@ -292,30 +256,35 @@ def save_solution(sol: NlpSolution, path, pipe_states: dict = None):
     write_json(solution_to_dict(sol, pipe_states), path)
 
 
+def _profile(values, context):
+    return np.asarray([_number(v, context) for v in _check(values, "list", context)])
+
+
+def _pipe_state(entry, context):
+    level = _get(_check(entry, "dict", context), "level", context, "int")
+    stepsize = _get(entry, "stepsize", context, "float")
+    if level not in tuple(ModelLevel):
+        raise ParseError(f"{context}: level {level} is not 1, 2 or 3")
+    if stepsize <= 0.0:
+        raise ParseError(f"{context}: stepsize {stepsize} must be positive")
+    return ModelLevel.of(level), stepsize
+
+
 def load_solution(path) -> tuple:
     """Returns (NlpSolution, pipe_states or None)."""
     doc = _load_json(path)
-    import numpy as np
-
-    sol = NlpSolution(
-        status=_require(doc, "status", "solution"),
-        objective=doc.get("objective", 0.0),
-        node_pressures=dict(_require(doc, "node_pressures", "solution")),
-        arc_flows=dict(_require(doc, "arc_flows", "solution")),
-        compressor_lifts=dict(doc.get("compressor_lifts", {})),
-        interior_pressures={
-            pid: np.asarray(values)
-            for pid, values in doc.get("interior_pressures", {}).items()
-        },
-        kkt_error=doc.get("kkt_error", 0.0),
-        n_iterations=doc.get("n_iterations", 0),
+    sol = _record(
+        NlpSolution,
+        doc,
+        "solution",
+        node_pressures=_id_map(doc, "node_pressures", "solution"),
+        arc_flows=_id_map(doc, "arc_flows", "solution"),
+        compressor_lifts=_id_map(doc, "compressor_lifts", "solution", {}),
+        interior_pressures=_id_map(doc, "interior_pressures", "solution", {}, _profile),
     )
     pipe_states = None
     if "pipe_states" in doc:
-        pipe_states = {
-            pid: (ModelLevel.of(entry["level"]), entry["stepsize"])
-            for pid, entry in doc["pipe_states"].items()
-        }
+        pipe_states = _id_map(doc, "pipe_states", "solution", read=_pipe_state)
     return sol, pipe_states
 
 

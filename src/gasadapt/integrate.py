@@ -43,8 +43,10 @@ class Grid:
     def for_pipe(cls, length: float, n_intervals: int) -> "Grid":
         """Primary pipe grid; the interval count must allow the 2h and 4h
         subgrids used by the error estimators."""
-        if n_intervals % 4 != 0:
-            raise InvalidGrid(f"n_intervals {n_intervals} is not a multiple of 4")
+        if n_intervals <= 0 or n_intervals % 4 != 0:
+            raise InvalidGrid(
+                f"n_intervals {n_intervals} is not a positive multiple of 4"
+            )
         return cls(stepsize=length / n_intervals, n_intervals=n_intervals)
 
     @property

@@ -81,6 +81,10 @@ class Network:
         self.nodes = {n.id: n for n in nodes}
         self.pipes = {p.id: p for p in pipes}
         self.compressors = {c.id: c for c in compressors}
+        self._in_arcs, self._out_arcs = {}, {}
+        for arc in self.arcs.values():
+            self._in_arcs.setdefault(arc.to_node, []).append(arc)
+            self._out_arcs.setdefault(arc.from_node, []).append(arc)
 
     @property
     def arcs(self):
@@ -89,10 +93,10 @@ class Network:
         return arcs
 
     def in_arcs(self, node_id):
-        return [a for a in self.arcs.values() if a.to_node == node_id]
+        return self._in_arcs.get(node_id, [])
 
     def out_arcs(self, node_id):
-        return [a for a in self.arcs.values() if a.from_node == node_id]
+        return self._out_arcs.get(node_id, [])
 
 
 def slope_of(pipe: Pipe, net: Network) -> float:

@@ -1,5 +1,6 @@
 """File formats, artifact export, and the command-line interface."""
 
+import copy
 import csv
 import io
 import json
@@ -63,6 +64,21 @@ def test_minimal_network_document():
     }
     net, gas = fileio.network_from_dict(doc)
     assert len(net.nodes) == 2 and len(net.pipes) == 1
+
+
+def test_network_round_trip_roughness_and_slope(tmp_path):
+    doc = chain5_network_dict()
+    del doc["pipes"][0]["friction"]
+    doc["pipes"][0]["roughness"] = 1e-4
+    doc["pipes"][1]["slope"] = 0.002
+    net, gas = fileio.network_from_dict(doc)
+    path = tmp_path / "round.json"
+    fileio.save_network(net, gas, path)
+    net2, gas2 = fileio.load_network(path)
+    assert gas2 == gas
+    assert net2.pipes == net.pipes
+    assert net2.pipes["p2"].slope == 0.002
+    assert net2.pipes["p3"].slope is None
 
 
 def test_roughness_derives_friction():
@@ -233,6 +249,63 @@ def test_cli_malformed_network_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def _edited(doc, path, value):
+    """The JSON text of `doc` with the value at the key `path` replaced, or
+    deleted when `value` is None."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is None:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _chain5_solution():
+    """A well-formed solution document for chain-5 (not an optimum)."""
+    net = chain5_network_dict()
+    return {
+        "format_version": 1,
+        "status": "LocalOptimum",
+        "objective": 0.0,
+        "kkt_error": 0.0,
+        "n_iterations": 0,
+        "node_pressures": {node["id"]: 50e5 for node in net["nodes"]},
+        "arc_flows": {arc["id"]: 55.0 for arc in net["pipes"] + net["compressors"]},
+        "pipe_states": {
+            pipe["id"]: {"level": 3, "stepsize": pipe["length"] / 4}
+            for pipe in net["pipes"]
+        },
+    }
+
+
+NETWORK = chain5_network_dict()
+SOLUTION = _chain5_solution()
+CHECK_NETWORK = ["validate-params", "--network", "BAD"]
+SOLVE_SCENARIO = ["nlp-solve", "--network", "NET", "--scenario", "BAD"]
+ESTIMATE = ["estimate", "--network", "NET", "--solution", "BAD"]
+RUN_CONFIG = ["run", "--network", "NET", "--scenario", "SCN", "--config", "BAD",
+              "--out", "OUT", "--quiet"]
+RUN_SCENARIO = ["run", "--network", "NET", "--scenario", "BAD", "--out", "OUT",
+                "--quiet"]
+
+
+def _exits_one(argv, content, chain5_files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    names = {
+        "BAD": str(bad),
+        "NET": chain5_files[0],
+        "SCN": chain5_files[1],
+        "OUT": str(tmp_path / "out"),
+    }
+    code = cli_main([names.get(arg, arg) for arg in argv])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -240,18 +313,83 @@ def test_cli_malformed_network_exits_one(tmp_path, capsys):
         (["validate-params", "--network", "BAD"], "[]"),
         (["validate-params", "--network", "BAD"], '{"nodes": [5]}'),
         (["estimate", "--network", "NET", "--solution", "BAD"], "[]"),
+        (CHECK_NETWORK, _edited(NETWORK, ["gas"], [])),
+        (CHECK_NETWORK, _edited(NETWORK, ["nodes"], 5)),
+        (SOLVE_SCENARIO, '{"flows": 5}'),
+        (ESTIMATE, _edited(SOLUTION, ["node_pressures"], 5)),
     ],
-    ids=["config-number", "network-list", "node-number", "solution-list"],
+    ids=[
+        "config-number",
+        "network-list",
+        "node-number",
+        "solution-list",
+        "gas-list",
+        "nodes-number",
+        "flows-number",
+        "node-pressures-number",
+    ],
 )
 def test_cli_non_object_document_exits_one(
     argv, content, chain5_files, tmp_path, capsys
 ):
-    bad = tmp_path / "bad.json"
-    bad.write_text(content)
-    names = {"BAD": str(bad), "NET": chain5_files[0]}
-    code = cli_main([names.get(arg, arg) for arg in argv])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    _exits_one(argv, content, chain5_files, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "length"], "16000")),
+        (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "id"], 1)),
+        (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "pressure_min"], True)),
+        (["validate-params", "--n-pipes", "5", "--config", "BAD"], '{"mu": "4"}'),
+        (RUN_CONFIG, '{"mu": 4.0}'),
+        (RUN_CONFIG, '{"initial_level": 9}'),
+        (SOLVE_SCENARIO, '{"flows": {"entry": "-55", "exit": 55}}'),
+        (ESTIMATE, _edited(SOLUTION, ["status"], 5)),
+        (ESTIMATE, _edited(SOLUTION, ["pipe_states", "p1", "level"], 9)),
+        (ESTIMATE, _edited(SOLUTION, ["pipe_states", "p1", "stepsize"], 0)),
+        (ESTIMATE, _edited(SOLUTION, ["arc_flows", "p1"], None)),
+        (ESTIMATE, _edited(SOLUTION, ["pipe_states", "p2"], None)),
+        (RUN_SCENARIO, '{"flows": {"entry": -55, "nowhere": 55}}'),
+        (SOLVE_SCENARIO, '{"flows": {"entry": -55, "nowhere": 55}}'),
+        (["nlp-solve", "--network", "NET", "--scenario", "SCN", "--intervals", "0"],
+         ""),
+        (["simulate", "--h", "0"], ""),
+        (["simulate", "--length", "0"], ""),
+    ],
+    ids=[
+        "length-string",
+        "pipe-id-integer",
+        "pressure-min-boolean",
+        "mu-string",
+        "mu-float",
+        "initial-level-9",
+        "flow-string",
+        "status-number",
+        "pipe-state-level-9",
+        "pipe-state-stepsize-0",
+        "arc-flows-miss-pipe",
+        "pipe-states-miss-pipe",
+        "run-scenario-unknown-node",
+        "nlp-solve-scenario-unknown-node",
+        "intervals-0",
+        "simulate-h-0",
+        "simulate-length-0",
+    ],
+)
+def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, capsys):
+    _exits_one(argv, content, chain5_files, tmp_path, capsys)
+
+
+def test_cli_estimate_accepts_well_formed_solution(chain5_files, tmp_path, capsys):
+    # the base document of the solution cases above is itself accepted
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(SOLUTION))
+    code = cli_main(
+        ["estimate", "--network", chain5_files[0], "--solution", str(path)]
+    )
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
 
 
 def test_cli_nlp_solve_and_estimate(chain5_files, tmp_path, capsys):
