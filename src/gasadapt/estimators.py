@@ -8,14 +8,13 @@ currently used model integrated at h.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNetwork, InvalidGrid
+from .errors import EmptyNetwork
 from .models import ModelLevel
-from .integrate import Grid, integrate, restrict_to_grid
+from .integrate import Grid, integrate, interval_count, restrict_to_grid
 from .network import GasParameters, Pipe
 
 
@@ -33,11 +32,7 @@ class ErrorEstimate:
 
 
 def _grids(pipe: Pipe, h: float):
-    n = round(pipe.length / h)
-    if n % 4 != 0 or not math.isclose(n * h, pipe.length, rel_tol=1e-9):
-        raise InvalidGrid(
-            f"pipe {pipe.id}: L/h = {pipe.length / h} is not a multiple of 4"
-        )
+    n = interval_count(pipe, h)
     fine = Grid(h, n)
     double = Grid(2.0 * h, n // 2)
     evaluation = Grid(4.0 * h, n // 4)

@@ -35,9 +35,12 @@ BAR = 1e5
 
 
 def _load_json(path):
+    def non_finite(literal):  # NaN and Infinity are not JSON (RFC 8259)
+        raise ParseError(f"{path}: {literal} is not a JSON number")
+
     try:
         with open(path) as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_constant=non_finite)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -71,6 +74,7 @@ def _write_csv(header, rows, path_or_handle):
 
 _TYPES = dict(float=(int, float), int=int, str=str, bool=bool, list=list, dict=dict)
 ARC_KEYS = {"from_node": "from", "to_node": "to"}
+NETWORK_KEYS = ("format_version", "units", "gas", "nodes", "pipes", "compressors")
 # fields given in the file's pressure unit; cost_coeff is per pressure unit
 PRESSURE_FIELDS = ("pressure_min", "pressure_max", "lift_max")
 
@@ -90,20 +94,30 @@ def _get(doc, key, context, kind, default=None):
     return _check(doc.get(key, default), kind, f"{context}: field '{key}'")
 
 
-def _record(cls, doc, context, convert=None, keys=None, **given):
+def _known(doc, keys, context):
+    """The JSON object `doc`, if each of its keys is one of `keys`."""
+    unknown = sorted(set(_check(doc, "dict", context)) - set(keys))
+    if unknown:
+        raise ParseError(f"{context}: unknown keys {unknown}")
+    return doc
+
+
+def _record(cls, doc, context, convert=None, keys=None, extra=(), **given):
     """The dataclass `cls` read from the JSON object `doc`.
 
     Each field not in `given` is read under its own name or under its
     renamed key in `keys`. A field without a default is required; an absent
     one takes the dataclass default. A value must have the type of the
     field's annotation (None is allowed where the default is None) and is
-    then passed through its function in `convert`, if any."""
-    _check(doc, "dict", context)
-    if isinstance(doc.get("id"), str):
+    then passed through its function in `convert`, if any. A key that names
+    no field and is not in `extra` is an error."""
+    if isinstance(doc, dict) and isinstance(doc.get("id"), str):
         context = f"{context} {doc['id']}"
     convert, keys = convert or {}, keys or {}
+    fields = dataclasses.fields(cls)
+    _known(doc, [keys.get(f.name, f.name) for f in fields] + list(extra), context)
     values = dict(given)
-    for field in dataclasses.fields(cls):
+    for field in fields:
         key = keys.get(field.name, field.name)
         if field.name in given or (key not in doc and field.default is not MISSING):
             continue
@@ -142,11 +156,11 @@ def _pipe(entry):
         if not 0.0 < roughness < diameter:
             raise ParseError(f"{context}: roughness outside (0, diameter)")
         entry = {**entry, "friction": nikuradse_friction(diameter, roughness)}
-    return _record(Pipe, entry, "pipe", keys=ARC_KEYS)
+    return _record(Pipe, entry, "pipe", keys=ARC_KEYS, extra=["roughness"])
 
 
 def network_from_dict(doc) -> tuple:
-    units = _check(doc, "dict", "network").get("units", "si")
+    units = _known(doc, NETWORK_KEYS, "network").get("units", "si")
     if units not in ("si", "bar"):
         raise ParseError(f"unknown units '{units}' (expected 'si' or 'bar')")
     scale = BAR if units == "bar" else 1.0
@@ -198,7 +212,8 @@ def save_network(net, gas, path):
 
 
 def scenario_from_dict(doc) -> Scenario:
-    return Scenario(_id_map(_check(doc, "dict", "scenario"), "flows", "scenario"))
+    doc = _known(doc, ["format_version", "flows"], "scenario")
+    return Scenario(_id_map(doc, "flows", "scenario"))
 
 
 def load_scenario(path) -> Scenario:
@@ -211,15 +226,11 @@ def save_scenario(scn: Scenario, path):
 
 def config_from_dict(doc) -> AdaptiveConfig:
     """The config; `eps_bar`, in bar, takes precedence over `eps` in Pa."""
-    known = {f.name for f in dataclasses.fields(AdaptiveConfig)}
-    known |= {"format_version", "eps_bar"}
-    unknown = sorted(set(_check(doc, "dict", "config")) - known)
-    if unknown:
-        raise ParseError(f"config: unknown keys {unknown}")
-    if "eps_bar" in doc:
+    extra = ["format_version", "eps", "eps_bar"]
+    if isinstance(doc, dict) and "eps_bar" in doc:
         bar = {"eps": lambda eps: eps * BAR}
-        return _record(AdaptiveConfig, doc, "config", bar, {"eps": "eps_bar"})
-    return _record(AdaptiveConfig, doc, "config")
+        return _record(AdaptiveConfig, doc, "config", bar, {"eps": "eps_bar"}, extra)
+    return _record(AdaptiveConfig, doc, "config", extra=extra)
 
 
 def load_config(path) -> AdaptiveConfig:
@@ -277,6 +288,7 @@ def load_solution(path) -> tuple:
         NlpSolution,
         doc,
         "solution",
+        extra=["format_version", "pipe_states"],
         node_pressures=_id_map(doc, "node_pressures", "solution"),
         arc_flows=_id_map(doc, "arc_flows", "solution"),
         compressor_lifts=_id_map(doc, "compressor_lifts", "solution", {}),

@@ -64,6 +64,17 @@ class Grid:
         return Grid(self.stepsize * factor, self.n_intervals // factor)
 
 
+def interval_count(pipe: Pipe, h: float) -> int:
+    """L/h for the pipe; it must be a multiple of 4 so that the 2h and 4h
+    subgrids of the error estimators exist."""
+    n = round(pipe.length / h)
+    if n % 4 != 0 or not math.isclose(n * h, pipe.length, rel_tol=GRID_RTOL):
+        raise InvalidGrid(
+            f"pipe {pipe.id}: L/h = {pipe.length / h} is not a multiple of 4"
+        )
+    return n
+
+
 @dataclass(frozen=True)
 class PressureProfile:
     grid: Grid

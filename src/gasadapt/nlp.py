@@ -9,7 +9,7 @@ variable vector; the public solution is plain SI.
 
 from __future__ import annotations
 
-import math
+import contextlib
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidGrid
+from .integrate import interval_count
 from .models import pipe_coefficients
 from .network import GasParameters, Network, Scenario, slope_of
 
@@ -180,12 +180,6 @@ class NlpSolution:
     # takes them over by id and interpolates them along each pipe
     duals: Multipliers = None
 
-    def pipe_inlet(self, pipe):
-        """Inlet node id and pressure for the flow direction on this pipe."""
-        q = self.arc_flows[pipe.id]
-        node = pipe.from_node if q >= 0.0 else pipe.to_node
-        return node, self.node_pressures[node]
-
 
 def assemble(
     net: Network, scn: Scenario, gas: GasParameters, state: dict
@@ -224,9 +218,7 @@ def assemble(
     ipkm1, ipk, iq, coefs = [[]], [[]], [[]], [np.empty((0, 3))]
     for pipe in net.pipes.values():
         level, h = state[pipe.id]
-        n = round(pipe.length / h)
-        if n % 4 != 0 or not math.isclose(n * h, pipe.length, rel_tol=1e-9):
-            raise InvalidGrid(f"pipe {pipe.id}: L/h must be a multiple of 4")
+        n = interval_count(pipe, h)
         inst.n_intervals[pipe.id] = n
         interior = np.arange(idx, idx + n - 1)
         inst.interior_idx[pipe.id] = interior
@@ -465,26 +457,34 @@ def solve(
     fraction-to-the-boundary rule."""
     t0 = time.perf_counter()
     n, m = inst.n_vars, inst.n_cons
-    lb, ub = inst.lb.copy(), inst.ub.copy()
-
-    fixed = _fixed_mask(lb, ub)
-    has_lb = np.isfinite(lb) & ~fixed
-    has_ub = np.isfinite(ub) & ~fixed
-
-    x = _initial_point(inst, warm_start)
-    x[fixed] = lb[fixed]
-    # push strictly inside the bounds; a warm start is presumed near-optimal,
-    # so barely perturb it
-    margin = 1e-12 if warm_start is not None else 1e-2
-    gap = np.where(np.isfinite(ub - lb), ub - lb, np.inf)
-    push = np.minimum(margin * np.maximum(1.0, np.abs(lb)), 1e-2 * gap)
-    push_u = np.minimum(margin * np.maximum(1.0, np.abs(ub)), 1e-2 * gap)
-    x[has_lb] = np.maximum(x[has_lb], lb[has_lb] + push[has_lb])
-    x[has_ub] = np.minimum(x[has_ub], ub[has_ub] - push_u[has_ub])
-
+    fixed = _fixed_mask(inst.lb, inst.ub)
     free = ~fixed
     free_idx = np.where(free)[0]
     nfree = len(free_idx)
+    # the lower and upper bounds as the two rows of one array: row r has the
+    # slack sign[r] * (x - bound[r]) and the multipliers z[r]; `has` masks
+    # out infinite bounds and fixed variables, whose bound entries are zeroed
+    bound = np.stack([inst.lb, inst.ub])
+    has = np.isfinite(bound) & free
+    bound[~has] = 0.0
+    sign = np.array([[1.0], [-1.0]])
+
+    def slack(x):
+        return np.where(has, sign * (x - bound), 1.0)
+
+    def inside(x, margin):
+        """x moved at least `margin` inside each of its bounds."""
+        edge = np.where(has, bound + sign * margin, -sign * np.inf)
+        return np.clip(x, edge[0], edge[1])
+
+    x = _initial_point(inst, warm_start)
+    x[fixed] = inst.lb[fixed]
+    # push strictly inside the bounds; a warm start is presumed near-optimal,
+    # so barely perturb it
+    margin = 1e-12 if warm_start is not None else 1e-2
+    gap = np.where(has.all(axis=0), bound[1] - bound[0], np.inf)
+    x = inside(x, np.minimum(margin * np.maximum(1.0, np.abs(bound)), 1e-2 * gap))
+
     perm = kkt_ordering(inst)
     mu_min = max(eps_opt / 10.0, 1e-14)
 
@@ -492,43 +492,32 @@ def solve(
     # multipliers of the previous solve, carried over onto this instance
     mu = 0.1 if warm_start is None else mu_min
     y = np.zeros(m)
-    zl = np.where(has_lb, mu / np.maximum(x - lb, 1e-8), 0.0)
-    zu = np.where(has_ub, mu / np.maximum(ub - x, 1e-8), 0.0)
-    zl = np.clip(zl, 0.0, 1e8) * has_lb
-    zu = np.clip(zu, 0.0, 1e8) * has_ub
+    z = np.where(has, np.clip(mu / np.maximum(slack(x), 1e-8), 0.0, 1e8), 0.0)
     if warm_start is not None and warm_start.duals is not None:
-        _warm_multipliers(inst, warm_start.duals, y, zl, zu)
-        zl = np.where(has_lb, np.maximum(zl, 1e-16), 0.0)
-        zu = np.where(has_ub, np.maximum(zu, 1e-16), 0.0)
+        _warm_multipliers(inst, warm_start.duals, y, *z)
+        z = np.where(has, np.maximum(z, 1e-16), 0.0)
     delta_w = 0.0
     nu = 1.0  # l1 penalty weight for the merit function
     best_viol = np.inf
     stall = 0
 
-    def kkt_errors(x, J, c, y, zl, zu, mu):
-        g = inst.grad + J.T @ y - zl + zu
-        comp_l = np.zeros(n)
-        comp_l[has_lb] = (x[has_lb] - lb[has_lb]) * zl[has_lb] - mu
-        comp_u = np.zeros(n)
-        comp_u[has_ub] = (ub[has_ub] - x[has_ub]) * zu[has_ub] - mu
-        s_d = max(
-            1.0,
-            (np.sum(np.abs(y)) + np.sum(zl) + np.sum(zu)) / max(1, m + n) / 100.0,
-        )
+    def dual_residual(J, y, z):
+        """grad f + J^T y - z_lower + z_upper."""
+        return inst.grad + J.T @ y - z[0] + z[1]
+
+    def kkt_errors(s, J, c, y, z, mu):
+        g = dual_residual(J, y, z)
+        comp = np.where(has, s * z - mu, 0.0)
+        s_d = max(1.0, (np.sum(np.abs(y)) + np.sum(z)) / max(1, m + n) / 100.0)
         e_dual = np.max(np.abs(g[free])) / s_d if free.any() else 0.0
         e_primal = np.max(np.abs(c)) if m else 0.0
-        e_comp = max(
-            np.max(np.abs(comp_l), initial=0.0), np.max(np.abs(comp_u), initial=0.0)
-        ) / s_d
+        e_comp = np.max(np.abs(comp), initial=0.0) / s_d
         return e_dual, e_primal, e_comp
 
-    def barrier_value(x):
-        val = inst.objective(x)
-        if has_lb.any():
-            val -= mu * np.sum(np.log(np.maximum(x[has_lb] - lb[has_lb], 1e-300)))
-        if has_ub.any():
-            val -= mu * np.sum(np.log(np.maximum(ub[has_ub] - x[has_ub], 1e-300)))
-        return val
+    def merit(x, c):
+        """The barrier objective plus the l1 penalty on the constraints c."""
+        barrier = np.sum(np.log(np.maximum(slack(x)[has], 1e-300)))
+        return inst.objective(x) + nu * np.sum(np.abs(c)) - mu * barrier
 
     iterations = 0
     status = STATUS_ITERATION_LIMIT
@@ -536,7 +525,8 @@ def solve(
         iterations += 1
         c = inst.constraints(x)
         J = inst.jacobian(x)
-        e_dual, e_primal, e_comp = kkt_errors(x, J, c, y, zl, zu, 0.0)
+        s = slack(x)
+        e_dual, e_primal, e_comp = kkt_errors(s, J, c, y, z, 0.0)
         kkt = max(e_dual, e_primal, e_comp)
         if kkt <= eps_opt:
             status = STATUS_OPTIMAL
@@ -559,17 +549,13 @@ def solve(
             status = STATUS_INFEASIBLE
             break
 
-        e_dual_mu, e_primal_mu, e_comp_mu = kkt_errors(x, J, c, y, zl, zu, mu)
-        if max(e_dual_mu, e_primal_mu, e_comp_mu) <= 10.0 * mu and mu > mu_min:
+        if max(kkt_errors(s, J, c, y, z, mu)) <= 10.0 * mu and mu > mu_min:
             mu = max(mu_min, 0.2 * mu)
             continue
 
-        sl = np.where(has_lb, x - lb, 1.0)
-        su = np.where(has_ub, ub - x, 1.0)
-        sigma = np.where(has_lb, zl / sl, 0.0) + np.where(has_ub, zu / su, 0.0)
+        sigma = np.sum(z / s, axis=0)
         # condensed dual residual with the complementarity equations folded in
-        rd = inst.grad + J.T @ y
-        rd = rd - np.where(has_lb, mu / sl, 0.0) + np.where(has_ub, mu / su, 0.0)
+        rd = dual_residual(J, y, np.where(has, mu / s, 0.0))
 
         W = inst.lagrangian_hessian(x, y)
         Wff = W[free_idx][:, free_idx]
@@ -577,7 +563,6 @@ def solve(
         rd_f = rd[free_idx]
         sigma_f = sigma[free_idx]
 
-        solved = False
         trial_delta = delta_w
         for _ in range(12):
             H = Wff + sp.diags(sigma_f + trial_delta)
@@ -588,107 +573,67 @@ def solve(
             # partial pivoting, which the -1e-12 (2,2) block needs
             Kp = K[perm][:, perm]
             rhs_p = np.concatenate([-rd_f, -c])[perm]
-            try:
+            with contextlib.suppress(RuntimeError, ValueError):
                 lu = spla.splu(Kp, permc_spec="NATURAL")
-                z = lu.solve(rhs_p)
+                step_p = lu.solve(rhs_p)
                 # one round of iterative refinement sharpens the attainable
                 # KKT tolerance near convergence
-                z -= lu.solve(Kp @ z - rhs_p)
-            except (RuntimeError, ValueError):
-                trial_delta = max(1e-8, 10.0 * trial_delta, 1e-8)
-                continue
-            if np.all(np.isfinite(z)):
-                step = np.empty_like(z)
-                step[perm] = z
-                solved = True
-                break
+                step_p -= lu.solve(Kp @ step_p - rhs_p)
+                if np.all(np.isfinite(step_p)):
+                    break
+            # a failed factorization or a non-finite step: regularize more
             trial_delta = max(1e-8, 10.0 * trial_delta)
-        if not solved:
+        else:
             status = STATUS_ITERATION_LIMIT
             break
-        delta_w = trial_delta / 3.0 if trial_delta > 0 else 0.0
+        delta_w = trial_delta / 3.0
 
+        step = np.empty_like(step_p)
+        step[perm] = step_p
         dx = np.zeros(n)
         dx[free_idx] = step[:nfree]
         dy = step[nfree:]
-        dzl = np.where(has_lb, (mu - zl * dx) / sl - zl, 0.0)
-        dzu = np.where(has_ub, (mu + zu * dx) / su - zu, 0.0)
+        ds = sign * dx  # the step of the slacks
+        dz = np.where(has, (mu - z * ds) / s - z, 0.0)
 
         # fraction-to-the-boundary
         tau = max(0.99, 1.0 - mu)
-        alpha_p = 1.0
-        neg = has_lb & (dx < 0.0)
-        if neg.any():
-            alpha_p = min(alpha_p, np.min(-tau * sl[neg] / dx[neg]))
-        posi = has_ub & (dx > 0.0)
-        if posi.any():
-            alpha_p = min(alpha_p, np.min(tau * su[posi] / dx[posi]))
-        alpha_d = 1.0
-        negz = (dzl < 0.0) & has_lb & (zl > 0.0)
-        if negz.any():
-            alpha_d = min(alpha_d, np.min(-tau * zl[negz] / dzl[negz]))
-        negz = (dzu < 0.0) & has_ub & (zu > 0.0)
-        if negz.any():
-            alpha_d = min(alpha_d, np.min(-tau * zu[negz] / dzu[negz]))
+        shrink = has & (ds < 0.0)
+        alpha_p = np.min(-tau * s[shrink] / ds[shrink], initial=1.0)
+        shrink = has & (dz < 0.0) & (z > 0.0)
+        alpha_d = np.min(-tau * z[shrink] / dz[shrink], initial=1.0)
 
         # Armijo backtracking on the l1 merit function
         nu = max(nu, 2.0 * np.max(np.abs(y), initial=0.0) + 1.0)
-        viol0 = np.sum(np.abs(c))
-        phi0 = barrier_value(x) + nu * viol0
-        dphi = inst.grad @ dx - nu * viol0
-        if has_lb.any():
-            dphi -= mu * np.sum(dx[has_lb] / sl[has_lb])
-        if has_ub.any():
-            dphi += mu * np.sum(dx[has_ub] / su[has_ub])
+        phi0 = merit(x, c)
+        dphi = inst.grad @ dx - nu * np.sum(np.abs(c))
+        dphi -= mu * np.sum(ds[has] / s[has])
         alpha = alpha_p
-        accepted = False
         for _ in range(30):
             x_trial = x + alpha * dx
-            c_trial = inst.constraints(x_trial)
-            phi_trial = (
-                inst.objective(x_trial)
-                + nu * np.sum(np.abs(c_trial))
-            )
-            if has_lb.any():
-                phi_trial -= mu * np.sum(
-                    np.log(np.maximum(x_trial[has_lb] - lb[has_lb], 1e-300))
-                )
-            if has_ub.any():
-                phi_trial -= mu * np.sum(
-                    np.log(np.maximum(ub[has_ub] - x_trial[has_ub], 1e-300))
-                )
+            phi_trial = merit(x_trial, inst.constraints(x_trial))
             if phi_trial <= phi0 + 1e-4 * alpha * min(dphi, 0.0) or phi_trial < phi0:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             # fall back to a tiny step to escape; if it persists the stall
             # counter above will trigger
             alpha = min(alpha_p, 1e-8)
             x_trial = x + alpha * dx
 
-        x = x_trial
-        # keep a machine-precision slack so 1/sl and 1/su stay finite even
-        # when an infeasible instance pushes the iterate onto its bounds
-        lb_l = lb[has_lb]
-        x[has_lb] = np.maximum(x[has_lb], lb_l + 1e-12 * np.maximum(1.0, np.abs(lb_l)))
-        ub_u = ub[has_ub]
-        x[has_ub] = np.minimum(x[has_ub], ub_u - 1e-12 * np.maximum(1.0, np.abs(ub_u)))
+        # keep a machine-precision slack so 1/slack stays finite even when
+        # an infeasible instance pushes the iterate onto its bounds
+        x = inside(x_trial, np.finfo(float).eps * np.maximum(1.0, np.abs(bound)))
         y = y + alpha_d * dy
-        zl = np.where(has_lb, np.clip(zl + alpha_d * dzl, 1e-16, 1e16), 0.0)
-        zu = np.where(has_ub, np.clip(zu + alpha_d * dzu, 1e-16, 1e16), 0.0)
         # clip duals so sigma stays within a bounded multiple of mu/slack
-        zl = np.where(has_lb, np.clip(zl, mu / (1e10 * sl), 1e10 * mu / sl), 0.0)
-        zu = np.where(has_ub, np.clip(zu, mu / (1e10 * su), 1e10 * mu / su), 0.0)
+        z = np.clip(z + alpha_d * dz, 1e-16, 1e16)
+        z = np.where(has, np.clip(z, mu / (1e10 * s), 1e10 * mu / s), 0.0)
 
-    e_dual, e_primal, e_comp = kkt_errors(
-        x, inst.jacobian(x), inst.constraints(x), y, zl, zu, 0.0
-    )
-    kkt = max(e_dual, e_primal, e_comp)
+    kkt = max(kkt_errors(slack(x), inst.jacobian(x), inst.constraints(x), y, z, 0.0))
     if status == STATUS_ITERATION_LIMIT and kkt <= eps_opt:
         status = STATUS_OPTIMAL
     seconds = time.perf_counter() - t0
     return _extract_solution(
         inst, x, status, kkt, iterations, seconds,
-        duals=_keyed_multipliers(inst, y, zl, zu),
+        duals=_keyed_multipliers(inst, y, *z),
     )

@@ -356,6 +356,10 @@ def test_cli_non_object_document_exits_one(
          ""),
         (["simulate", "--h", "0"], ""),
         (["simulate", "--length", "0"], ""),
+        (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "length"], float("nan"))),
+        (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "pressure_max"], float("inf"))),
+        (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "elevaton"], 120.0)),
+        (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "flow_mni"], -10.0)),
     ],
     ids=[
         "length-string",
@@ -375,6 +379,10 @@ def test_cli_non_object_document_exits_one(
         "intervals-0",
         "simulate-h-0",
         "simulate-length-0",
+        "length-nan",
+        "pressure-max-infinity",
+        "node-elevaton",
+        "flow-mni",
     ],
 )
 def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, capsys):

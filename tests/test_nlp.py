@@ -111,6 +111,54 @@ def test_objective_monotone_in_lift_relaxation():
     assert objectives[2] <= objectives[1] * (1 + 1e-8)
 
 
+def test_network_without_pipes_converges():
+    # the exit pressure ends on its lower bound with a multiplier of 1e5 per
+    # bar, so the slack kept off the bound must be of machine precision for
+    # the complementarity error to fall below eps_opt
+    net = Network(
+        [Node("a", "entry", 40e5, 40e5), Node("b", "exit", 41e5, 1e7)],
+        [],
+        [Compressor("c", "a", "b", lift_max=30e5, cost_coeff=1.0)],
+    )
+    scn = Scenario({"a": -50.0, "b": 50.0})
+    sol = nlp.solve(nlp.assemble(net, scn, GasParameters(), {}))
+    assert sol.status == nlp.STATUS_OPTIMAL
+    assert sol.compressor_lifts["c"] == pytest.approx(1e5, rel=1e-9)
+    assert sol.objective == pytest.approx(1e5, rel=1e-9)
+
+
+def serial_compressors(lift_max_1):
+    net = Network(
+        [
+            Node("a", "entry", 40e5, 40e5),
+            Node("m", "inner", 1e5, 1e7),
+            Node("n", "inner", 1e5, 1e7),
+            Node("b", "exit", 50e5, 1e7),
+        ],
+        [Pipe("p", "n", "b", length=20000.0, diameter=0.6, friction=0.011)],
+        [
+            Compressor("c1", "a", "m", lift_max=lift_max_1, cost_coeff=1.0),
+            Compressor("c2", "m", "n", lift_max=30e5, cost_coeff=2.0),
+        ],
+    )
+    scn = Scenario({"a": -50.0, "b": 50.0})
+    state = {"p": (ModelLevel.FRICTION, 20000.0 / 16)}
+    return nlp.solve(nlp.assemble(net, scn, GasParameters(), state))
+
+
+def test_serial_compressors_cheap_one_at_its_upper_bound():
+    # the cheaper first compressor runs at its lift bound and the second
+    # supplies the rest of the lift that the first gives alone when unbounded
+    sol = serial_compressors(lift_max_1=5e5)
+    assert sol.status == nlp.STATUS_OPTIMAL
+    assert sol.compressor_lifts["c1"] == pytest.approx(5e5, rel=1e-9)
+    alone = serial_compressors(lift_max_1=30e5)
+    assert alone.status == nlp.STATUS_OPTIMAL
+    assert alone.compressor_lifts["c2"] == pytest.approx(0.0, abs=1e-3)
+    total = sol.compressor_lifts["c1"] + sol.compressor_lifts["c2"]
+    assert total == pytest.approx(alone.compressor_lifts["c1"], rel=1e-8)
+
+
 def test_warm_start_from_exact_solution_converges_fast():
     net, gas, scn = chain5()
     state = {
