@@ -219,7 +219,10 @@ def _cmd_nlp_solve(args) -> int:
         print("infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     if sol.status != nlp.STATUS_OPTIMAL:
-        print(f"error: solver stopped with status {sol.status}", file=sys.stderr)
+        print(
+            f"error: solver stopped with status {sol.status}: {sol.reason}",
+            file=sys.stderr,
+        )
         return EXIT_ERROR
     return EXIT_OK
 

@@ -291,9 +291,11 @@ def run(
         instance = nlp.assemble(net, scn, gas, pipe_state)
         sol = nlp.solve(instance, warm_start=warm, eps_opt=config.eps_opt)
         if sol.status == nlp.STATUS_INFEASIBLE:
-            raise InfeasibleProblem(f"NLP infeasible at solve {solve_index}")
+            raise InfeasibleProblem(
+                f"NLP infeasible at solve {solve_index}: {sol.reason}"
+            )
         if sol.status == nlp.STATUS_ITERATION_LIMIT:
-            raise IterationLimit(f"NLP hit its iteration limit at solve {solve_index}")
+            raise IterationLimit(f"NLP stopped at solve {solve_index}: {sol.reason}")
         t0 = time.perf_counter()
         estimates, eta_m_by_level = compute_estimates(
             net, gas, sol, state.levels, state.stepsizes

@@ -247,6 +247,7 @@ def solution_to_dict(sol: NlpSolution, pipe_states: dict = None) -> dict:
         "objective": sol.objective,
         "kkt_error": sol.kkt_error,
         "n_iterations": sol.n_iterations,
+        "reason": sol.reason,
         "node_pressures": sol.node_pressures,
         "arc_flows": sol.arc_flows,
         "compressor_lifts": sol.compressor_lifts,

@@ -10,6 +10,7 @@ variable vector; the public solution is plain SI.
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +30,13 @@ DEFAULT_EPS_OPT = 1e-8
 STATUS_OPTIMAL = "LocalOptimum"
 STATUS_INFEASIBLE = "Infeasible"
 STATUS_ITERATION_LIMIT = "IterationLimit"
+
+# why a solve stopped (NlpSolution.reason)
+REASON_CONVERGED = "KKT error within eps_opt"
+REASON_NOT_FINITE = "non-finite KKT error"
+REASON_STALLED = "primal infeasibility stalled for 30 iterations"
+REASON_FACTORIZATION = "KKT factorization failed after 12 delta_w increases"
+REASON_ITERATION_LIMIT = "iteration limit reached"
 
 
 def _smooth_abs_flow(q):
@@ -106,17 +114,10 @@ class NlpInstance:
         d_q = (
             -2.0 * delta * self.ram_coef * q / pk**2 + self.k_coef * dphi / pk
         )
-        lin = self.linear_A.tocoo()
-        rows = np.arange(lin.shape[0], self.n_cons)
-        return sp.csr_matrix(
-            (
-                np.concatenate([lin.data, d_pkm1, d_pk, d_q]),
-                (
-                    np.concatenate([lin.row, rows, rows, rows]),
-                    np.concatenate([lin.col, self.ipkm1, self.ipk, self.iq]),
-                ),
-            ),
-            shape=(self.n_cons, self.n_vars),
+        return _fill(
+            self._jacobian_pattern,
+            np.concatenate([self.linear_A.data, d_pkm1, d_pk, d_q]),
+            (self.n_cons, self.n_vars),
         )
 
     def lagrangian_hessian(self, x, y):
@@ -143,14 +144,59 @@ class NlpInstance:
             - self.k_coef * dphi / pk**2
         )
         h_qq = y * (-2.0 * delta * b / pk**2 + self.k_coef * d2phi / pk)
-        ipk, ipkm1, iq = self.ipk, self.ipkm1, self.iq
-        # lower and upper triangle both emitted
-        rows = np.concatenate([ipk, ipk, ipkm1, ipkm1, iq, ipk, iq, iq])
-        cols = np.concatenate([ipk, ipkm1, ipk, iq, ipkm1, iq, ipk, iq])
         data = np.concatenate(
             [h_pk_pk, h_pk_pkm1, h_pk_pkm1, h_q_pkm1, h_q_pkm1, h_q_pk, h_q_pk, h_qq]
         )
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n_vars, self.n_vars))
+        return _fill(self._hessian_pattern, data, (self.n_vars, self.n_vars))
+
+    # -- sparsity patterns, fixed within an instance -----------------------
+
+    @functools.cached_property
+    def _jacobian_pattern(self):
+        """CSR pattern of J: the linear rows, then per relation its entries
+        at p_{k-1}, p_k and q, in the order of `jacobian`'s values."""
+        lin = self.linear_A.tocoo()  # keeps the order of linear_A.data
+        rows = np.arange(lin.shape[0], self.n_cons)
+        return _pattern(
+            np.concatenate([lin.row, rows, rows, rows]),
+            np.concatenate([lin.col, self.ipkm1, self.ipk, self.iq]),
+            (self.n_cons, self.n_vars),
+        )
+
+    @functools.cached_property
+    def _hessian_pattern(self):
+        """CSR pattern of the Lagrangian Hessian, both triangles, in the
+        order of `lagrangian_hessian`'s values."""
+        ipk, ipkm1, iq = self.ipk, self.ipkm1, self.iq
+        return _pattern(
+            np.concatenate([ipk, ipk, ipkm1, ipkm1, iq, ipk, iq, iq]),
+            np.concatenate([ipk, ipkm1, ipk, iq, ipkm1, iq, ipk, iq]),
+            (self.n_vars, self.n_vars),
+        )
+
+
+def _pattern(rows, cols, shape):
+    """CSR pattern of the matrix with entries at (rows, cols), duplicates
+    summed: (indices, indptr, scatter), where entry t is summed into the
+    data slot scatter[t]. Pass (cols, rows) for the CSC pattern."""
+    keys, scatter = np.unique(rows * shape[1] + cols, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    # 32-bit indices, which scipy would choose and SuperLU takes, spare a
+    # conversion of the pattern for each matrix built on it
+    return (keys % shape[1]).astype(np.int32), indptr.astype(np.int32), scatter
+
+
+def _row_of(indptr):
+    """The row of each stored entry of a CSR pattern."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _fill(pattern, values, shape, fmt=sp.csr_matrix):
+    """The matrix of `values` summed into a pattern from `_pattern`."""
+    indices, indptr, scatter = pattern
+    data = np.bincount(scatter, weights=values, minlength=len(indices))
+    # (the bincount of no entries is integer)
+    return fmt((data.astype(float, copy=False), indices, indptr), shape=shape)
 
 
 @dataclass
@@ -179,6 +225,7 @@ class NlpSolution:
     # converged multipliers for warm starts; a solve on other grids or levels
     # takes them over by id and interpolates them along each pipe
     duals: Multipliers = None
+    reason: str = ""  # why the solve stopped, one of the REASON_* phrases
 
 
 def assemble(
@@ -383,7 +430,9 @@ def _warm_multipliers(inst, warm: Multipliers, y, zl, zu):
         row0 += n
 
 
-def _extract_solution(inst, x, status, kkt_error, iterations, seconds, duals=None):
+def _extract_solution(
+    inst, x, status, kkt_error, iterations, seconds, duals=None, reason=""
+):
     node_pressures = {
         node: float(x[i]) * PRESSURE_SCALE for node, i in inst.node_idx.items()
     }
@@ -408,6 +457,7 @@ def _extract_solution(inst, x, status, kkt_error, iterations, seconds, duals=Non
         n_iterations=iterations,
         solve_seconds=seconds,
         duals=duals,
+        reason=reason,
     )
 
 
@@ -446,6 +496,82 @@ def kkt_ordering(inst: NlpInstance) -> np.ndarray:
     return np.concatenate([band, pos[rest], nfree + np.arange(n_lin)])
 
 
+class KktSystem:
+    """The Newton system [[W + diag(sigma + delta_w), J^T], [J, -1e-12 I]]
+    of one instance over its free variables, factored in the order of
+    `kkt_ordering`.
+
+    W and J keep their sparsity within an instance, so the CSC pattern of the
+    permuted matrix is built once; each factorization only scatters new
+    values into it. delta_w carries over from one step to the next.
+    """
+
+    def __init__(self, inst: NlpInstance):
+        free = ~_fixed_mask(inst.lb, inst.ub)
+        self.free_idx = np.flatnonzero(free)
+        nfree, m = len(self.free_idx), inst.n_cons
+        self.perm = kkt_ordering(inst)
+        self.shape = (nfree + m, nfree + m)
+        where = np.argsort(self.perm)  # the permuted position of each row of K
+        pos = np.full(inst.n_vars, -1)
+        pos[free] = np.arange(nfree)
+        # the entries of W and J among free variables, in K's numbering
+        w_idx, w_ptr, _ = inst._hessian_pattern
+        w_row, w_col = pos[_row_of(w_ptr)], pos[w_idx]
+        self.w_free = (w_row >= 0) & (w_col >= 0)
+        w_row, w_col = w_row[self.w_free], w_col[self.w_free]
+        j_idx, j_ptr, _ = inst._jacobian_pattern
+        j_row, j_col = nfree + _row_of(j_ptr), pos[j_idx]
+        self.j_free = j_col >= 0
+        j_row, j_col = j_row[self.j_free], j_col[self.j_free]
+        diag = np.arange(nfree + m)
+        rows = np.concatenate([w_row, diag, j_row, j_col])
+        cols = np.concatenate([w_col, diag, j_col, j_row])
+        # the CSC pattern of K is the CSR pattern of its transpose
+        self.pattern = _pattern(where[cols], where[rows], self.shape)
+        self.reg = np.full(m, -1e-12)
+        self.delta_w = 0.0
+
+    def matrix(self, W, J, sigma, delta_w):
+        """K in the permuted order, for the n-vector sigma."""
+        j = J.data[self.j_free]
+        diag = sigma[self.free_idx] + delta_w
+        values = np.concatenate([W.data[self.w_free], diag, self.reg, j, j])
+        return _fill(self.pattern, values, self.shape, sp.csc_matrix)
+
+    def step(self, W, J, sigma, rd, c):
+        """(dx, dy) from K [dx_free, dy] = -[rd_free, c], with dx zero at
+        fixed variables; None when the factorization fails at 12 increasing
+        values of delta_w."""
+        rhs = np.concatenate([-rd[self.free_idx], -c])[self.perm]
+        tol = 1e-12 * max(1.0, np.max(np.abs(rhs)))
+        delta_w = self.delta_w
+        for _ in range(12):
+            K = self.matrix(W, J, sigma, delta_w)
+            with contextlib.suppress(RuntimeError, ValueError):
+                # SuperLU keeps its partial pivoting, which the -1e-12 (2,2)
+                # block needs
+                lu = spla.splu(K, permc_spec="NATURAL")
+                z = lu.solve(rhs)
+                # one round of iterative refinement, only when the residual
+                # is above 1e-12 relative to the right-hand side
+                res = K @ z - rhs
+                if np.max(np.abs(res)) > tol:
+                    z -= lu.solve(res)
+                if np.all(np.isfinite(z)):
+                    break
+            # a failed factorization or a non-finite step: regularize more
+            delta_w = max(1e-8, 10.0 * delta_w)
+        else:
+            return None
+        self.delta_w = delta_w / 3.0
+        step = np.empty_like(z)
+        step[self.perm] = z
+        dx = np.zeros(len(sigma))
+        dx[self.free_idx] = step[: len(self.free_idx)]
+        return dx, step[len(self.free_idx) :]
+
+
 def solve(
     inst: NlpInstance,
     warm_start: NlpSolution = None,
@@ -459,8 +585,6 @@ def solve(
     n, m = inst.n_vars, inst.n_cons
     fixed = _fixed_mask(inst.lb, inst.ub)
     free = ~fixed
-    free_idx = np.where(free)[0]
-    nfree = len(free_idx)
     # the lower and upper bounds as the two rows of one array: row r has the
     # slack sign[r] * (x - bound[r]) and the multipliers z[r]; `has` masks
     # out infinite bounds and fixed variables, whose bound entries are zeroed
@@ -485,7 +609,7 @@ def solve(
     gap = np.where(has.all(axis=0), bound[1] - bound[0], np.inf)
     x = inside(x, np.minimum(margin * np.maximum(1.0, np.abs(bound)), 1e-2 * gap))
 
-    perm = kkt_ordering(inst)
+    kkt_system = KktSystem(inst)
     mu_min = max(eps_opt / 10.0, 1e-14)
 
     # a warm start continues at the final barrier parameter from the
@@ -496,7 +620,6 @@ def solve(
     if warm_start is not None and warm_start.duals is not None:
         _warm_multipliers(inst, warm_start.duals, y, *z)
         z = np.where(has, np.maximum(z, 1e-16), 0.0)
-    delta_w = 0.0
     nu = 1.0  # l1 penalty weight for the merit function
     best_viol = np.inf
     stall = 0
@@ -520,7 +643,7 @@ def solve(
         return inst.objective(x) + nu * np.sum(np.abs(c)) - mu * barrier
 
     iterations = 0
-    status = STATUS_ITERATION_LIMIT
+    status, reason = STATUS_ITERATION_LIMIT, REASON_ITERATION_LIMIT
     while iterations < max_iterations:
         iterations += 1
         c = inst.constraints(x)
@@ -529,7 +652,7 @@ def solve(
         e_dual, e_primal, e_comp = kkt_errors(s, J, c, y, z, 0.0)
         kkt = max(e_dual, e_primal, e_comp)
         if kkt <= eps_opt:
-            status = STATUS_OPTIMAL
+            status, reason = STATUS_OPTIMAL, REASON_CONVERGED
             break
         if not np.isfinite(kkt):
             status = (
@@ -537,6 +660,7 @@ def solve(
                 if best_viol > 1e4 * eps_opt
                 else STATUS_ITERATION_LIMIT
             )
+            reason = REASON_NOT_FINITE
             break
 
         # infeasibility heuristic: constraint violation stalls well above tol
@@ -546,7 +670,7 @@ def solve(
         else:
             stall += 1
         if stall >= 30 and best_viol > 1e4 * eps_opt:
-            status = STATUS_INFEASIBLE
+            status, reason = STATUS_INFEASIBLE, REASON_STALLED
             break
 
         if max(kkt_errors(s, J, c, y, z, mu)) <= 10.0 * mu and mu > mu_min:
@@ -556,43 +680,11 @@ def solve(
         sigma = np.sum(z / s, axis=0)
         # condensed dual residual with the complementarity equations folded in
         rd = dual_residual(J, y, np.where(has, mu / s, 0.0))
-
-        W = inst.lagrangian_hessian(x, y)
-        Wff = W[free_idx][:, free_idx]
-        Jf = J[:, free_idx]
-        rd_f = rd[free_idx]
-        sigma_f = sigma[free_idx]
-
-        trial_delta = delta_w
-        for _ in range(12):
-            H = Wff + sp.diags(sigma_f + trial_delta)
-            K = sp.bmat(
-                [[H, Jf.T], [Jf, -sp.eye(m) * 1e-12]], format="csc"
-            )
-            # factor in the pipe-interleaved order; SuperLU keeps its
-            # partial pivoting, which the -1e-12 (2,2) block needs
-            Kp = K[perm][:, perm]
-            rhs_p = np.concatenate([-rd_f, -c])[perm]
-            with contextlib.suppress(RuntimeError, ValueError):
-                lu = spla.splu(Kp, permc_spec="NATURAL")
-                step_p = lu.solve(rhs_p)
-                # one round of iterative refinement sharpens the attainable
-                # KKT tolerance near convergence
-                step_p -= lu.solve(Kp @ step_p - rhs_p)
-                if np.all(np.isfinite(step_p)):
-                    break
-            # a failed factorization or a non-finite step: regularize more
-            trial_delta = max(1e-8, 10.0 * trial_delta)
-        else:
-            status = STATUS_ITERATION_LIMIT
+        newton = kkt_system.step(inst.lagrangian_hessian(x, y), J, sigma, rd, c)
+        if newton is None:
+            status, reason = STATUS_ITERATION_LIMIT, REASON_FACTORIZATION
             break
-        delta_w = trial_delta / 3.0
-
-        step = np.empty_like(step_p)
-        step[perm] = step_p
-        dx = np.zeros(n)
-        dx[free_idx] = step[:nfree]
-        dy = step[nfree:]
+        dx, dy = newton
         ds = sign * dx  # the step of the slacks
         dz = np.where(has, (mu - z * ds) / s - z, 0.0)
 
@@ -631,9 +723,9 @@ def solve(
 
     kkt = max(kkt_errors(slack(x), inst.jacobian(x), inst.constraints(x), y, z, 0.0))
     if status == STATUS_ITERATION_LIMIT and kkt <= eps_opt:
-        status = STATUS_OPTIMAL
+        status, reason = STATUS_OPTIMAL, REASON_CONVERGED
     seconds = time.perf_counter() - t0
     return _extract_solution(
         inst, x, status, kkt, iterations, seconds,
-        duals=_keyed_multipliers(inst, y, *z),
+        duals=_keyed_multipliers(inst, y, *z), reason=reason,
     )

@@ -174,6 +174,30 @@ def test_solution_round_trip(tmp_path):
     assert loaded_states == states
 
 
+def test_solution_reason_round_trip(tmp_path):
+    from gasadapt.nlp import NlpSolution
+
+    sol = NlpSolution(
+        status="IterationLimit",
+        objective=1.5,
+        node_pressures={"a": 50e5},
+        arc_flows={},
+        compressor_lifts={},
+        interior_pressures={},
+        kkt_error=1.0,
+        n_iterations=500,
+        reason="iteration limit reached",
+    )
+    path = tmp_path / "sol.json"
+    fileio.save_solution(sol, path)
+    assert fileio.load_solution(path)[0].reason == "iteration limit reached"
+    # files written before the reason existed load with an empty one
+    doc = fileio.solution_to_dict(sol)
+    del doc["reason"]
+    path.write_text(json.dumps(doc))
+    assert fileio.load_solution(path)[0].reason == ""
+
+
 # -- CSV artifacts ------------------------------------------------------------
 
 
@@ -448,6 +472,27 @@ def test_cli_nlp_solve_infeasible_exits_two(tmp_path, capsys):
         ["nlp-solve", "--network", str(net_path), "--scenario", str(scn_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["nlp-solve", "run"])
+def test_cli_factorization_failure_names_its_reason(
+    command, chain5_files, tmp_path, capsys, monkeypatch
+):
+    from gasadapt import nlp
+
+    def failing_splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(nlp.spla, "splu", failing_splu)
+    net_path, scn_path = chain5_files
+    out = str(tmp_path / "out")
+    code = cli_main(
+        [command, "--network", net_path, "--scenario", scn_path, "--out", out]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert nlp.REASON_FACTORIZATION in err
 
 
 def test_cli_run_writes_artifacts(chain5_files, tmp_path, capsys):

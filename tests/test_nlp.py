@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gasadapt import nlp
 from gasadapt.controller import AdaptiveConfig, run
@@ -278,6 +279,177 @@ def test_kkt_ordering_is_a_permutation(fixture):
     nfree = int(np.sum(inst.lb < inst.ub))  # entry pressures are fixed
     perm = nlp.kkt_ordering(inst)
     assert np.array_equal(np.sort(perm), np.arange(nfree + inst.n_cons))
+
+
+def pipeless():
+    """The network of test_network_without_pipes_converges, as (net, gas, scn)."""
+    net = Network(
+        [Node("a", "entry", 40e5, 40e5), Node("b", "exit", 41e5, 1e7)],
+        [],
+        [Compressor("c", "a", "b", lift_max=30e5, cost_coeff=1.0)],
+    )
+    return net, GasParameters(), Scenario({"a": -50.0, "b": 50.0})
+
+
+@pytest.mark.parametrize(
+    "fixture, level",
+    [(chain5, 1), (chain5, 2), (chain5, 3), (tree12, 1), (tree12, 2), (tree12, 3),
+     (pipeless, 1)],
+)
+def test_fixed_patterns_match_coo_construction(fixture, level, monkeypatch):
+    # the matrices scattered into the fixed patterns against their reference,
+    # scipy's COO construction from the same triplets and sp.bmat for K
+    net, gas, scn = fixture()
+    state = {pid: (ModelLevel.of(level), p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    n, m = inst.n_vars, inst.n_cons
+    rng = np.random.default_rng(level)
+    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, n)
+    y = rng.standard_normal(m)
+    sigma = rng.uniform(0.0, 10.0, n)
+    delta_w = rng.uniform(0.0, 1e-3)
+
+    values = []
+    fill = nlp._fill
+
+    def recording_fill(pattern, data, *args):
+        values.append(data)
+        return fill(pattern, data, *args)
+
+    monkeypatch.setattr(nlp, "_fill", recording_fill)
+    J = inst.jacobian(x)
+    W = inst.lagrangian_hessian(x, y)
+    kkt = nlp.KktSystem(inst).matrix(W, J, sigma, delta_w)
+
+    lin = inst.linear_A.tocoo()
+    rows = np.arange(lin.shape[0], m)
+    ipk, ipkm1, iq = inst.ipk, inst.ipkm1, inst.iq
+    J_ref = sp.csr_matrix(
+        (
+            values[0],
+            (
+                np.concatenate([lin.row, rows, rows, rows]),
+                np.concatenate([lin.col, ipkm1, ipk, iq]),
+            ),
+        ),
+        shape=(m, n),
+    )
+    W_ref = sp.csr_matrix(
+        (
+            values[1],
+            (
+                np.concatenate([ipk, ipk, ipkm1, ipkm1, iq, ipk, iq, iq]),
+                np.concatenate([ipk, ipkm1, ipk, iq, ipkm1, iq, ipk, iq]),
+            ),
+        ),
+        shape=(n, n),
+    )
+    np.testing.assert_allclose(J.toarray(), J_ref.toarray(), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(W.toarray(), W_ref.toarray(), rtol=1e-14, atol=0.0)
+
+    free = np.flatnonzero(inst.lb < inst.ub)
+    Wff = W_ref[free][:, free]
+    Jf = J_ref[:, free]
+    K_ref = sp.bmat(
+        [[Wff + sp.diags(sigma[free] + delta_w), Jf.T], [Jf, -sp.eye(m) * 1e-12]],
+        format="csc",
+    )
+    perm = nlp.kkt_ordering(inst)
+    np.testing.assert_allclose(
+        kkt.toarray(), K_ref[perm][:, perm].toarray(), rtol=1e-14, atol=0.0
+    )
+
+
+class CountingSplu:
+    """Stands in for nlp.spla.splu and counts factorizations and back-solves;
+    each back-solve is scaled by 1 + error."""
+
+    def __init__(self, splu, error=0.0):
+        self.splu, self.error = splu, error
+        self.factorizations = self.solves = 0
+
+    def __call__(self, A, *args, **kwargs):
+        lu = self.splu(A, *args, **kwargs)
+        self.factorizations += 1
+        counter = self
+
+        class Factor:
+            def solve(self, rhs):
+                counter.solves += 1
+                return lu.solve(rhs) * (1.0 + counter.error)
+
+        return Factor()
+
+
+def test_refinement_only_when_residual_needs_it(monkeypatch):
+    # refinement after every back-solve would make two per factorization
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 64) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    counter = CountingSplu(nlp.spla.splu)
+    monkeypatch.setattr(nlp.spla, "splu", counter)
+    sol = nlp.solve(inst)
+    assert sol.status == nlp.STATUS_OPTIMAL
+    assert counter.factorizations > 0
+    assert counter.solves < 2 * counter.factorizations
+
+
+@pytest.mark.parametrize("error, solves", [(0.0, 1), (1e-6, 2)])
+def test_refinement_sharpens_an_inexact_back_solve(error, solves, monkeypatch):
+    # an exact back-solve leaves a residual of rounding size and is kept; one
+    # off by 1e-6 relative leaves a residual above 1e-12 relative to the
+    # right-hand side, and one round of refinement brings it back
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    rng = np.random.default_rng(3)
+    x = nlp._initial_point(inst)
+    J, W = inst.jacobian(x), inst.lagrangian_hessian(x, np.zeros(inst.n_cons))
+    kkt = nlp.KktSystem(inst)
+    sigma = rng.uniform(1.0, 10.0, inst.n_vars)
+    # c in the range of J: the mass balances are linearly dependent, so the
+    # system is well conditioned only for consistent constraints
+    v = np.zeros(inst.n_vars)
+    v[kkt.free_idx] = rng.standard_normal(len(kkt.free_idx))
+    rd, c = rng.standard_normal(inst.n_vars), J @ v
+    counter = CountingSplu(nlp.spla.splu, error)
+    monkeypatch.setattr(nlp.spla, "splu", counter)
+    dx, dy = kkt.step(W, J, sigma, rd, c)
+    assert (counter.factorizations, counter.solves) == (1, solves)
+    # the residual in the permuted order, against 1e-6 unrefined
+    perm = kkt.perm
+    rhs = -np.concatenate([rd[kkt.free_idx], c])[perm]
+    z = np.concatenate([dx[kkt.free_idx], dy])[perm]
+    residual = kkt.matrix(W, J, sigma, 0.0) @ z - rhs
+    assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+def test_factorization_failure_names_its_reason(monkeypatch):
+    def failing_splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    monkeypatch.setattr(nlp.spla, "splu", failing_splu)
+    sol = nlp.solve(inst)
+    assert sol.status == nlp.STATUS_ITERATION_LIMIT
+    assert sol.n_iterations == 1
+    assert sol.reason == nlp.REASON_FACTORIZATION
+    assert "factorization" in sol.reason
+
+
+def test_each_stop_has_its_reason():
+    net, scn, gas, state = compressor_chain()
+    inst = nlp.assemble(net, scn, gas, state)
+    assert nlp.solve(inst).reason == nlp.REASON_CONVERGED
+    limited = nlp.solve(inst, max_iterations=2)
+    assert limited.status == nlp.STATUS_ITERATION_LIMIT
+    assert limited.reason == nlp.REASON_ITERATION_LIMIT
+    net, scn, gas, state = compressor_chain(lift_max=1e5)
+    infeasible = nlp.solve(nlp.assemble(net, scn, gas, state))
+    assert infeasible.status == nlp.STATUS_INFEASIBLE
+    assert infeasible.reason == nlp.REASON_STALLED
 
 
 @pytest.fixture(scope="module")
