@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .integrate import interval_count
 from .models import pipe_coefficients
@@ -468,54 +469,78 @@ def _fixed_mask(lb, ub):
     return (ub - lb) <= 1e-12 * np.maximum(1.0, np.abs(lb))
 
 
-def kkt_ordering(inst: NlpInstance) -> np.ndarray:
-    """Symmetric permutation of the KKT matrix [[W, J^T], [J, -dI]], whose
-    first nfree rows are the free variables and whose last m rows are the
-    constraints in assembly order.
-
-    Each pipe's gridpoint relations come interleaved with its interior
-    pressures, r_1, p_1, r_2, p_2, ..., p_{n-1}, r_n, so that the pipe is a
-    band bordered only by its flow and its two end pressures. The remaining
-    free variables (node pressures, arc flows, lifts) follow, and the linear
-    rows (mass balance, compressor coupling) come last. LU fill under
-    partial pivoting then stays within a small multiple of nnz(K).
-    """
-    free = ~_fixed_mask(inst.lb, inst.ub)
-    nfree = int(np.sum(free))
-    pos = np.full(inst.n_vars, -1)
-    pos[free] = np.arange(nfree)
-    n_lin = inst.linear_A.shape[0]
-
-    # relation k, then p_k while p_k is an interior pressure; node pressures
-    # have the lowest variable indices
-    inner = inst.ipk >= len(inst.node_idx)
-    band = np.column_stack([nfree + n_lin + np.arange(len(inst.ipk)), pos[inst.ipk]])
-    band = band[np.column_stack([np.ones_like(inner), inner])]
-    rest = free.copy()
-    rest[inst.ipk[inner]] = False
-    return np.concatenate([band, pos[rest], nfree + np.arange(n_lin)])
+def _band_solve(lu, piv, b):
+    """B^-1 b from dgbtrf's LU of a band of half-width 2 (dgbtrs rejects an
+    empty band)."""
+    return lapack.dgbtrs(lu, 2, 2, b, piv)[0] if len(b) else b
 
 
 class KktSystem:
-    """The Newton system [[W + diag(sigma + delta_w), J^T], [J, -1e-12 I]]
-    of one instance over its free variables, factored in the order of
-    `kkt_ordering`.
+    """The Newton system K = [[W + diag(sigma + delta_w), J^T], [J, -1e-12 I]]
+    of one instance, its rows the free variables and then the constraints in
+    assembly order, factored as pipe bands plus a small border.
 
-    W and J keep their sparsity within an instance, so the CSC pattern of the
-    permuted matrix is built once; each factorization only scatters new
-    values into it. delta_w carries over from one step to the next.
+    Band: each pipe's relations r_1..r_{n-1} and interior pressures
+    p_1..p_{n-1}, interleaved r_1, p_1, r_2, ..., p_{n-1}, have half-width 2;
+    stacked over the pipes they form one banded matrix B, LU-factored by
+    LAPACK with partial pivoting. Border: the node pressures, flows, lifts,
+    linear rows and each pipe's last relation r_n. Keeping r_n out leaves the
+    band's relations square against its interior pressures; with all n of
+    them, B would be singular up to the -1e-12 I. K is symmetric, and a
+    pipe's band touches the border only through four slots, its q, r_n,
+    p_from and p_to, so each pipe adds one 4x4 block to the Schur complement
+    S = D - C^T B^-1 C of the border block D, which SuperLU factors.
+
+    The index maps are built once per instance; each factorization scatters
+    new values through them. delta_w carries over from one step to the next.
     """
 
     def __init__(self, inst: NlpInstance):
         free = ~_fixed_mask(inst.lb, inst.ub)
         self.free_idx = np.flatnonzero(free)
-        nfree, m = len(self.free_idx), inst.n_cons
-        self.perm = kkt_ordering(inst)
-        self.shape = (nfree + m, nfree + m)
-        where = np.argsort(self.perm)  # the permuted position of each row of K
-        pos = np.full(inst.n_vars, -1)
+        nfree = len(self.free_idx)
+        size = nfree + inst.n_cons
+        pos = np.full(inst.n_vars, -1)  # the row of each variable in K
         pos[free] = np.arange(nfree)
-        # the entries of W and J among free variables, in K's numbering
+        row0 = nfree + inst.linear_A.shape[0]  # the row of the first relation
+
+        # relation k, then p_k while p_k is an interior pressure; node
+        # pressures have the lowest variable indices
+        inner = inst.ipk >= len(inst.node_idx)
+        self.band = np.column_stack(
+            [row0 + np.flatnonzero(inner), pos[inst.ipk[inner]]]
+        ).ravel()
+        rest = np.ones(size, dtype=bool)
+        rest[self.band] = False
+        self.border = np.flatnonzero(rest)
+        n_band, n_border = len(self.band), len(self.border)
+        in_band = np.full(size, -1)
+        in_band[self.band] = np.arange(n_band)
+        # the border row of each row of K; a fixed variable (row -1) and a
+        # band row land on n_border, one past the end, which is dropped
+        in_border = np.full(size + 1, n_border)
+        in_border[self.border] = np.arange(n_border)
+
+        # the slots q, r_n, p_from, p_to of each pipe as border rows; per
+        # band row, the slots of its pipe; the first band row of each pipe
+        n_intervals = np.fromiter(inst.n_intervals.values(), int)
+        last = np.cumsum(n_intervals) - 1  # relation r_n of each pipe
+        first = last - n_intervals + 1
+        slots = in_border[
+            np.column_stack(
+                [
+                    pos[inst.iq[last]],
+                    row0 + last,
+                    pos[inst.ipkm1[first]],
+                    pos[inst.ipk[last]],
+                ]
+            )
+        ]
+        pipe_of_relation = np.repeat(np.arange(len(last)), n_intervals)
+        self.band_slots = slots[np.repeat(pipe_of_relation[inner], 2)]
+        self.starts = 2 * (first - np.arange(len(first)))
+
+        # the entries of K: W and the diagonal among free variables, J and J^T
         w_idx, w_ptr, _ = inst._hessian_pattern
         w_row, w_col = pos[_row_of(w_ptr)], pos[w_idx]
         self.w_free = (w_row >= 0) & (w_col >= 0)
@@ -524,52 +549,116 @@ class KktSystem:
         j_row, j_col = nfree + _row_of(j_ptr), pos[j_idx]
         self.j_free = j_col >= 0
         j_row, j_col = j_row[self.j_free], j_col[self.j_free]
-        diag = np.arange(nfree + m)
+        diag = np.arange(size)
         rows = np.concatenate([w_row, diag, j_row, j_col])
         cols = np.concatenate([w_col, diag, j_col, j_row])
-        # the CSC pattern of K is the CSR pattern of its transpose
-        self.pattern = _pattern(where[cols], where[rows], self.shape)
-        self.reg = np.full(m, -1e-12)
+        band_row, band_col = in_band[rows], in_band[cols]
+
+        # B in LAPACK band storage with kl = ku = 2 and two more rows for the
+        # fill of pivoting: B[i, j] at ab[4 + i - j, j], column-major
+        self.in_b = np.flatnonzero((band_row >= 0) & (band_col >= 0))
+        self.b_slot = 4 + band_row[self.in_b] + 6 * band_col[self.in_b]
+        # C, band rows against border columns, as an n_band x 4 array over
+        # the slots; the border rows against band columns are C^T
+        self.in_c = np.flatnonzero((band_row >= 0) & (band_col < 0))
+        c_row = band_row[self.in_c]
+        hit = self.band_slots[c_row] == in_border[cols[self.in_c], None]
+        self.c_slot = c_row + n_band * np.argmax(hit, axis=1)
+        # S: D, then the 4x4 block of each pipe at its slots
+        self.in_d = np.flatnonzero((band_row < 0) & (band_col < 0))
+        block_row = np.repeat(slots, 4, axis=1).ravel()
+        block_col = np.tile(slots, 4).ravel()
+        self.block = (block_row < n_border) & (block_col < n_border)
+        self.s_shape = (n_border, n_border)
+        self.s_pattern = _pattern(  # CSC: the CSR pattern of S^T
+            np.concatenate([in_border[cols[self.in_d]], block_col[self.block]]),
+            np.concatenate([in_border[rows[self.in_d]], block_row[self.block]]),
+            self.s_shape,
+        )
+        self.reg = np.full(inst.n_cons, -1e-12)
         self.delta_w = 0.0
 
-    def matrix(self, W, J, sigma, delta_w):
-        """K in the permuted order, for the n-vector sigma."""
+    def _factor(self, W, J, sigma, delta_w):
+        """(LU of B, its pivots, C, B^-1 C, SuperLU of S); RuntimeError when
+        B is singular."""
+        n_band = len(self.band)
         j = J.data[self.j_free]
         diag = sigma[self.free_idx] + delta_w
         values = np.concatenate([W.data[self.w_free], diag, self.reg, j, j])
-        return _fill(self.pattern, values, self.shape, sp.csc_matrix)
+        ab = np.bincount(self.b_slot, values[self.in_b], 7 * n_band)
+        lu, piv, info = lapack.dgbtrf(
+            ab.reshape((7, n_band), order="F"), 2, 2, overwrite_ab=True
+        )
+        if info > 0:
+            raise RuntimeError(f"pipe band: U({info},{info}) is exactly zero")
+        C = np.bincount(self.c_slot, values[self.in_c], 4 * n_band)
+        C = C.reshape((n_band, 4), order="F")
+        X = _band_solve(lu, piv, C)
+        blocks = np.add.reduceat(
+            (C[:, :, None] * X[:, None, :]).reshape(n_band, 16), self.starts
+        )
+        S = _fill(
+            self.s_pattern,
+            np.concatenate([values[self.in_d], -blocks.ravel()[self.block]]),
+            self.s_shape,
+            sp.csc_matrix,
+        )
+        # SuperLU keeps its partial pivoting, which the -1e-12 rows need;
+        # its default column order keeps the fill of S low on meshed borders
+        return lu, piv, C, X, spla.splu(S)
+
+    def _solve(self, factors, r):
+        """z with K z = r: t = B^-1 r_band, S z_border = r_border - C^T t,
+        z_band = t - B^-1 C z_border."""
+        lu, piv, C, X, s_lu = factors
+        n_border = len(self.border)
+        t = _band_solve(lu, piv, r[self.band])
+        ct = np.bincount(
+            self.band_slots.ravel(), (C * t[:, None]).ravel(), n_border + 1
+        )
+        z = np.empty_like(r)
+        z[self.border] = z_border = s_lu.solve(r[self.border] - ct[:n_border])
+        z_slots = np.append(z_border, 0.0)[self.band_slots]
+        z[self.band] = t - np.sum(X * z_slots, axis=1)
+        return z
+
+    def _split(self, z, n):
+        """(dx, dy) of z, dx as an n-vector that is zero at fixed variables."""
+        dx = np.zeros(n)
+        dx[self.free_idx] = z[: len(self.free_idx)]
+        return dx, z[len(self.free_idx) :]
+
+    def _product(self, W, J, sigma, delta_w, z):
+        """K z, from W and J."""
+        dx, dy = self._split(z, len(sigma))
+        diag = sigma[self.free_idx] + delta_w
+        top = (W @ dx + J.T @ dy)[self.free_idx] + diag * dx[self.free_idx]
+        return np.concatenate([top, J @ dx + self.reg * dy])
 
     def step(self, W, J, sigma, rd, c):
         """(dx, dy) from K [dx_free, dy] = -[rd_free, c], with dx zero at
         fixed variables; None when the factorization fails at 12 increasing
         values of delta_w."""
-        rhs = np.concatenate([-rd[self.free_idx], -c])[self.perm]
+        rhs = -np.concatenate([rd[self.free_idx], c])
         tol = 1e-12 * max(1.0, np.max(np.abs(rhs)))
         delta_w = self.delta_w
         for _ in range(12):
-            K = self.matrix(W, J, sigma, delta_w)
             with contextlib.suppress(RuntimeError, ValueError):
-                # SuperLU keeps its partial pivoting, which the -1e-12 (2,2)
-                # block needs
-                lu = spla.splu(K, permc_spec="NATURAL")
-                z = lu.solve(rhs)
+                factors = self._factor(W, J, sigma, delta_w)
+                z = self._solve(factors, rhs)
                 # one round of iterative refinement, only when the residual
                 # is above 1e-12 relative to the right-hand side
-                res = K @ z - rhs
+                res = self._product(W, J, sigma, delta_w, z) - rhs
                 if np.max(np.abs(res)) > tol:
-                    z -= lu.solve(res)
+                    z -= self._solve(factors, res)
                 if np.all(np.isfinite(z)):
                     break
-            # a failed factorization or a non-finite step: regularize more
+            # a singular factor or a non-finite step: regularize more
             delta_w = max(1e-8, 10.0 * delta_w)
         else:
             return None
         self.delta_w = delta_w / 3.0
-        step = np.empty_like(z)
-        step[self.perm] = z
-        dx = np.zeros(len(sigma))
-        dx[self.free_idx] = step[: len(self.free_idx)]
-        return dx, step[len(self.free_idx) :]
+        return self._split(z, len(sigma))
 
 
 def solve(
@@ -624,12 +713,12 @@ def solve(
     best_viol = np.inf
     stall = 0
 
-    def dual_residual(J, y, z):
-        """grad f + J^T y - z_lower + z_upper."""
-        return inst.grad + J.T @ y - z[0] + z[1]
+    def dual_residual(gy, z):
+        """grad f + J^T y - z_lower + z_upper, from gy = grad f + J^T y."""
+        return gy - z[0] + z[1]
 
-    def kkt_errors(s, J, c, y, z, mu):
-        g = dual_residual(J, y, z)
+    def kkt_errors(s, gy, c, y, z, mu):
+        g = dual_residual(gy, z)
         comp = np.where(has, s * z - mu, 0.0)
         s_d = max(1.0, (np.sum(np.abs(y)) + np.sum(z)) / max(1, m + n) / 100.0)
         e_dual = np.max(np.abs(g[free])) / s_d if free.any() else 0.0
@@ -644,12 +733,14 @@ def solve(
 
     iterations = 0
     status, reason = STATUS_ITERATION_LIMIT, REASON_ITERATION_LIMIT
+    kkt = None  # the KKT error at (x, y, z); None once a step moves them
     while iterations < max_iterations:
         iterations += 1
         c = inst.constraints(x)
         J = inst.jacobian(x)
         s = slack(x)
-        e_dual, e_primal, e_comp = kkt_errors(s, J, c, y, z, 0.0)
+        gy = inst.grad + J.T @ y
+        e_dual, e_primal, e_comp = kkt_errors(s, gy, c, y, z, 0.0)
         kkt = max(e_dual, e_primal, e_comp)
         if kkt <= eps_opt:
             status, reason = STATUS_OPTIMAL, REASON_CONVERGED
@@ -673,13 +764,13 @@ def solve(
             status, reason = STATUS_INFEASIBLE, REASON_STALLED
             break
 
-        if max(kkt_errors(s, J, c, y, z, mu)) <= 10.0 * mu and mu > mu_min:
+        if max(kkt_errors(s, gy, c, y, z, mu)) <= 10.0 * mu and mu > mu_min:
             mu = max(mu_min, 0.2 * mu)
             continue
 
         sigma = np.sum(z / s, axis=0)
         # condensed dual residual with the complementarity equations folded in
-        rd = dual_residual(J, y, np.where(has, mu / s, 0.0))
+        rd = dual_residual(gy, np.where(has, mu / s, 0.0))
         newton = kkt_system.step(inst.lagrangian_hessian(x, y), J, sigma, rd, c)
         if newton is None:
             status, reason = STATUS_ITERATION_LIMIT, REASON_FACTORIZATION
@@ -720,8 +811,11 @@ def solve(
         # clip duals so sigma stays within a bounded multiple of mu/slack
         z = np.clip(z + alpha_d * dz, 1e-16, 1e16)
         z = np.where(has, np.clip(z, mu / (1e10 * s), 1e10 * mu / s), 0.0)
+        kkt = None
 
-    kkt = max(kkt_errors(slack(x), inst.jacobian(x), inst.constraints(x), y, z, 0.0))
+    if kkt is None:  # no iteration, or the iteration limit right after a step
+        gy = inst.grad + inst.jacobian(x).T @ y
+        kkt = max(kkt_errors(slack(x), gy, inst.constraints(x), y, z, 0.0))
     if status == STATUS_ITERATION_LIMIT and kkt <= eps_opt:
         status, reason = STATUS_OPTIMAL, REASON_CONVERGED
     seconds = time.perf_counter() - t0

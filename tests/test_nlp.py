@@ -268,17 +268,65 @@ def test_solution_determinism():
     assert np.array_equal(a.interior_pressures["p"], b.interior_pressures["p"])
 
 
-# -- KKT ordering --------------------------------------------------------
+# -- KKT factorization: pipe bands plus a border ----------------------------
+
+
+def kkt_reference(inst, W, J, sigma, delta_w):
+    """K = [[W + diag(sigma + delta_w), J^T], [J, -1e-12 I]] over the free
+    variables, built by sp.bmat."""
+    free = np.flatnonzero(inst.lb < inst.ub)
+    Jf = J[:, free]
+    return sp.bmat(
+        [
+            [W[free][:, free] + sp.diags(sigma[free] + delta_w), Jf.T],
+            [Jf, -sp.eye(inst.n_cons) * 1e-12],
+        ],
+        format="csc",
+    )
+
+
+def step_residual(inst, kkt, W, J, sigma, delta_w, rng):
+    """max |K z - rhs| / max |rhs| of the step `kkt` takes at delta_w for a
+    random right-hand side, against the sp.bmat reference K."""
+    # c in the range of J: the mass balances are linearly dependent, so the
+    # system is well conditioned only for consistent constraints
+    v = np.zeros(inst.n_vars)
+    v[kkt.free_idx] = rng.standard_normal(len(kkt.free_idx))
+    rd, c = rng.standard_normal(inst.n_vars), J @ v
+    kkt.delta_w = delta_w
+    dx, dy = kkt.step(W, J, sigma, rd, c)
+    assert kkt.delta_w == delta_w / 3.0  # factored at delta_w, no retry
+    assert np.all(np.delete(dx, kkt.free_idx) == 0.0)
+    rhs = -np.concatenate([rd[kkt.free_idx], c])
+    z = np.concatenate([dx[kkt.free_idx], dy])
+    residual = kkt_reference(inst, W, J, sigma, delta_w) @ z - rhs
+    return np.max(np.abs(residual)) / np.max(np.abs(rhs))
 
 
 @pytest.mark.parametrize("fixture", [chain5, tree12])
 def test_kkt_ordering_is_a_permutation(fixture):
+    # the band rows and the border rows partition K's rows, and within the
+    # band K has half-width 2
     net, gas, scn = fixture()
     state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
     inst = nlp.assemble(net, scn, gas, state)
     nfree = int(np.sum(inst.lb < inst.ub))  # entry pressures are fixed
-    perm = nlp.kkt_ordering(inst)
-    assert np.array_equal(np.sort(perm), np.arange(nfree + inst.n_cons))
+    kkt = nlp.KktSystem(inst)
+    order = np.concatenate([kkt.band, kkt.border])
+    assert np.array_equal(np.sort(order), np.arange(nfree + inst.n_cons))
+    # r_1..r_7 and p_1..p_7 of each pipe
+    assert len(kkt.band) == 2 * 7 * len(net.pipes)
+
+    # random values: the sparse sum in kkt_reference drops explicit zeros
+    rng = np.random.default_rng(1)
+    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
+    K = kkt_reference(inst, W, inst.jacobian(x), np.ones(inst.n_vars), 0.0).tocoo()
+    in_band = np.full(K.shape[0], -1)
+    in_band[kkt.band] = np.arange(len(kkt.band))
+    rows, cols = in_band[K.row], in_band[K.col]
+    both = (rows >= 0) & (cols >= 0)
+    assert np.max(np.abs(rows[both] - cols[both])) == 2
 
 
 def pipeless():
@@ -298,7 +346,8 @@ def pipeless():
 )
 def test_fixed_patterns_match_coo_construction(fixture, level, monkeypatch):
     # the matrices scattered into the fixed patterns against their reference,
-    # scipy's COO construction from the same triplets and sp.bmat for K
+    # scipy's COO construction from the same triplets, and the step of the
+    # band-and-border factorization against the sp.bmat K
     net, gas, scn = fixture()
     state = {pid: (ModelLevel.of(level), p.length / 8) for pid, p in net.pipes.items()}
     inst = nlp.assemble(net, scn, gas, state)
@@ -319,7 +368,6 @@ def test_fixed_patterns_match_coo_construction(fixture, level, monkeypatch):
     monkeypatch.setattr(nlp, "_fill", recording_fill)
     J = inst.jacobian(x)
     W = inst.lagrangian_hessian(x, y)
-    kkt = nlp.KktSystem(inst).matrix(W, J, sigma, delta_w)
 
     lin = inst.linear_A.tocoo()
     rows = np.arange(lin.shape[0], m)
@@ -347,17 +395,24 @@ def test_fixed_patterns_match_coo_construction(fixture, level, monkeypatch):
     np.testing.assert_allclose(J.toarray(), J_ref.toarray(), rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(W.toarray(), W_ref.toarray(), rtol=1e-14, atol=0.0)
 
-    free = np.flatnonzero(inst.lb < inst.ub)
-    Wff = W_ref[free][:, free]
-    Jf = J_ref[:, free]
-    K_ref = sp.bmat(
-        [[Wff + sp.diags(sigma[free] + delta_w), Jf.T], [Jf, -sp.eye(m) * 1e-12]],
-        format="csc",
-    )
-    perm = nlp.kkt_ordering(inst)
-    np.testing.assert_allclose(
-        kkt.toarray(), K_ref[perm][:, perm].toarray(), rtol=1e-14, atol=0.0
-    )
+    kkt = nlp.KktSystem(inst)
+    assert step_residual(inst, kkt, W_ref, J_ref, sigma, delta_w, rng) <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", [chain5, tree12, pipeless])
+def test_step_on_the_smallest_and_the_empty_band(fixture):
+    # n = 4 intervals leave each pipe a band of r_1, p_1, ..., r_3, p_3; a
+    # network without pipes has no band, and S is all of K
+    net, gas, scn = fixture()
+    state = {pid: (ModelLevel.FULL, p.length / 4) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    kkt = nlp.KktSystem(inst)
+    assert len(kkt.band) == 6 * len(net.pipes)
+    rng = np.random.default_rng(4)
+    x = nlp._initial_point(inst)
+    W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
+    sigma = rng.uniform(1.0, 10.0, inst.n_vars)
+    assert step_residual(inst, kkt, W, inst.jacobian(x), sigma, 0.0, rng) <= 1e-10
 
 
 class CountingSplu:
@@ -407,21 +462,11 @@ def test_refinement_sharpens_an_inexact_back_solve(error, solves, monkeypatch):
     J, W = inst.jacobian(x), inst.lagrangian_hessian(x, np.zeros(inst.n_cons))
     kkt = nlp.KktSystem(inst)
     sigma = rng.uniform(1.0, 10.0, inst.n_vars)
-    # c in the range of J: the mass balances are linearly dependent, so the
-    # system is well conditioned only for consistent constraints
-    v = np.zeros(inst.n_vars)
-    v[kkt.free_idx] = rng.standard_normal(len(kkt.free_idx))
-    rd, c = rng.standard_normal(inst.n_vars), J @ v
     counter = CountingSplu(nlp.spla.splu, error)
     monkeypatch.setattr(nlp.spla, "splu", counter)
-    dx, dy = kkt.step(W, J, sigma, rd, c)
+    # the residual against the sp.bmat K, against 1e-6 unrefined
+    assert step_residual(inst, kkt, W, J, sigma, 0.0, rng) <= 1e-10
     assert (counter.factorizations, counter.solves) == (1, solves)
-    # the residual in the permuted order, against 1e-6 unrefined
-    perm = kkt.perm
-    rhs = -np.concatenate([rd[kkt.free_idx], c])[perm]
-    z = np.concatenate([dx[kkt.free_idx], dy])[perm]
-    residual = kkt.matrix(W, J, sigma, 0.0) @ z - rhs
-    assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(rhs))
 
 
 def test_factorization_failure_names_its_reason(monkeypatch):
@@ -439,6 +484,29 @@ def test_factorization_failure_names_its_reason(monkeypatch):
     assert "factorization" in sol.reason
 
 
+def test_singular_band_names_the_factorization_reason(monkeypatch):
+    # dgbtrf reports a zero pivot with info > 0; each of the 12 increases of
+    # delta_w meets it again, and S is never factored
+    bands = []
+
+    def singular_dgbtrf(ab, kl, ku, **kwargs):
+        bands.append(ab.shape)
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    counter = CountingSplu(nlp.spla.splu)
+    monkeypatch.setattr(nlp.spla, "splu", counter)
+    monkeypatch.setattr(nlp.lapack, "dgbtrf", singular_dgbtrf)
+    sol = nlp.solve(inst)
+    assert sol.status == nlp.STATUS_ITERATION_LIMIT
+    assert sol.n_iterations == 1
+    assert sol.reason == nlp.REASON_FACTORIZATION
+    assert bands == [(7, 2 * 7 * len(net.pipes))] * 12
+    assert counter.factorizations == 0
+
+
 def test_each_stop_has_its_reason():
     net, scn, gas, state = compressor_chain()
     inst = nlp.assemble(net, scn, gas, state)
@@ -452,16 +520,40 @@ def test_each_stop_has_its_reason():
     assert infeasible.reason == nlp.REASON_STALLED
 
 
+def test_solve_reuses_the_last_kkt_error(monkeypatch):
+    # a converged solve takes the KKT error of its last iterate from the
+    # loop instead of evaluating J and c there once more; a solve stopped
+    # by the limit right after a step evaluates them at the new iterate
+    calls = []
+    jacobian = nlp.NlpInstance.jacobian
+
+    def counting_jacobian(inst, x):
+        calls.append(x.copy())
+        return jacobian(inst, x)
+
+    monkeypatch.setattr(nlp.NlpInstance, "jacobian", counting_jacobian)
+    net, scn, gas, state = compressor_chain()
+    inst = nlp.assemble(net, scn, gas, state)
+    sol = nlp.solve(inst)
+    assert sol.status == nlp.STATUS_OPTIMAL
+    assert len(calls) == sol.n_iterations
+    calls.clear()
+    limited = nlp.solve(inst, max_iterations=1)
+    assert limited.status == nlp.STATUS_ITERATION_LIMIT
+    assert len(calls) == 2
+    assert not np.array_equal(calls[0], calls[1])
+
+
 @pytest.fixture(scope="module")
 def tree12_uniform_solve():
-    """Cold level-1 n=512 solve on tree-12 with (K.nnz, L.nnz + U.nnz) of
-    every factorization it made."""
+    """Cold level-1 n=512 solve on tree-12 with its instance and the
+    L.nnz + U.nnz of every factorization of S it made."""
     factors = []
     splu = nlp.spla.splu
 
     def recording_splu(A, *args, **kwargs):
         lu = splu(A, *args, **kwargs)
-        factors.append((A.nnz, lu.L.nnz + lu.U.nnz))
+        factors.append(lu.L.nnz + lu.U.nnz)
         return lu
 
     net, gas, scn = tree12()
@@ -470,18 +562,23 @@ def tree12_uniform_solve():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nlp.spla, "splu", recording_splu)
         sol = nlp.solve(inst)
-    return sol, factors
+    return sol, factors, inst
 
 
 def test_kkt_fill_stays_proportional_to_nnz(tree12_uniform_solve):
-    _, factors = tree12_uniform_solve
+    # the band LU keeps 7 rows per column; S is factored by SuperLU
+    _, factors, inst = tree12_uniform_solve
+    n_band = len(nlp.KktSystem(inst).band)
+    x = nlp._initial_point(inst)
+    W = inst.lagrangian_hessian(x, np.ones(inst.n_cons))
+    nnz = kkt_reference(inst, W, inst.jacobian(x), np.ones(inst.n_vars), 0.0).nnz
     assert factors
-    for nnz, fill in factors:
-        assert fill <= 4 * nnz
+    for fill in factors:
+        assert 7 * n_band + fill <= 4 * nnz
 
 
 def test_tree12_uniform_solve_unchanged(tree12_uniform_solve):
-    sol, _ = tree12_uniform_solve
+    sol, _, _ = tree12_uniform_solve
     assert sol.status == nlp.STATUS_OPTIMAL
     assert sol.n_iterations == 33
     assert sol.objective == pytest.approx(TREE12_UNIFORM_OBJECTIVE, rel=1e-9)
