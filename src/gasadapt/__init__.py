@@ -30,7 +30,6 @@ from .errors import (
     InfeasibleProblem,
     InvalidGrid,
     IterationLimit,
-    NewtonDivergence,
     NonPositivePressure,
     ParseError,
     SonicFlow,
@@ -88,7 +87,6 @@ __all__ = [
     "IterationLimit",
     "ModelLevel",
     "Network",
-    "NewtonDivergence",
     "NlpInstance",
     "NlpSolution",
     "Node",

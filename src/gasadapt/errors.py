@@ -21,10 +21,6 @@ class UnsupportedModel(GasAdaptError):
     """No closed-form solution exists for the requested model level."""
 
 
-class NewtonDivergence(GasAdaptError):
-    """The level-1 Newton iteration on the implicit step did not converge."""
-
-
 class IncompatibleGrids(GasAdaptError):
     """Gridpoints of the target grid do not align with the source grid."""
 

@@ -1,8 +1,8 @@
 """Implicit-Euler integration of the discretized pipe models.
 
 Each step is the largest root of a polynomial in the next gridpoint
-pressure: a quadratic in closed form at levels 2 and 3, a cubic polished by
-Newton from that root at level 1.
+pressure, taken in closed form: a quadratic at levels 2 and 3, a cubic in
+its trigonometric form at level 1.
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ from .errors import (
     DrainedPipe,
     IncompatibleGrids,
     InvalidGrid,
-    NewtonDivergence,
     NonPositivePressure,
     SonicFlow,
 )
 from .models import SONIC_GUARD, ModelLevel, pipe_coefficients
 from .network import GasParameters, Pipe
 
-NEWTON_RTOL = 1e-10
-NEWTON_MAX_ITER = 50
 GRID_RTOL = 1e-9
 
 
@@ -86,39 +83,6 @@ class PressureProfile:
         return float(self.values[-1])
 
 
-def _implicit_step(p_prev, hK, ha, b):
-    """Next gridpoint pressure of the implicit Euler step, i.e. the largest
-    root of (1 + h alpha) p^3 - p_prev p^2 + (hK - b) p + b p_prev = 0, which
-    is p^2 times p - p_prev - h rhs(p) with hK = h K and b = beta q^2.
-
-    b = 0 (levels 2 and 3, or no flow) leaves the quadratic
-    (1 + h alpha) p^2 - p_prev p + hK = 0, solved in closed form. At level 1
-    Newton runs on the cubic from that quadratic root; the cubic is convex
-    there, so the iterates approach the subsonic root monotonically."""
-    a = 1.0 + ha
-    disc = p_prev * p_prev - 4.0 * a * hK
-    if disc < 0.0 and b == 0.0:
-        raise DrainedPipe(f"implicit step from p={p_prev} has no real root")
-    if disc < 0.0:
-        raise SonicFlow(f"implicit step from p={p_prev} has no subsonic root")
-    p = (p_prev + math.sqrt(disc)) / (2.0 * a)
-    if b == 0.0:
-        return p
-    for _ in range(NEWTON_MAX_ITER):
-        f = ((a * p - p_prev) * p + hK - b) * p + b * p_prev
-        fprime = (3.0 * a * p - 2.0 * p_prev) * p + hK - b
-        if fprime <= 0.0:
-            raise SonicFlow(f"implicit step from p={p_prev} has no subsonic root")
-        step = f / fprime
-        p -= step
-        # every iterate now lies above the root: if it is sonic, so is the root
-        if p <= 0.0 or 1.0 - b / (p * p) <= SONIC_GUARD:
-            raise SonicFlow(f"implicit step from p={p_prev} has no subsonic root")
-        if abs(step) <= NEWTON_RTOL * p:
-            return p
-    raise NewtonDivergence(f"implicit step from p={p_prev} did not converge")
-
-
 def integrate(
     level: ModelLevel,
     pipe: Pipe,
@@ -128,23 +92,57 @@ def integrate(
     grid: Grid,
     slope: float = 0.0,
 ) -> PressureProfile:
-    """March the implicit Euler scheme along the pipe from p(0) = p0."""
+    """March the implicit Euler scheme along the pipe from p(0) = p0.
+
+    Each step's p is the largest root of a p^3 - p_prev p^2 + (hK - b) p
+    + b p_prev = p^2 (p - p_prev - h rhs(p)), a = 1 + h alpha, hK = h K and
+    b = beta q^2; at b = 0 that of a p^2 - p_prev p + hK. For b > 0 it is
+    s + 2 r cos(theta / 3), s = p_prev / (3a), r^2 = s^2 - e,
+    e = (hK - b) / (3a), and exists iff r^2 > 0 and (1 - cos(theta)) / 2 =
+    sin^2(theta / 2) = ((r - s) (r^2 + r s + s^2) + s g / 2) / (2 r^3) <= 1,
+    g = 3e + 3b; below 0 it is rounding, as the smallest root is negative.
+    p = p_prev + 2 (r - s) - 4 r sin^2(theta / 6) - p_prev (a - 1) / a with
+    r - s = -e / (r + s): away from the sonic limit no term cancels and p is
+    rounded once."""
     if p0 <= 0.0:
         raise NonPositivePressure(f"initial pressure {p0} <= 0")
     if not math.isclose(grid.length, pipe.length, rel_tol=GRID_RTOL):
         raise InvalidGrid(
             f"grid length {grid.length} does not match pipe length {pipe.length}"
         )
-    values = np.empty(grid.n_intervals + 1)
-    values[0] = p0
-    p = p0
     kappa, alpha, beta = pipe_coefficients(level, pipe, gas, slope)
     h = grid.stepsize
-    hK, ha, b = h * kappa * abs(q) * q, h * alpha, beta * q * q
-    for k in range(1, grid.n_intervals + 1):
-        p = _implicit_step(p, hK, ha, b)
-        values[k] = p
-    return PressureProfile(grid, values, level, q)
+    hK, a, b = h * kappa * abs(q) * q, 1.0 + h * alpha, beta * q * q
+    # local names: these loops run once per gridpoint
+    sqrt, asin, sin = math.sqrt, math.asin, math.sin
+    p, values = p0, [p0]
+    if b == 0.0:
+        four_a_hK, two_a = 4.0 * a * hK, 2.0 * a
+        for _ in range(grid.n_intervals):
+            disc = p * p - four_a_hK
+            if disc < 0.0:
+                raise DrainedPipe(f"implicit step from p={p} has no real root")
+            p = (p + sqrt(disc)) / two_a
+            values.append(p)
+    else:
+        three_a, e = 3.0 * a, (hK - b) / (3.0 * a)
+        half_g, lift = (3.0 * e + 3.0 * b) / 2.0, (a - 1.0) / a
+        for _ in range(grid.n_intervals):
+            s = p / three_a
+            r2 = s * s - e
+            if r2 <= 0.0:
+                raise SonicFlow(f"implicit step from p={p} has no subsonic root")
+            r = sqrt(r2)
+            r_minus_s = -e / (r + s)
+            sin2_half = (r_minus_s * (r2 + r * s + s * s) + s * half_g) / (2.0 * r2 * r)
+            if sin2_half > 1.0:
+                raise SonicFlow(f"implicit step from p={p} has no subsonic root")
+            sin_sixth = sin(asin(sqrt(sin2_half)) / 3.0) if sin2_half > 0.0 else 0.0
+            p += 2.0 * r_minus_s - 4.0 * r * sin_sixth * sin_sixth - p * lift
+            if 1.0 - b / (p * p) <= SONIC_GUARD:
+                raise SonicFlow(f"implicit step from p={values[-1]} is sonic")
+            values.append(p)
+    return PressureProfile(grid, np.array(values), level, q)
 
 
 def restrict_to_grid(profile: PressureProfile, target: Grid) -> PressureProfile:

@@ -70,6 +70,7 @@ class NlpInstance:
     lb: np.ndarray = None
     ub: np.ndarray = None
     grad: np.ndarray = None  # linear objective gradient (scaled units)
+    cost_idx: np.ndarray = None  # the nonzero entries of grad, at lifts
     linear_A: sp.csr_matrix = None
     linear_b: np.ndarray = None
     n_cons: int = 0
@@ -86,7 +87,8 @@ class NlpInstance:
     # -- evaluation in scaled units -------------------------------------
 
     def objective(self, x):
-        return float(self.grad @ x)
+        # over the lifts only: a full-length dot starts multithreaded BLAS
+        return float(self.grad[self.cost_idx] @ x[self.cost_idx])
 
     def constraints(self, x):
         pk, pkm1, q = x[self.ipk], x[self.ipkm1], x[self.iq]
@@ -289,6 +291,7 @@ def assemble(
     inst.lb = np.concatenate([lb, np.full(n_interior, PRESSURE_FLOOR / PRESSURE_SCALE)])
     inst.ub = np.concatenate([ub, np.full(n_interior, np.inf)])
     inst.grad = np.concatenate([grad, np.zeros(n_interior)])
+    inst.cost_idx = np.flatnonzero(inst.grad)
     inst.ipkm1, inst.ipk, inst.iq = (
         np.concatenate(i).astype(int) for i in (ipkm1, ipk, iq)
     )
@@ -578,9 +581,9 @@ class KktSystem:
         self.reg = np.full(inst.n_cons, -1e-12)
         self.delta_w = 0.0
 
-    def _factor(self, W, J, sigma, delta_w):
-        """(LU of B, its pivots, C, B^-1 C, SuperLU of S); RuntimeError when
-        B is singular."""
+    def _factor(self, W, J, sigma, delta_w, r):
+        """((LU of B, its pivots, C, B^-1 C, SuperLU of S), B^-1 r_band);
+        RuntimeError when B is singular."""
         n_band = len(self.band)
         j = J.data[self.j_free]
         diag = sigma[self.free_idx] + delta_w
@@ -591,9 +594,12 @@ class KktSystem:
         )
         if info > 0:
             raise RuntimeError(f"pipe band: U({info},{info}) is exactly zero")
-        C = np.bincount(self.c_slot, values[self.in_c], 4 * n_band)
-        C = C.reshape((n_band, 4), order="F")
+        # C with r_band as a fifth column: one band solve gives B^-1 C and t
+        C = np.bincount(self.c_slot, values[self.in_c], 5 * n_band)
+        C = C.reshape((n_band, 5), order="F")
+        C[:, 4] = r[self.band]
         X = _band_solve(lu, piv, C)
+        C, X, t = C[:, :4], X[:, :4], X[:, 4]
         blocks = np.add.reduceat(
             (C[:, :, None] * X[:, None, :]).reshape(n_band, 16), self.starts
         )
@@ -605,14 +611,15 @@ class KktSystem:
         )
         # SuperLU keeps its partial pivoting, which the -1e-12 rows need;
         # its default column order keeps the fill of S low on meshed borders
-        return lu, piv, C, X, spla.splu(S)
+        return (lu, piv, C, X, spla.splu(S)), t
 
-    def _solve(self, factors, r):
-        """z with K z = r: t = B^-1 r_band, S z_border = r_border - C^T t,
-        z_band = t - B^-1 C z_border."""
+    def _solve(self, factors, r, t=None):
+        """z with K z = r: t = B^-1 r_band unless given,
+        S z_border = r_border - C^T t, z_band = t - B^-1 C z_border."""
         lu, piv, C, X, s_lu = factors
         n_border = len(self.border)
-        t = _band_solve(lu, piv, r[self.band])
+        if t is None:
+            t = _band_solve(lu, piv, r[self.band])
         ct = np.bincount(
             self.band_slots.ravel(), (C * t[:, None]).ravel(), n_border + 1
         )
@@ -644,8 +651,8 @@ class KktSystem:
         delta_w = self.delta_w
         for _ in range(12):
             with contextlib.suppress(RuntimeError, ValueError):
-                factors = self._factor(W, J, sigma, delta_w)
-                z = self._solve(factors, rhs)
+                factors, t = self._factor(W, J, sigma, delta_w, rhs)
+                z = self._solve(factors, rhs, t)
                 # one round of iterative refinement, only when the residual
                 # is above 1e-12 relative to the right-hand side
                 res = self._product(W, J, sigma, delta_w, z) - rhs
@@ -789,7 +796,7 @@ def solve(
         # Armijo backtracking on the l1 merit function
         nu = max(nu, 2.0 * np.max(np.abs(y), initial=0.0) + 1.0)
         phi0 = merit(x, c)
-        dphi = inst.grad @ dx - nu * np.sum(np.abs(c))
+        dphi = inst.objective(dx) - nu * np.sum(np.abs(c))
         dphi -= mu * np.sum(ds[has] / s[has])
         alpha = alpha_p
         for _ in range(30):

@@ -1,7 +1,9 @@
 """Implicit-Euler integrator: convergence order, guards, grid algebra."""
 
 import dataclasses
+import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +11,13 @@ import pytest
 from gasadapt import nlp
 from gasadapt.errors import DrainedPipe, IncompatibleGrids, InvalidGrid, SonicFlow
 from gasadapt.integrate import Grid, integrate, restrict_to_grid
-from gasadapt.models import ModelLevel, analytic_pressure, gravity_coefficient, rhs
+from gasadapt.models import (
+    ModelLevel,
+    analytic_pressure,
+    gravity_coefficient,
+    pipe_coefficients,
+    rhs,
+)
 from gasadapt.network import Network, Node, Scenario
 
 
@@ -175,3 +183,75 @@ def test_profile_satisfies_nlp_pipe_relation(test_pipe, gas, level, q):
     pipe_rows = inst.constraints(x)[inst.linear_A.shape[0] :]
     assert len(pipe_rows) == grid.n_intervals
     assert np.max(np.abs(pipe_rows)) <= 1e-12  # bar
+
+
+def _step_cubic(pipe, gas, q, h, slope):
+    """(a, hK, b) of the level-1 step cubic
+    a p^3 - p_prev p^2 + (hK - b) p + b p_prev, as the integrator forms them."""
+    kappa, alpha, beta = pipe_coefficients(ModelLevel.FULL, pipe, gas, slope)
+    return 1.0 + h * alpha, h * kappa * abs(q) * q, beta * q * q
+
+
+def _largest_root(a, hK, b, p_prev, start):
+    """The root of the step cubic that Newton reaches from `start`, in the
+    current decimal context, checked to be the largest one: positive, with
+    the cubic rising through it."""
+    root = start
+    for _ in range(3):
+        f = ((a * root - p_prev) * root + hK - b) * root + b * p_prev
+        root -= f / ((3 * a * root - 2 * p_prev) * root + hK - b)
+    assert root > 0 and (3 * a * root - 2 * p_prev) * root + hK - b > 0
+    return root
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+@pytest.mark.parametrize("slope", [0.02, -0.02], ids=["uphill", "downhill"])
+@pytest.mark.parametrize("q", [150.0, -150.0, 5.0, 1e-3])
+def test_closed_form_step_matches_a_50_digit_root(test_pipe, gas, q, slope, n):
+    grid = Grid.for_pipe(test_pipe.length, n)
+    values = integrate(ModelLevel.FULL, test_pipe, gas, 60e5, q, grid, slope).values
+    a, hK, b = map(Decimal, _step_cubic(test_pipe, gas, q, grid.stepsize, slope))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = Decimal(values[0])  # the 50-digit march from p0
+        for p_prev, p in zip(values[:-1], values[1:]):
+            P, x = Decimal(p_prev), Decimal(p)
+            # backward error: p is a root of the cubic with its coefficients
+            # perturbed by at most 2 eps relative
+            f = ((a * x - P) * x + hK - b) * x + b * P
+            terms = ((a * x + P) * x + abs(hK - b)) * x + b * P
+            assert abs(f) <= 2 * Decimal(np.finfo(float).eps) * terms
+            assert abs(x - _largest_root(a, hK, b, P, x)) <= Decimal(math.ulp(p))
+            # the steps are rounded without bias: a bias of a fraction of an
+            # ulp per step would drift by about 1e-13 over 4096 steps
+            exact = _largest_root(a, hK, b, exact, x)
+            assert abs(x - exact) <= Decimal(2e-14) * exact
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.02])
+def test_sonic_flow_raised_just_past_the_sonic_limit(test_pipe, gas, slope):
+    # one 10 km step from 60 bar: past the flow q* where the cubic's two
+    # largest roots meet (its discriminant changes sign), no subsonic root
+    grid = Grid(test_pipe.length, 1)
+
+    def discriminant(q):
+        a, hK, b = map(Decimal, _step_cubic(test_pipe, gas, q, grid.stepsize, slope))
+        c3, c2, c1, c0 = a, Decimal(-60e5), hK - b, b * Decimal(60e5)
+        return (
+            18 * c3 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2
+            - 4 * c3 * c1**3 - 27 * c3**2 * c0**2
+        )
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = 1.0, 1e4
+        assert discriminant(lo) > 0 > discriminant(hi)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if discriminant(mid) > 0 else (lo, mid)
+    step = functools.partial(integrate, ModelLevel.FULL, test_pipe, gas, 60e5)
+    assert step(lo * (1.0 - 1e-6), grid, slope).endpoint() > 0.0
+    with pytest.raises(SonicFlow):
+        step(lo * (1.0 + 1e-6), grid, slope)
+    with pytest.raises(SonicFlow):  # far past it the cubic is monotone
+        step(1e4, grid, slope)

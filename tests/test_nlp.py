@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gasadapt import nlp
+from gasadapt import estimators, nlp
 from gasadapt.controller import AdaptiveConfig, run
 from gasadapt.fixtures import chain5, tree12
 from gasadapt.integrate import Grid, integrate
@@ -21,6 +21,8 @@ from gasadapt.network import (
 
 # objective of the cold level-1 n=512 solve on tree-12
 TREE12_UNIFORM_OBJECTIVE = 1.0719919384122125
+# and of the adaptive run on tree-12 with the default AdaptiveConfig
+TREE12_ADAPTIVE_OBJECTIVE = 1.0720086507443654
 
 # required compressor lift for the chain oracle below: backward inversion of
 # the implicit-Euler level-3 recursion p_{k-1} = p_k + h K / p_k from the
@@ -643,3 +645,19 @@ def test_chain5_adaptive_run_solve_count():
     net, gas, scn = chain5()
     _, state = run(net, scn, gas, AdaptiveConfig())
     assert len(state.trace) == 13
+
+
+def test_tree12_adaptive_run_pins_solves_objective_and_steps(monkeypatch):
+    # the estimators integrate 51,879 steps over the 14 solves of the run
+    steps = []
+
+    def counting_integrate(level, pipe, gas, p0, q, grid, *args, **kwargs):
+        steps.append(grid.n_intervals)
+        return integrate(level, pipe, gas, p0, q, grid, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "integrate", counting_integrate)
+    net, gas, scn = tree12()
+    sol, state = run(net, scn, gas, AdaptiveConfig())
+    assert len(state.trace) == 14
+    assert sol.objective == pytest.approx(TREE12_ADAPTIVE_OBJECTIVE, rel=1e-12)
+    assert sum(steps) == 51_879
