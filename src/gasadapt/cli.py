@@ -7,12 +7,14 @@ Subcommands:
   validate-params  check the finite-termination parameter inequalities
   nlp-solve        one NLP solve at a fixed uniform level/grid
 
-Exit codes: 0 success, 2 infeasible problem, 1 any other error.
+Exit codes: 0 success, 2 infeasible problem, 1 any other error, usage
+errors included.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -28,8 +30,31 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1; 2 means infeasible."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _positive(kind):
+    """argparse type: a finite `kind` above 0."""
+
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a positive finite {kind.__name__}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gasadapt",
         description="Adaptive model and discretization error control for "
         "stationary gas network operation-cost minimization.",
@@ -72,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_val.add_argument("--config", help="JSON config; defaults otherwise")
     group = p_val.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n-pipes", type=int)
+    group.add_argument("--n-pipes", type=_positive(int))
     group.add_argument("--network")
 
     p_nlp = sub.add_parser(
@@ -83,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nlp.add_argument("--level", type=int, default=1, choices=(1, 2, 3))
     p_nlp.add_argument("--intervals", type=int, default=4,
                        help="intervals per pipe (multiple of 4)")
-    p_nlp.add_argument("--eps-opt", type=float, default=nlp.DEFAULT_EPS_OPT)
+    p_nlp.add_argument(
+        "--eps-opt", type=_positive(float), default=nlp.DEFAULT_EPS_OPT
+    )
     p_nlp.add_argument("--out", help="solution JSON path; stdout when omitted")
 
     return parser

@@ -42,6 +42,9 @@ class AdaptiveConfig:
             raise ValueError(f"mu = {self.mu} must be a positive integer")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
+        if not self.eps_opt > 0.0:
+            # at eps_opt <= 0 no KKT error meets the tolerance
+            raise ValueError(f"eps_opt = {self.eps_opt} must be positive")
         if self.initial_intervals % 4 != 0 or self.initial_intervals <= 0:
             raise ValueError("initial_intervals must be a positive multiple of 4")
         if self.initial_level not in tuple(ModelLevel):
@@ -208,24 +211,16 @@ def compute_estimates(
     order, and per pipe its eta_m by model level, level 1 included at 0."""
 
     def one(pipe):
-        q = sol.arc_flows[pipe.id]
-        slope = slope_of(pipe, net)
-        if q >= 0.0:
-            p0 = sol.node_pressures[pipe.from_node]
-            q_eff, slope_eff = q, slope
-        else:
-            # integrate from the pressure-known inlet of the reversed flow
-            p0 = sol.node_pressures[pipe.to_node]
-            q_eff, slope_eff = -q, -slope
+        # the march the NLP discretizes: from the from-node, with signed flow
         level = levels[pipe.id]
         return estimate_with_alternatives(
             pipe,
             gas,
-            p0,
-            q_eff,
+            sol.node_pressures[pipe.from_node],
+            sol.arc_flows[pipe.id],
             level,
             stepsizes[pipe.id],
-            slope=slope_eff,
+            slope=slope_of(pipe, net),
             extra_levels=_extra_levels(ModelLevel.of(level)),
         )
 

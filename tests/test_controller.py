@@ -1,7 +1,9 @@
 """Adaptive control loop: configuration, termination, trace invariants."""
 
+import numpy as np
 import pytest
 
+from gasadapt import estimators, nlp
 from gasadapt.controller import (
     AdaptiveConfig,
     compute_estimates,
@@ -11,8 +13,9 @@ from gasadapt.controller import (
 )
 from gasadapt.errors import EmptyNetwork
 from gasadapt.fixtures import chain5
+from gasadapt.integrate import integrate
 from gasadapt.models import ModelLevel
-from gasadapt.network import Network, Node, Scenario
+from gasadapt.network import GasParameters, Network, Node, Pipe, Scenario
 
 
 # -- configuration ------------------------------------------------------------
@@ -32,6 +35,9 @@ def test_config_defaults_are_consistent():
         {"tau": 0.9},
         {"mu": 0},
         {"eps": 0.0},
+        {"eps_opt": 0.0},
+        {"eps_opt": -1.0},
+        {"eps_opt": float("nan")},
         {"initial_intervals": 6},
         {"split_tolerance": True, "eps_opt": 100.0},
     ],
@@ -91,6 +97,92 @@ def test_compute_estimates_thread_count_invariant(monkeypatch):
     monkeypatch.setenv("GASADAPT_THREADS", "4")
     threaded, _ = compute_estimates(net, gas, sol, levels, steps)
     assert serial == threaded
+
+
+# -- estimators march what the NLP discretizes ---------------------------------
+
+
+def reversed_pair():
+    """Pipe a->b carries 60 kg/s from the entry b (60 bar, 80 m) back to the
+    exit a (40-100 bar, 0 m), so its flow is -60 kg/s."""
+    net = Network(
+        [
+            Node("a", "exit", 40e5, 100e5, elevation=0.0),
+            Node("b", "entry", 60e5, 60e5, elevation=80.0),
+        ],
+        [Pipe("p", "a", "b", length=20000.0, diameter=0.5, friction=0.011)],
+    )
+    return net, GasParameters(), Scenario({"b": -60.0, "a": 60.0})
+
+
+def record_integrations(monkeypatch):
+    """(level, pipe, p0, q, grid, profile) of every estimator integration."""
+    calls = []
+
+    def recording_integrate(level, pipe, gas, p0, q, grid, *args, **kwargs):
+        profile = integrate(level, pipe, gas, p0, q, grid, *args, **kwargs)
+        calls.append((level, pipe, p0, q, grid, profile))
+        return profile
+
+    monkeypatch.setattr(estimators, "integrate", recording_integrate)
+    return calls
+
+
+def assert_current_marches_match_nlp(calls, sol, levels, stepsizes):
+    """Each current-level march at h below level 1 lies within 1e-3 Pa of the
+    NLP profile [p_from, interior..., p_to] of its pipe; returns how many
+    marches were checked."""
+    checked = 0
+    for level, pipe, _, _, grid, profile in calls:
+        if level != levels[pipe.id] or grid.stepsize != stepsizes[pipe.id]:
+            continue
+        checked += 1
+        nlp_profile = np.concatenate([
+            [sol.node_pressures[pipe.from_node]],
+            sol.interior_pressures[pipe.id],
+            [sol.node_pressures[pipe.to_node]],
+        ])
+        np.testing.assert_allclose(profile.values, nlp_profile, rtol=0.0, atol=1e-3)
+    return checked
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_estimators_march_reversed_pipe_from_its_from_node(monkeypatch, level, n):
+    net, gas, scn = reversed_pair()
+    levels = {"p": ModelLevel.of(level)}
+    stepsizes = {"p": net.pipes["p"].length / n}
+    state = {"p": (levels["p"], stepsizes["p"])}
+    sol = nlp.solve(nlp.assemble(net, scn, gas, state))
+    assert sol.status == nlp.STATUS_OPTIMAL
+    assert sol.arc_flows["p"] == pytest.approx(-60.0)
+
+    calls = record_integrations(monkeypatch)
+    compute_estimates(net, gas, sol, levels, stepsizes)
+    # level 1 at 2h and 4h, and at h the current and the alternative level
+    # unless it is level 1
+    assert len(calls) == (3 if level == 1 else 4)
+    for _, _, p0, q, _, _ in calls:
+        assert (p0, q) == (sol.node_pressures["a"], sol.arc_flows["p"])
+    if level != 1:
+        assert assert_current_marches_match_nlp(calls, sol, levels, stepsizes) == 1
+
+
+def test_mesh_run_estimates_the_profiles_the_nlp_returns(monkeypatch, grid_mesh):
+    net, gas, scn = grid_mesh(5, 6)
+    config = AdaptiveConfig()
+    sol, state = run(net, scn, gas, config)
+    assert is_eps_feasible(state.estimates.values(), config.eps)
+    assert any(q < 0.0 for q in sol.arc_flows.values())
+
+    calls = record_integrations(monkeypatch)
+    estimates, _ = compute_estimates(net, gas, sol, state.levels, state.stepsizes)
+    assert estimates == state.estimates
+    below_level_1 = sum(level != ModelLevel.FULL for level in state.levels.values())
+    checked = assert_current_marches_match_nlp(
+        calls, sol, state.levels, state.stepsizes
+    )
+    assert checked == below_level_1
 
 
 # -- end-to-end loop ----------------------------------------------------------

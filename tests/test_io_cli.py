@@ -368,6 +368,8 @@ def test_cli_non_object_document_exits_one(
         (["validate-params", "--n-pipes", "5", "--config", "BAD"], '{"mu": "4"}'),
         (RUN_CONFIG, '{"mu": 4.0}'),
         (RUN_CONFIG, '{"initial_level": 9}'),
+        (RUN_CONFIG, '{"eps_opt": 0}'),
+        (RUN_CONFIG, '{"eps_opt": -1}'),
         (SOLVE_SCENARIO, '{"flows": {"entry": "-55", "exit": 55}}'),
         (ESTIMATE, _edited(SOLUTION, ["status"], 5)),
         (ESTIMATE, _edited(SOLUTION, ["pipe_states", "p1", "level"], 9)),
@@ -392,6 +394,8 @@ def test_cli_non_object_document_exits_one(
         "mu-string",
         "mu-float",
         "initial-level-9",
+        "eps-opt-0",
+        "eps-opt-negative",
         "flow-string",
         "status-number",
         "pipe-state-level-9",
@@ -411,6 +415,50 @@ def test_cli_non_object_document_exits_one(
 )
 def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, capsys):
     _exits_one(argv, content, chain5_files, tmp_path, capsys)
+
+
+SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (SOLVE + ["--level", "4"], 1),
+        (["simulate", "--q", "abc"], 1),
+        (["validate-params", "--n-pipes", "0"], 1),
+        (["validate-params", "--n-pipes", "-5"], 1),
+        (["validate-params", "--n-pipes", "x"], 1),
+        (SOLVE + ["--eps-opt", "0"], 1),
+        (SOLVE + ["--eps-opt", "-1"], 1),
+        (SOLVE + ["--eps-opt", "nan"], 1),
+        (SOLVE + ["--eps-opt", "inf"], 1),
+        ([], 1),
+        (["--help"], 0),
+        (["nlp-solve", "--help"], 0),
+    ],
+    ids=[
+        "level-4",
+        "q-not-a-number",
+        "n-pipes-0",
+        "n-pipes-negative",
+        "n-pipes-not-a-number",
+        "eps-opt-0",
+        "eps-opt-negative",
+        "eps-opt-nan",
+        "eps-opt-infinity",
+        "no-command",
+        "help",
+        "subcommand-help",
+    ],
+)
+def test_cli_usage_errors_exit_one(argv, code, chain5_files, capsys):
+    # exit code 2 is reserved for an infeasible problem
+    names = {"NET": chain5_files[0], "SCN": chain5_files[1]}
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([names.get(arg, arg) for arg in argv])
+    assert exit_info.value.code == code
+    if code:
+        assert "error:" in capsys.readouterr().err
 
 
 def test_cli_estimate_accepts_well_formed_solution(chain5_files, tmp_path, capsys):
