@@ -42,9 +42,7 @@ class AdaptiveConfig:
             raise ValueError(f"mu = {self.mu} must be a positive integer")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
-        if not self.eps_opt > 0.0:
-            # at eps_opt <= 0 no KKT error meets the tolerance
-            raise ValueError(f"eps_opt = {self.eps_opt} must be positive")
+        nlp.check_eps_opt(self.eps_opt)
         if self.initial_intervals % 4 != 0 or self.initial_intervals <= 0:
             raise ValueError("initial_intervals must be a positive multiple of 4")
         if self.initial_level not in tuple(ModelLevel):

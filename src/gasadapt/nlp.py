@@ -15,9 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .integrate import interval_count
 from .models import pipe_coefficients
@@ -38,6 +35,25 @@ REASON_NOT_FINITE = "non-finite KKT error"
 REASON_STALLED = "primal infeasibility stalled for 30 iterations"
 REASON_FACTORIZATION = "KKT factorization failed after 12 delta_w increases"
 REASON_ITERATION_LIMIT = "iteration limit reached"
+
+
+# scipy is about half the start-up time of a fresh process and only the NLP
+# needs it, so it is imported when an instance is assembled: every path to
+# `sp`, `spla` or `lapack` starts from an `assemble`. Calls go through these
+# module attributes, so patching `spla.splu` or `lapack.dgbtrf` still counts.
+def _load_scipy():
+    global sp, spla, lapack
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import lapack
+
+
+def __getattr__(name):
+    """`nlp.sp`, `nlp.spla` and `nlp.lapack` load scipy on first access."""
+    if name in ("sp", "spla", "lapack"):
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _smooth_abs_flow(q):
@@ -194,9 +210,11 @@ def _row_of(indptr):
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def _fill(pattern, values, shape, fmt=sp.csr_matrix):
-    """The matrix of `values` summed into a pattern from `_pattern`."""
+def _fill(pattern, values, shape, fmt=None):
+    """The matrix of `values` summed into a pattern from `_pattern`, in
+    `fmt` (default CSR)."""
     indices, indptr, scatter = pattern
+    fmt = fmt or sp.csr_matrix
     data = np.bincount(scatter, weights=values, minlength=len(indices))
     # (the bincount of no entries is integer)
     return fmt((data.astype(float, copy=False), indices, indptr), shape=shape)
@@ -235,6 +253,7 @@ def assemble(
     net: Network, scn: Scenario, gas: GasParameters, state: dict
 ) -> NlpInstance:
     """Build the NLP for the given per-pipe (level, stepsize) assignment."""
+    _load_scipy()
     inst = NlpInstance(net=net, scn=scn, gas=gas, state=dict(state))
 
     idx = 0
@@ -668,6 +687,13 @@ class KktSystem:
         return self._split(z, len(sigma))
 
 
+def check_eps_opt(eps_opt: float) -> None:
+    """ValueError unless eps_opt > 0: at eps_opt <= 0 no KKT error meets the
+    tolerance, and at NaN none is compared true with it."""
+    if not eps_opt > 0.0:
+        raise ValueError(f"eps_opt = {eps_opt} must be positive")
+
+
 def solve(
     inst: NlpInstance,
     warm_start: NlpSolution = None,
@@ -677,6 +703,7 @@ def solve(
     """Primal-dual interior-point solve with a logarithmic barrier on bounds,
     damped Newton steps on the perturbed KKT system, and a
     fraction-to-the-boundary rule."""
+    check_eps_opt(eps_opt)
     t0 = time.perf_counter()
     n, m = inst.n_vars, inst.n_cons
     fixed = _fixed_mask(inst.lb, inst.ub)

@@ -661,3 +661,14 @@ def test_tree12_adaptive_run_pins_solves_objective_and_steps(monkeypatch):
     assert len(state.trace) == 14
     assert sol.objective == pytest.approx(TREE12_ADAPTIVE_OBJECTIVE, rel=1e-12)
     assert sum(steps) == 51_879
+
+
+@pytest.mark.parametrize("eps_opt", [0.0, -1.0, float("nan")])
+def test_solve_rejects_a_non_positive_eps_opt(eps_opt):
+    # at 0 chain-5 ended Infeasible after 57 iterations, at NaN it ran all 500
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, pipe.length / 4)
+             for pid, pipe in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    with pytest.raises(ValueError, match=r"^eps_opt = .* must be positive$"):
+        nlp.solve(inst, eps_opt=eps_opt)
