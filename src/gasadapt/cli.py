@@ -20,7 +20,7 @@ import sys
 
 from . import fileio, nlp
 from .controller import AdaptiveConfig, compute_estimates, run, validate_parameters
-from .errors import GasAdaptError, InfeasibleProblem, InvalidGrid, ValidationError
+from .errors import GasAdaptError, InfeasibleProblem, ValidationError
 from .integrate import Grid, integrate
 from .models import ModelLevel
 from .network import GasParameters, Pipe, validate_network
@@ -38,19 +38,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _positive(kind):
-    """argparse type: a finite `kind` above 0."""
+def _finite(kind, low=None):
+    """argparse type: a finite `kind`, above `low` if given."""
 
     def parse(text):
         value = kind(text)
-        if not 0 < value < math.inf:
+        if not math.isfinite(value) or (low is not None and value <= low):
+            above = "" if low is None else f" above {low}"
             raise argparse.ArgumentTypeError(
-                f"{text!r} is not a positive finite {kind.__name__}"
+                f"{text!r} is not a finite {kind.__name__}{above}"
             )
         return value
 
     parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
     return parse
+
+
+def _positive(kind):
+    """argparse type: a finite `kind` above 0."""
+    return _finite(kind, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,13 +78,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="single-pipe integration to CSV")
     p_sim.add_argument("--level", type=int, default=3, choices=(1, 2, 3))
-    p_sim.add_argument("--h", type=float, help="stepsize [m]; default L/100")
-    p_sim.add_argument("--p0", type=float, default=60e5, help="inlet pressure [Pa]")
-    p_sim.add_argument("--q", type=float, default=100.0, help="mass flow [kg/s]")
-    p_sim.add_argument("--length", type=float, default=10000.0)
-    p_sim.add_argument("--diameter", type=float, default=0.6)
-    p_sim.add_argument("--friction", type=float, default=0.01)
-    p_sim.add_argument("--slope", type=float, default=0.0)
+    p_sim.add_argument("--h", type=_positive(float), help="stepsize [m]; default L/100")
+    p_sim.add_argument(
+        "--p0", type=_positive(float), default=60e5, help="inlet pressure [Pa]"
+    )
+    p_sim.add_argument(
+        "--q", type=_finite(float), default=100.0, help="mass flow [kg/s]"
+    )
+    p_sim.add_argument("--length", type=_positive(float), default=10000.0)
+    p_sim.add_argument("--diameter", type=_positive(float), default=0.6)
+    p_sim.add_argument("--friction", type=_positive(float), default=0.01)
+    p_sim.add_argument("--slope", type=_finite(float), default=0.0)
     p_sim.add_argument("--out", help="CSV path; stdout when omitted")
 
     p_est = sub.add_parser(
@@ -175,8 +185,6 @@ def _cmd_simulate(args) -> int:
     )
     gas = GasParameters()
     h = args.h if args.h is not None else args.length / 100.0
-    if h <= 0.0:
-        raise InvalidGrid(f"stepsize {h} must be positive")
     grid = Grid(h, round(args.length / h))
     profile = integrate(
         ModelLevel.of(args.level), pipe, gas, args.p0, args.q, grid, args.slope

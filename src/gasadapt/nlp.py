@@ -74,10 +74,8 @@ def _smooth_abs_flow_d2(q):
 @dataclass
 class NlpInstance:
     net: Network
-    scn: Scenario
-    gas: GasParameters
-    state: dict  # pipe id -> (ModelLevel, stepsize)
     n_vars: int = 0
+    n_scalar: int = 0  # node pressures, arc flows and lifts come first
     node_idx: dict = field(default_factory=dict)
     flow_idx: dict = field(default_factory=dict)
     lift_idx: dict = field(default_factory=dict)
@@ -221,15 +219,18 @@ def _fill(pattern, values, shape, fmt=None):
 
 
 @dataclass
-class Multipliers:
-    """Converged multipliers keyed by network structure instead of position,
-    so that a solve on other grids or model levels can start from them."""
+class Iterate:
+    """The final iterate of a solve in solver units, for warm starts of solves
+    on the same network. Every instance of a network orders its scalar
+    variables (node pressures, arc flows, lifts) and its linear rows
+    (balances, couplings) alike, so those carry over by position; only the
+    block of each pipe changes with its interval count."""
 
-    rows: dict  # ("balance", node) or ("coupling", compressor) -> y
-    bounds: dict  # ("p", node), ("q", arc) or ("dp", compressor) -> (zl, zu)
-    # pipe id -> (y of its n gridpoint relations, zl and zu of its n-1
-    # interior pressures)
-    pipes: dict
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray  # the lower- and upper-bound multipliers as two rows
+    n_intervals: list  # per pipe, in assembly order
+    ids: tuple  # the node, arc and compressor ids of the network
 
 
 @dataclass
@@ -243,9 +244,8 @@ class NlpSolution:
     kkt_error: float
     n_iterations: int
     solve_seconds: float = 0.0
-    # converged multipliers for warm starts; a solve on other grids or levels
-    # takes them over by id and interpolates them along each pipe
-    duals: Multipliers = None
+    # the final iterate, from which a solve on the same network can start
+    iterate: Iterate = None
     reason: str = ""  # why the solve stopped, one of the REASON_* phrases
 
 
@@ -254,7 +254,7 @@ def assemble(
 ) -> NlpInstance:
     """Build the NLP for the given per-pipe (level, stepsize) assignment."""
     _load_scipy()
-    inst = NlpInstance(net=net, scn=scn, gas=gas, state=dict(state))
+    inst = NlpInstance(net=net)
 
     idx = 0
     lb, ub, grad = [], [], []
@@ -283,7 +283,7 @@ def assemble(
     # each pipe: its n-1 interior pressures as one contiguous index range
     # after the scalar variables, and its n gridpoint relations
     # (the empty first entries keep a network without pipes valid)
-    n_scalar = idx
+    inst.n_scalar = idx
     ipkm1, ipk, iq, coefs = [[]], [[]], [[]], [np.empty((0, 3))]
     for pipe in net.pipes.values():
         level, h = state[pipe.id]
@@ -306,7 +306,7 @@ def assemble(
             )
         )
     inst.n_vars = idx
-    n_interior = idx - n_scalar
+    n_interior = idx - inst.n_scalar
     inst.lb = np.concatenate([lb, np.full(n_interior, PRESSURE_FLOOR / PRESSURE_SCALE)])
     inst.ub = np.concatenate([ub, np.full(n_interior, np.inf)])
     inst.grad = np.concatenate([grad, np.zeros(n_interior)])
@@ -354,107 +354,66 @@ def assemble(
 # -- warm starting -------------------------------------------------------
 
 
-def _initial_point(inst: NlpInstance, warm_start: NlpSolution = None) -> np.ndarray:
-    x = np.zeros(inst.n_vars)
-    finite_lb = np.where(np.isfinite(inst.lb), inst.lb, 0.0)
-    finite_ub = np.where(np.isfinite(inst.ub), inst.ub, finite_lb + 100.0)
-    x[:] = 0.5 * (finite_lb + finite_ub)
-
-    if warm_start is not None:
-        for node, i in inst.node_idx.items():
-            if node in warm_start.node_pressures:
-                x[i] = warm_start.node_pressures[node] / PRESSURE_SCALE
-        for arc, i in inst.flow_idx.items():
-            if arc in warm_start.arc_flows:
-                x[i] = warm_start.arc_flows[arc]
-        for comp, i in inst.lift_idx.items():
-            if comp in warm_start.compressor_lifts:
-                x[i] = warm_start.compressor_lifts[comp] / PRESSURE_SCALE
-    # interior pipe pressures: the warm start's profile (Pa) interpolated
-    # onto the new grid, else a straight line between the end pressures
-    for pipe in inst.net.pipes.values():
-        idx = inst.interior_idx[pipe.id]
-        ends = (pipe.from_node, pipe.to_node)
-        profile = x[[inst.node_idx[node] for node in ends]]
-        scale = 1.0
-        if warm_start is not None:
-            old = warm_start.interior_pressures.get(pipe.id)
-            p_ends = [warm_start.node_pressures.get(node) for node in ends]
-            if old is not None and None not in p_ends:
-                profile = np.concatenate([[p_ends[0]], np.asarray(old), [p_ends[1]]])
-                scale = PRESSURE_SCALE
-        old_pos = np.linspace(0.0, 1.0, len(profile))
-        new_pos = np.arange(1, len(idx) + 1) / (len(idx) + 1)
-        x[idx] = np.interp(new_pos, old_pos, profile) / scale
-    return x
-
-
-def _linear_row_keys(net):
-    """Keys of the linear rows in assembly order: one mass balance per node,
-    then one coupling per compressor."""
-    return [("balance", node) for node in net.nodes] + [
-        ("coupling", comp) for comp in net.compressors
-    ]
-
-
-def _scalar_variables(inst):
-    """(key, index) of every variable that is not an interior pipe pressure."""
-    return (
-        [(("p", node), i) for node, i in inst.node_idx.items()]
-        + [(("q", arc), i) for arc, i in inst.flow_idx.items()]
-        + [(("dp", comp), i) for comp, i in inst.lift_idx.items()]
-    )
-
-
-def _keyed_multipliers(inst, y, zl, zu) -> Multipliers:
-    n_lin = inst.linear_A.shape[0]
-    pipes = {}
-    row0 = n_lin
-    for pid, interior in inst.interior_idx.items():
-        n = inst.n_intervals[pid]
-        pipes[pid] = (y[row0 : row0 + n].copy(), zl[interior], zu[interior])
-        row0 += n
-    return Multipliers(
-        rows=dict(zip(_linear_row_keys(inst.net), y[:n_lin].tolist())),
-        bounds={
-            key: (float(zl[i]), float(zu[i])) for key, i in _scalar_variables(inst)
-        },
-        pipes=pipes,
-    )
-
-
-def _regrid(values, n_old, n_new, count):
-    """Values at the gridpoints k/n_old (k = 1, 2, ...) of a pipe,
-    interpolated onto the gridpoints k/n_new, k = 1..count."""
-    old_pos = np.arange(1, len(values) + 1) / n_old
+def _regrid(values, n_old, first, n_new, count):
+    """Values at the gridpoints k/n_old, k = first, first + 1, ..., of a
+    pipe, interpolated onto the gridpoints k/n_new, k = 1..count."""
+    old_pos = np.arange(first, first + len(values)) / n_old
     new_pos = np.arange(1, count + 1) / n_new
     return np.interp(new_pos, old_pos, values)
 
 
-def _warm_multipliers(inst, warm: Multipliers, y, zl, zu):
-    """Overwrite y, zl and zu in place with the multipliers of a previous
-    solve: by id for linear rows and scalar variables, interpolated onto the
-    new grid for each pipe. Entries without a counterpart keep their value."""
-    for i, key in enumerate(_linear_row_keys(inst.net)):
-        if key in warm.rows:
-            y[i] = warm.rows[key]
-    for key, i in _scalar_variables(inst):
-        if key in warm.bounds:
-            zl[i], zu[i] = warm.bounds[key]
-    row0 = inst.linear_A.shape[0]
-    for pid, interior in inst.interior_idx.items():
-        n = inst.n_intervals[pid]
-        if pid in warm.pipes:
-            y_old, zl_old, zu_old = warm.pipes[pid]
-            n_old = len(y_old)
-            y[row0 : row0 + n] = _regrid(y_old, n_old, n, n)
-            zl[interior] = _regrid(zl_old, n_old, n, n - 1)
-            zu[interior] = _regrid(zu_old, n_old, n, n - 1)
-        row0 += n
+def _pipe_blocks(inst: NlpInstance, n_intervals):
+    """Per pipe of the network, in assembly order, at the interval counts
+    `n_intervals`: (n, the slice of its n relations among the constraints,
+    the slice of its n - 1 interior pressures among the variables)."""
+    blocks, row, var = [], inst.linear_A.shape[0], inst.n_scalar
+    for n in n_intervals:
+        blocks.append((n, slice(row, row + n), slice(var, var + n - 1)))
+        row, var = row + n, var + n - 1
+    return blocks
+
+
+def _initial_point(inst: NlpInstance, warm: Iterate = None) -> np.ndarray:
+    """The midpoints of the bounds and a straight line between the end
+    pressures of each pipe; or the iterate `warm`, its scalar variables as
+    they are and the pressure profile of each pipe regridded."""
+    finite_lb = np.where(np.isfinite(inst.lb), inst.lb, 0.0)
+    finite_ub = np.where(np.isfinite(inst.ub), inst.ub, finite_lb + 100.0)
+    x = 0.5 * (finite_lb + finite_ub)
+    # cold, each pipe is regridded from one interval: its end pressures
+    old_x, old_n = x, [1] * len(inst.n_intervals)
+    if warm is not None:
+        x[: inst.n_scalar] = warm.x[: inst.n_scalar]
+        old_x, old_n = warm.x, warm.n_intervals
+    for pipe, (n, _, new), (n_old, _, old) in zip(
+        inst.net.pipes.values(),
+        _pipe_blocks(inst, inst.n_intervals.values()),
+        _pipe_blocks(inst, old_n),
+    ):
+        p_from = old_x[inst.node_idx[pipe.from_node]]
+        p_to = old_x[inst.node_idx[pipe.to_node]]
+        x[new] = _regrid(np.r_[p_from, old_x[old], p_to], n_old, 0, n, n - 1)
+    return x
+
+
+def _warm_multipliers(inst: NlpInstance, warm: Iterate, y, zl, zu):
+    """Overwrite y, zl and zu in place with the multipliers of `warm`: as
+    they are for the linear rows and scalar variables, regridded onto this
+    instance's grid for each pipe."""
+    n_lin = inst.linear_A.shape[0]
+    y[:n_lin] = warm.y[:n_lin]
+    zl[: inst.n_scalar], zu[: inst.n_scalar] = warm.z[:, : inst.n_scalar]
+    for (n, rows, new), (n_old, old_rows, old) in zip(
+        _pipe_blocks(inst, inst.n_intervals.values()),
+        _pipe_blocks(inst, warm.n_intervals),
+    ):
+        y[rows] = _regrid(warm.y[old_rows], n_old, 1, n, n)
+        zl[new] = _regrid(warm.z[0, old], n_old, 1, n, n - 1)
+        zu[new] = _regrid(warm.z[1, old], n_old, 1, n, n - 1)
 
 
 def _extract_solution(
-    inst, x, status, kkt_error, iterations, seconds, duals=None, reason=""
+    inst, x, status, kkt_error, iterations, seconds, iterate=None, reason=""
 ):
     node_pressures = {
         node: float(x[i]) * PRESSURE_SCALE for node, i in inst.node_idx.items()
@@ -479,7 +438,7 @@ def _extract_solution(
         kkt_error=kkt_error,
         n_iterations=iterations,
         solve_seconds=seconds,
-        duals=duals,
+        iterate=iterate,
         reason=reason,
     )
 
@@ -702,9 +661,14 @@ def solve(
 ) -> NlpSolution:
     """Primal-dual interior-point solve with a logarithmic barrier on bounds,
     damped Newton steps on the perturbed KKT system, and a
-    fraction-to-the-boundary rule."""
+    fraction-to-the-boundary rule. A warm start continues from the iterate
+    of a solve on the same network; ValueError for any other solution."""
     check_eps_opt(eps_opt)
     t0 = time.perf_counter()
+    ids = (tuple(inst.net.nodes), tuple(inst.net.pipes), tuple(inst.net.compressors))
+    warm = None if warm_start is None else warm_start.iterate
+    if warm_start is not None and (warm is None or warm.ids != ids):
+        raise ValueError("a warm start needs the iterate of a solve on this network")
     n, m = inst.n_vars, inst.n_cons
     fixed = _fixed_mask(inst.lb, inst.ub)
     free = ~fixed
@@ -724,11 +688,11 @@ def solve(
         edge = np.where(has, bound + sign * margin, -sign * np.inf)
         return np.clip(x, edge[0], edge[1])
 
-    x = _initial_point(inst, warm_start)
+    x = _initial_point(inst, warm)
     x[fixed] = inst.lb[fixed]
     # push strictly inside the bounds; a warm start is presumed near-optimal,
     # so barely perturb it
-    margin = 1e-12 if warm_start is not None else 1e-2
+    margin = 1e-12 if warm is not None else 1e-2
     gap = np.where(has.all(axis=0), bound[1] - bound[0], np.inf)
     x = inside(x, np.minimum(margin * np.maximum(1.0, np.abs(bound)), 1e-2 * gap))
 
@@ -737,11 +701,11 @@ def solve(
 
     # a warm start continues at the final barrier parameter from the
     # multipliers of the previous solve, carried over onto this instance
-    mu = 0.1 if warm_start is None else mu_min
+    mu = 0.1 if warm is None else mu_min
     y = np.zeros(m)
     z = np.where(has, np.clip(mu / np.maximum(slack(x), 1e-8), 0.0, 1e8), 0.0)
-    if warm_start is not None and warm_start.duals is not None:
-        _warm_multipliers(inst, warm_start.duals, y, *z)
+    if warm is not None:
+        _warm_multipliers(inst, warm, y, *z)
         z = np.where(has, np.maximum(z, 1e-16), 0.0)
     nu = 1.0  # l1 penalty weight for the merit function
     best_viol = np.inf
@@ -767,11 +731,9 @@ def solve(
 
     iterations = 0
     status, reason = STATUS_ITERATION_LIMIT, REASON_ITERATION_LIMIT
-    kkt = None  # the KKT error at (x, y, z); None once a step moves them
+    c, J = inst.constraints(x), inst.jacobian(x)  # evaluated once per iterate
     while iterations < max_iterations:
         iterations += 1
-        c = inst.constraints(x)
-        J = inst.jacobian(x)
         s = slack(x)
         gy = inst.grad + J.T @ y
         e_dual, e_primal, e_comp = kkt_errors(s, gy, c, y, z, 0.0)
@@ -845,15 +807,14 @@ def solve(
         # clip duals so sigma stays within a bounded multiple of mu/slack
         z = np.clip(z + alpha_d * dz, 1e-16, 1e16)
         z = np.where(has, np.clip(z, mu / (1e10 * s), 1e10 * mu / s), 0.0)
-        kkt = None
-
-    if kkt is None:  # no iteration, or the iteration limit right after a step
-        gy = inst.grad + inst.jacobian(x).T @ y
-        kkt = max(kkt_errors(slack(x), gy, inst.constraints(x), y, z, 0.0))
+        c, J = inst.constraints(x), inst.jacobian(x)
+    else:  # the iteration limit, or no iteration at all
+        kkt = max(kkt_errors(slack(x), inst.grad + J.T @ y, c, y, z, 0.0))
     if status == STATUS_ITERATION_LIMIT and kkt <= eps_opt:
         status, reason = STATUS_OPTIMAL, REASON_CONVERGED
     seconds = time.perf_counter() - t0
     return _extract_solution(
         inst, x, status, kkt, iterations, seconds,
-        duals=_keyed_multipliers(inst, y, *z), reason=reason,
+        iterate=Iterate(x, y, z, list(inst.n_intervals.values()), ids),
+        reason=reason,
     )

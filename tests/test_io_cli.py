@@ -380,8 +380,6 @@ def test_cli_non_object_document_exits_one(
         (SOLVE_SCENARIO, '{"flows": {"entry": -55, "nowhere": 55}}'),
         (["nlp-solve", "--network", "NET", "--scenario", "SCN", "--intervals", "0"],
          ""),
-        (["simulate", "--h", "0"], ""),
-        (["simulate", "--length", "0"], ""),
         (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "length"], float("nan"))),
         (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "pressure_max"], float("inf"))),
         (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "elevaton"], 120.0)),
@@ -405,8 +403,6 @@ def test_cli_non_object_document_exits_one(
         "run-scenario-unknown-node",
         "nlp-solve-scenario-unknown-node",
         "intervals-0",
-        "simulate-h-0",
-        "simulate-length-0",
         "length-nan",
         "pressure-max-infinity",
         "node-elevaton",
@@ -432,6 +428,15 @@ SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
         (SOLVE + ["--eps-opt", "-1"], 1),
         (SOLVE + ["--eps-opt", "nan"], 1),
         (SOLVE + ["--eps-opt", "inf"], 1),
+        (["simulate", "--h", "0"], 1),
+        (["simulate", "--length", "0"], 1),
+        (["simulate", "--length", "nan"], 1),
+        (["simulate", "--diameter", "0"], 1),
+        (["simulate", "--friction", "-0.01"], 1),
+        (["simulate", "--p0", "nan"], 1),
+        (["simulate", "--q", "nan"], 1),
+        (["simulate", "--q", "inf"], 1),
+        (["simulate", "--level", "2", "--slope", "nan"], 1),
         ([], 1),
         (["--help"], 0),
         (["nlp-solve", "--help"], 0),
@@ -446,6 +451,15 @@ SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
         "eps-opt-negative",
         "eps-opt-nan",
         "eps-opt-infinity",
+        "simulate-h-0",
+        "simulate-length-0",
+        "simulate-length-nan",
+        "simulate-diameter-0",
+        "simulate-friction-negative",
+        "simulate-p0-nan",
+        "simulate-q-nan",
+        "simulate-q-infinity",
+        "simulate-slope-nan",
         "no-command",
         "help",
         "subcommand-help",
