@@ -38,15 +38,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _finite(kind, low=None):
-    """argparse type: a finite `kind`, above `low` if given."""
+def _finite(kind, low=None, high=None):
+    """argparse type: a finite `kind`, above `low` and below `high` if given."""
 
     def parse(text):
         value = kind(text)
-        if not math.isfinite(value) or (low is not None and value <= low):
+        if (
+            not math.isfinite(value)
+            or (low is not None and value <= low)
+            or (high is not None and value >= high)
+        ):
             above = "" if low is None else f" above {low}"
+            below = "" if high is None else f" below {high}"
             raise argparse.ArgumentTypeError(
-                f"{text!r} is not a finite {kind.__name__}{above}"
+                f"{text!r} is not a finite {kind.__name__}{above}{below}"
             )
         return value
 
@@ -88,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--length", type=_positive(float), default=10000.0)
     p_sim.add_argument("--diameter", type=_positive(float), default=0.6)
     p_sim.add_argument("--friction", type=_positive(float), default=0.01)
-    p_sim.add_argument("--slope", type=_finite(float), default=0.0)
+    # of magnitude below 1, as network files require of a pipe's slope
+    p_sim.add_argument("--slope", type=_finite(float, -1, 1), default=0.0)
     p_sim.add_argument("--out", help="CSV path; stdout when omitted")
 
     p_est = sub.add_parser(

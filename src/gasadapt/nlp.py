@@ -10,7 +10,6 @@ variable vector; the public solution is plain SI.
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +39,7 @@ REASON_ITERATION_LIMIT = "iteration limit reached"
 # scipy is about half the start-up time of a fresh process and only the NLP
 # needs it, so it is imported when an instance is assembled: every path to
 # `sp`, `spla` or `lapack` starts from an `assemble`. Calls go through these
-# module attributes, so patching `spla.splu` or `lapack.dgbtrf` still counts.
+# module attributes, so patching `spla.splu` or `lapack.dtbtrs` still counts.
 def _load_scipy():
     global sp, spla, lapack
     import scipy.sparse as sp
@@ -94,6 +93,7 @@ class NlpInstance:
     ipkm1: np.ndarray = None
     ipk: np.ndarray = None
     iq: np.ndarray = None
+    relation_vars: np.ndarray = None  # ipkm1, ipk and iq end to end
     k_coef: np.ndarray = None  # h * kappa / PRESSURE_SCALE^2
     grav_coef: np.ndarray = None  # h * alpha; zero at level 3
     ram_coef: np.ndarray = None  # beta / PRESSURE_SCALE^2; zero below level 1
@@ -115,6 +115,9 @@ class NlpInstance:
         return np.concatenate([self.linear_A @ x - self.linear_b, r])
 
     def jacobian(self, x):
+        """The derivatives of each gridpoint relation at its p_{k-1}, p_k and
+        q, the rows of a (3, n_relations) array; the linear rows of J are
+        `linear_A`."""
         pk, pkm1, q = x[self.ipk], x[self.ipkm1], x[self.iq]
         delta = pk - pkm1
         phi = _smooth_abs_flow(q)
@@ -131,15 +134,13 @@ class NlpInstance:
         d_q = (
             -2.0 * delta * self.ram_coef * q / pk**2 + self.k_coef * dphi / pk
         )
-        return _fill(
-            self._jacobian_pattern,
-            np.concatenate([self.linear_A.data, d_pkm1, d_pk, d_q]),
-            (self.n_cons, self.n_vars),
-        )
+        return np.stack([d_pkm1, d_pk, d_q])
 
     def lagrangian_hessian(self, x, y):
-        """sum_k y_k * Hess(r_k) over the gridpoint relations; the linear
-        rows contribute nothing."""
+        """W = sum_k y_k * Hess(r_k) over the gridpoint relations, as the five
+        distinct entries of each relation's term: the rows (p_k, p_k),
+        (p_k, p_{k-1}), (q, p_{k-1}), (q, p_k) and (q, q) of a
+        (5, n_relations) array. The linear rows contribute nothing."""
         y = y[self.linear_A.shape[0] :]
         pk, pkm1, q = x[self.ipk], x[self.ipkm1], x[self.iq]
         delta = pk - pkm1
@@ -161,35 +162,36 @@ class NlpInstance:
             - self.k_coef * dphi / pk**2
         )
         h_qq = y * (-2.0 * delta * b / pk**2 + self.k_coef * d2phi / pk)
-        data = np.concatenate(
-            [h_pk_pk, h_pk_pkm1, h_pk_pkm1, h_q_pkm1, h_q_pkm1, h_q_pk, h_q_pk, h_qq]
-        )
-        return _fill(self._hessian_pattern, data, (self.n_vars, self.n_vars))
+        return np.stack([h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq])
 
-    # -- sparsity patterns, fixed within an instance -----------------------
+    # -- products with J and W, from the gridpoint derivatives --------------
 
-    @functools.cached_property
-    def _jacobian_pattern(self):
-        """CSR pattern of J: the linear rows, then per relation its entries
-        at p_{k-1}, p_k and q, in the order of `jacobian`'s values."""
-        lin = self.linear_A.tocoo()  # keeps the order of linear_A.data
-        rows = np.arange(lin.shape[0], self.n_cons)
-        return _pattern(
-            np.concatenate([lin.row, rows, rows, rows]),
-            np.concatenate([lin.col, self.ipkm1, self.ipk, self.iq]),
-            (self.n_cons, self.n_vars),
+    def jacobian_product(self, J, dx):
+        """J dx, J from `jacobian`."""
+        d_pkm1, d_pk, d_q = J
+        r = d_pkm1 * dx[self.ipkm1] + d_pk * dx[self.ipk] + d_q * dx[self.iq]
+        return np.concatenate([self.linear_A @ dx, r])
+
+    def jacobian_t_product(self, J, y):
+        """J^T y, J from `jacobian`."""
+        n_lin = self.linear_A.shape[0]
+        return self.linear_A.T @ y[:n_lin] + self._scatter(*(J * y[n_lin:]))
+
+    def hessian_product(self, W, dx):
+        """W dx, W from `lagrangian_hessian`."""
+        h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq = W
+        dm, dp, dq = dx[self.ipkm1], dx[self.ipk], dx[self.iq]
+        return self._scatter(
+            h_pk_pkm1 * dp + h_q_pkm1 * dq,
+            h_pk_pk * dp + h_pk_pkm1 * dm + h_q_pk * dq,
+            h_q_pkm1 * dm + h_q_pk * dp + h_qq * dq,
         )
 
-    @functools.cached_property
-    def _hessian_pattern(self):
-        """CSR pattern of the Lagrangian Hessian, both triangles, in the
-        order of `lagrangian_hessian`'s values."""
-        ipk, ipkm1, iq = self.ipk, self.ipkm1, self.iq
-        return _pattern(
-            np.concatenate([ipk, ipk, ipkm1, ipkm1, iq, ipk, iq, iq]),
-            np.concatenate([ipk, ipkm1, ipk, iq, ipkm1, iq, ipk, iq]),
-            (self.n_vars, self.n_vars),
-        )
+    def _scatter(self, at_pkm1, at_pk, at_q):
+        """The n_vars-vector of each relation's three values summed into its
+        p_{k-1}, p_k and q."""
+        values = np.concatenate([at_pkm1, at_pk, at_q])
+        return np.bincount(self.relation_vars, values, self.n_vars)
 
 
 def _pattern(rows, cols, shape):
@@ -203,19 +205,12 @@ def _pattern(rows, cols, shape):
     return (keys % shape[1]).astype(np.int32), indptr.astype(np.int32), scatter
 
 
-def _row_of(indptr):
-    """The row of each stored entry of a CSR pattern."""
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-
-
-def _fill(pattern, values, shape, fmt=None):
-    """The matrix of `values` summed into a pattern from `_pattern`, in
-    `fmt` (default CSR)."""
+def _fill(pattern, values, shape):
+    """The CSC matrix of `values` summed into a CSC pattern from `_pattern`."""
     indices, indptr, scatter = pattern
-    fmt = fmt or sp.csr_matrix
     data = np.bincount(scatter, weights=values, minlength=len(indices))
     # (the bincount of no entries is integer)
-    return fmt((data.astype(float, copy=False), indices, indptr), shape=shape)
+    return sp.csc_matrix((data.astype(float, copy=False), indices, indptr), shape=shape)
 
 
 @dataclass
@@ -314,6 +309,7 @@ def assemble(
     inst.ipkm1, inst.ipk, inst.iq = (
         np.concatenate(i).astype(int) for i in (ipkm1, ipk, iq)
     )
+    inst.relation_vars = np.concatenate([inst.ipkm1, inst.ipk, inst.iq])
     inst.k_coef, inst.grav_coef, inst.ram_coef = np.concatenate(coefs).T
 
     # linear constraints: mass balance per node, compressor coupling
@@ -450,33 +446,65 @@ def _fixed_mask(lb, ub):
     return (ub - lb) <= 1e-12 * np.maximum(1.0, np.abs(lb))
 
 
-def _band_solve(lu, piv, b):
-    """B^-1 b from dgbtrf's LU of a band of half-width 2 (dgbtrs rejects an
-    empty band)."""
-    return lapack.dgbtrs(lu, 2, 2, b, piv)[0] if len(b) else b
+def _lower_solve(band, b, trans="N"):
+    """A^-1 b, or A^-T b for trans="T", along the last axis of b, for the
+    stacked lower bidiagonal A of the pipe bands; RuntimeError when a
+    diagonal entry of A is exactly zero."""
+    if not b.shape[-1]:  # dtbtrs rejects an empty band
+        return b
+    columns = b.reshape(-1, b.shape[-1]).T  # Fortran-ordered, as dtbtrs takes
+    x, info = lapack.dtbtrs(band[0], columns, uplo="L", trans=trans)
+    if info > 0:
+        raise RuntimeError(f"pipe band: A({info},{info}) is exactly zero")
+    return x.T.reshape(b.shape)
+
+
+def _h_product(band, x):
+    """H x along the last axis of x, for the stacked tridiagonal H of the
+    pipe bands."""
+    _, h_diag, h_sub = band
+    hx = h_diag * x
+    hx[..., 1:] += h_sub[1:] * x[..., :-1]
+    hx[..., :-1] += h_sub[1:] * x[..., 1:]
+    return hx
+
+
+def _band_solve(band, b_p, b_r):
+    """(x, y) = B^-1 [b_p; b_r] along the last axis, for the stacked pipe
+    bands B = [[H, A^T], [A, 0]]: A x = b_r, then A^T y = b_p - H x."""
+    x = _lower_solve(band, b_r)
+    return x, _lower_solve(band, b_p - _h_product(band, x), "T")
 
 
 class KktSystem:
-    """The Newton system K = [[W + diag(sigma + delta_w), J^T], [J, -1e-12 I]]
-    of one instance, its rows the free variables and then the constraints in
-    assembly order, factored as pipe bands plus a small border.
+    """The Newton system K = [[W + diag(sigma + delta_w), J^T], [J, -E]] of
+    one instance, its rows the free variables and then the constraints in
+    assembly order, solved as pipe bands plus a small border.
 
     Band: each pipe's relations r_1..r_{n-1} and interior pressures
-    p_1..p_{n-1}, interleaved r_1, p_1, r_2, ..., p_{n-1}, have half-width 2;
-    stacked over the pipes they form one banded matrix B, LU-factored by
-    LAPACK with partial pivoting. Border: the node pressures, flows, lifts,
-    linear rows and each pipe's last relation r_n. Keeping r_n out leaves the
-    band's relations square against its interior pressures; with all n of
-    them, B would be singular up to the -1e-12 I. K is symmetric, and a
-    pipe's band touches the border only through four slots, its q, r_n,
-    p_from and p_to, so each pipe adds one 4x4 block to the Schur complement
-    S = D - C^T B^-1 C of the border block D, which SuperLU factors.
+    p_1..p_{n-1}. Keeping r_n out makes A, the derivative of these relations
+    at these pressures, square and lower bidiagonal: they are independent,
+    and E, 1e-12 on the constraint rows for the dependent mass balances,
+    leaves them out. Stacked over the pipes, A and H, the part of
+    W + diag(sigma + delta_w) at the interior pressures, are one bidiagonal
+    and one tridiagonal matrix with zero coupling between pipes, and the
+    band B = [[H, A^T], [A, 0]] is block-triangular once its block rows are
+    swapped. So each B^-1 is two triangular band solves (`_band_solve`),
+    nothing is factored, and inertia(K) = (N, N, 0) + inertia(S) for the N
+    band pressures.
 
-    The index maps are built once per instance; each factorization scatters
-    new values through them. delta_w carries over from one step to the next.
+    Border: the node pressures, flows, lifts, linear rows and each pipe's
+    last relation r_n. K is symmetric, and a pipe's band touches the border
+    only through four slots, its q, r_n, p_from and p_to, so each pipe adds
+    one 4x4 block to the Schur complement S = D - C^T B^-1 C of the border
+    block D, which SuperLU factors. A, H, C (4 x n_band, by slot) and each
+    pipe's part of D are written from the gridpoint derivatives of
+    `NlpInstance.jacobian` and `lagrangian_hessian`. delta_w carries over
+    from one step to the next.
     """
 
     def __init__(self, inst: NlpInstance):
+        self.inst = inst
         free = ~_fixed_mask(inst.lb, inst.ub)
         self.free_idx = np.flatnonzero(free)
         nfree = len(self.free_idx)
@@ -485,126 +513,127 @@ class KktSystem:
         pos[free] = np.arange(nfree)
         row0 = nfree + inst.linear_A.shape[0]  # the row of the first relation
 
-        # relation k, then p_k while p_k is an interior pressure; node
-        # pressures have the lowest variable indices
-        inner = inst.ipk >= len(inst.node_idx)
-        self.band = np.column_stack(
-            [row0 + np.flatnonzero(inner), pos[inst.ipk[inner]]]
-        ).ravel()
+        # the band relations, whose p_k is an interior pressure; a pipe's
+        # relations run from first to last, its band rows from starts to ends
+        n_intervals = np.fromiter(inst.n_intervals.values(), int)
+        self.last = np.cumsum(n_intervals) - 1
+        self.first = self.last - n_intervals + 1
+        self.inner = np.flatnonzero(inst.ipk >= inst.n_scalar)
+        self.starts = self.first - np.arange(len(self.first))
+        self.ends = self.last - 1 - np.arange(len(self.last))
+        self.band_p, self.band_r = pos[inst.ipk[self.inner]], row0 + self.inner
+        # r_1, p_1, r_2, ..., p_{n-1} per pipe: K has half-width 2 there
+        self.band = np.column_stack([self.band_r, self.band_p]).ravel()
         rest = np.ones(size, dtype=bool)
         rest[self.band] = False
         self.border = np.flatnonzero(rest)
-        n_band, n_border = len(self.band), len(self.border)
-        in_band = np.full(size, -1)
-        in_band[self.band] = np.arange(n_band)
-        # the border row of each row of K; a fixed variable (row -1) and a
-        # band row land on n_border, one past the end, which is dropped
+        n_border = len(self.border)
+        # the border row of each row of K; a fixed variable (row -1) lands
+        # on n_border, one past the end, which is dropped
         in_border = np.full(size + 1, n_border)
         in_border[self.border] = np.arange(n_border)
 
-        # the slots q, r_n, p_from, p_to of each pipe as border rows; per
-        # band row, the slots of its pipe; the first band row of each pipe
-        n_intervals = np.fromiter(inst.n_intervals.values(), int)
-        last = np.cumsum(n_intervals) - 1  # relation r_n of each pipe
-        first = last - n_intervals + 1
-        slots = in_border[
-            np.column_stack(
-                [
-                    pos[inst.iq[last]],
-                    row0 + last,
-                    pos[inst.ipkm1[first]],
-                    pos[inst.ipk[last]],
-                ]
-            )
-        ]
-        pipe_of_relation = np.repeat(np.arange(len(last)), n_intervals)
-        self.band_slots = slots[np.repeat(pipe_of_relation[inner], 2)]
-        self.starts = 2 * (first - np.arange(len(first)))
+        # the slots q, r_n, p_from, p_to of each pipe as border rows, 4 x
+        # n_pipes, and per band row the slots of its pipe, 4 x n_band
+        q, p_from = pos[inst.iq[self.last]], pos[inst.ipkm1[self.first]]
+        p_to = pos[inst.ipk[self.last]]
+        self.slots = in_border[np.stack([q, row0 + self.last, p_from, p_to])]
+        self.row_slots = np.repeat(self.slots, n_intervals - 1, axis=1)
 
-        # the entries of K: W and the diagonal among free variables, J and J^T
-        w_idx, w_ptr, _ = inst._hessian_pattern
-        w_row, w_col = pos[_row_of(w_ptr)], pos[w_idx]
-        self.w_free = (w_row >= 0) & (w_col >= 0)
-        w_row, w_col = w_row[self.w_free], w_col[self.w_free]
-        j_idx, j_ptr, _ = inst._jacobian_pattern
-        j_row, j_col = nfree + _row_of(j_ptr), pos[j_idx]
-        self.j_free = j_col >= 0
-        j_row, j_col = j_row[self.j_free], j_col[self.j_free]
-        diag = np.arange(size)
-        rows = np.concatenate([w_row, diag, j_row, j_col])
-        cols = np.concatenate([w_col, diag, j_col, j_row])
-        band_row, band_col = in_band[rows], in_band[cols]
-
-        # B in LAPACK band storage with kl = ku = 2 and two more rows for the
-        # fill of pivoting: B[i, j] at ab[4 + i - j, j], column-major
-        self.in_b = np.flatnonzero((band_row >= 0) & (band_col >= 0))
-        self.b_slot = 4 + band_row[self.in_b] + 6 * band_col[self.in_b]
-        # C, band rows against border columns, as an n_band x 4 array over
-        # the slots; the border rows against band columns are C^T
-        self.in_c = np.flatnonzero((band_row >= 0) & (band_col < 0))
-        c_row = band_row[self.in_c]
-        hit = self.band_slots[c_row] == in_border[cols[self.in_c], None]
-        self.c_slot = c_row + n_band * np.argmax(hit, axis=1)
-        # S: D, then the 4x4 block of each pipe at its slots
-        self.in_d = np.flatnonzero((band_row < 0) & (band_col < 0))
-        block_row = np.repeat(slots, 4, axis=1).ravel()
-        block_col = np.tile(slots, 4).ravel()
+        # S: its diagonal, the linear rows and their transpose, then the 4x4
+        # block of each pipe at its slots
+        lin = inst.linear_A.tocoo()
+        lin_row, lin_col = in_border[nfree + lin.row], in_border[pos[lin.col]]
+        keep = lin_col < n_border
+        self.lin_values = lin.data[keep]
+        block_row = np.repeat(self.slots[:, None], 4, axis=1).ravel()
+        block_col = np.repeat(self.slots[None], 4, axis=0).ravel()
         self.block = (block_row < n_border) & (block_col < n_border)
+        diag = np.arange(n_border)
         self.s_shape = (n_border, n_border)
+        rows = [diag, lin_row[keep], lin_col[keep], block_row[self.block]]
+        cols = [diag, lin_col[keep], lin_row[keep], block_col[self.block]]
         self.s_pattern = _pattern(  # CSC: the CSR pattern of S^T
-            np.concatenate([in_border[cols[self.in_d]], block_col[self.block]]),
-            np.concatenate([in_border[rows[self.in_d]], block_row[self.block]]),
-            self.s_shape,
+            np.concatenate(cols), np.concatenate(rows), self.s_shape
         )
+        # -E, the -1e-12 of the constraint rows but the band relations
         self.reg = np.full(inst.n_cons, -1e-12)
+        self.reg[self.inner + inst.linear_A.shape[0]] = 0.0
         self.delta_w = 0.0
 
-    def _factor(self, W, J, sigma, delta_w, r):
-        """((LU of B, its pivots, C, B^-1 C, SuperLU of S), B^-1 r_band);
-        RuntimeError when B is singular."""
-        n_band = len(self.band)
-        j = J.data[self.j_free]
-        diag = sigma[self.free_idx] + delta_w
-        values = np.concatenate([W.data[self.w_free], diag, self.reg, j, j])
-        ab = np.bincount(self.b_slot, values[self.in_b], 7 * n_band)
-        lu, piv, info = lapack.dgbtrf(
-            ab.reshape((7, n_band), order="F"), 2, 2, overwrite_ab=True
-        )
-        if info > 0:
-            raise RuntimeError(f"pipe band: U({info},{info}) is exactly zero")
-        # C with r_band as a fifth column: one band solve gives B^-1 C and t
-        C = np.bincount(self.c_slot, values[self.in_c], 5 * n_band)
-        C = C.reshape((n_band, 5), order="F")
-        C[:, 4] = r[self.band]
-        X = _band_solve(lu, piv, C)
-        C, X, t = C[:, :4], X[:, :4], X[:, 4]
-        blocks = np.add.reduceat(
-            (C[:, :, None] * X[:, None, :]).reshape(n_band, 16), self.starts
-        )
-        S = _fill(
-            self.s_pattern,
-            np.concatenate([values[self.in_d], -blocks.ravel()[self.block]]),
-            self.s_shape,
-            sp.csc_matrix,
-        )
+    def _parts(self, W, J, diag):
+        """The band (A in LAPACK's lower band storage, H's diagonal and
+        subdiagonal), C as its pressure and relation columns, and D at each
+        pipe's slots, 4 x 4 x n_pipes, from the gridpoint derivatives and
+        the diagonal of K but for W."""
+        d_pkm1, d_pk, d_q = J
+        h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq = W
+        inner, first, last = self.inner, self.first, self.last
+        starts, ends = self.starts, self.ends
+        # A[j, j] at ab[0, j] and A[j, j-1] at ab[1, j-1]; H[j, j-1] at
+        # h_sub[j]; both zero where row j starts a pipe
+        ab = np.zeros((2, len(inner)))
+        ab[0] = d_pk[inner]
+        ab[1, :-1] = d_pkm1[inner[1:]]
+        ab[1, starts[1:] - 1] = 0.0
+        h_diag = h_pk_pk[inner] + diag[self.band_p]
+        h_sub = h_pk_pkm1[inner]
+        h_sub[starts] = 0.0
+
+        c_p, c_r = np.zeros((2, 4, len(inner)))
+        c_p[0] = h_q_pk[inner] + h_q_pkm1[inner + 1]  # W(p_j, q)
+        c_p[1, ends] = d_pkm1[last]  # J(r_n, p_{n-1})
+        c_p[2, starts] = h_pk_pkm1[first]  # W(p_1, p_from)
+        c_p[3, ends] = h_pk_pkm1[last]  # W(p_{n-1}, p_to)
+        c_r[0] = d_q[inner]  # J(r_k, q)
+        c_r[2, starts] = d_pkm1[first]  # J(r_1, p_from)
+
+        # J(r_n, q), W(q, p_from), W(q, p_to) and J(r_n, p_to), mirrored;
+        # then W(q, q) and W(p_to, p_to)
+        d = np.zeros((4, 4, len(first)))
+        d[0, 1:], d[1, 3] = (d_q[last], h_q_pkm1[first], h_q_pk[last]), d_pk[last]
+        d += d.transpose(1, 0, 2)
+        d[0, 0], d[3, 3] = np.add.reduceat(h_qq, first), h_pk_pk[last]
+        return (ab, h_diag, h_sub), c_p, c_r, d
+
+    def _factor(self, W, J, sigma, delta_w):
+        """(band, C, u = A^-1 C_r, SuperLU of S), C as its pressure columns
+        C_p and relation columns C_r; RuntimeError when A is singular."""
+        diag = np.concatenate([sigma[self.free_idx] + delta_w, self.reg])
+        band, c_p, c_r, d = self._parts(W, J, diag)
+        # B^-1 C = [u; A^-T (C_p - H u)], so
+        # C^T B^-1 C = C_p^T u + u^T C_p - u^T H u; C_r is zero but at the
+        # slots q and p_from
+        u = np.zeros_like(c_r)
+        u[::2] = _lower_solve(band, c_r[::2])
+        half = c_p[:, None] * u - 0.5 * u[:, None] * _h_product(band, u)
+        half = np.add.reduceat(half, self.starts, axis=2)
+        blocks = d - half - half.transpose(1, 0, 2)
+        values = [diag[self.border], self.lin_values, self.lin_values]
+        values.append(blocks.ravel()[self.block])
+        S = _fill(self.s_pattern, np.concatenate(values), self.s_shape)
         # SuperLU keeps its partial pivoting, which the -1e-12 rows need;
         # its default column order keeps the fill of S low on meshed borders
-        return (lu, piv, C, X, spla.splu(S)), t
+        return band, c_p, c_r, u, spla.splu(S)
 
-    def _solve(self, factors, r, t=None):
-        """z with K z = r: t = B^-1 r_band unless given,
-        S z_border = r_border - C^T t, z_band = t - B^-1 C z_border."""
-        lu, piv, C, X, s_lu = factors
+    def _solve(self, factors, r):
+        """z with K z = r: S z_border = r_border - C^T B^-1 r_band, then
+        z_band = B^-1 (r_band - C z_border)."""
+        band, c_p, c_r, u, s_lu = factors
         n_border = len(self.border)
-        if t is None:
-            t = _band_solve(lu, piv, r[self.band])
-        ct = np.bincount(
-            self.band_slots.ravel(), (C * t[:, None]).ravel(), n_border + 1
+        r_p, r_r = r[self.band_p], r[self.band_r]
+        # C^T B^-1 r_band = C_p^T v + u^T (r_p - H v) with v = A^-1 r_r
+        v = _lower_solve(band, r_r)
+        ct = np.add.reduceat(
+            c_p * v + u * (r_p - _h_product(band, v)), self.starts, axis=1
         )
+        ct = np.bincount(self.slots.ravel(), ct.ravel(), n_border + 1)
         z = np.empty_like(r)
         z[self.border] = z_border = s_lu.solve(r[self.border] - ct[:n_border])
-        z_slots = np.append(z_border, 0.0)[self.band_slots]
-        z[self.band] = t - np.sum(X * z_slots, axis=1)
+        z_slots = np.append(z_border, 0.0)[self.row_slots]
+        b_p = r_p - np.sum(c_p * z_slots, axis=0)
+        b_r = r_r - np.sum(c_r * z_slots, axis=0)
+        z[self.band_p], z[self.band_r] = _band_solve(band, b_p, b_r)
         return z
 
     def _split(self, z, n):
@@ -614,11 +643,13 @@ class KktSystem:
         return dx, z[len(self.free_idx) :]
 
     def _product(self, W, J, sigma, delta_w, z):
-        """K z, from W and J."""
+        """K z, from the gridpoint derivatives W and J."""
+        inst = self.inst
         dx, dy = self._split(z, len(sigma))
-        diag = sigma[self.free_idx] + delta_w
-        top = (W @ dx + J.T @ dy)[self.free_idx] + diag * dx[self.free_idx]
-        return np.concatenate([top, J @ dx + self.reg * dy])
+        top = inst.hessian_product(W, dx) + inst.jacobian_t_product(J, dy)
+        top += (sigma + delta_w) * dx
+        bottom = inst.jacobian_product(J, dx) + self.reg * dy
+        return np.concatenate([top[self.free_idx], bottom])
 
     def step(self, W, J, sigma, rd, c):
         """(dx, dy) from K [dx_free, dy] = -[rd_free, c], with dx zero at
@@ -629,8 +660,8 @@ class KktSystem:
         delta_w = self.delta_w
         for _ in range(12):
             with contextlib.suppress(RuntimeError, ValueError):
-                factors, t = self._factor(W, J, sigma, delta_w, rhs)
-                z = self._solve(factors, rhs, t)
+                factors = self._factor(W, J, sigma, delta_w)
+                z = self._solve(factors, rhs)
                 # one round of iterative refinement, only when the residual
                 # is above 1e-12 relative to the right-hand side
                 res = self._product(W, J, sigma, delta_w, z) - rhs
@@ -735,7 +766,7 @@ def solve(
     while iterations < max_iterations:
         iterations += 1
         s = slack(x)
-        gy = inst.grad + J.T @ y
+        gy = inst.grad + inst.jacobian_t_product(J, y)
         e_dual, e_primal, e_comp = kkt_errors(s, gy, c, y, z, 0.0)
         kkt = max(e_dual, e_primal, e_comp)
         if kkt <= eps_opt:
@@ -809,7 +840,8 @@ def solve(
         z = np.where(has, np.clip(z, mu / (1e10 * s), 1e10 * mu / s), 0.0)
         c, J = inst.constraints(x), inst.jacobian(x)
     else:  # the iteration limit, or no iteration at all
-        kkt = max(kkt_errors(slack(x), inst.grad + J.T @ y, c, y, z, 0.0))
+        gy = inst.grad + inst.jacobian_t_product(J, y)
+        kkt = max(kkt_errors(slack(x), gy, c, y, z, 0.0))
     if status == STATUS_ITERATION_LIMIT and kkt <= eps_opt:
         status, reason = STATUS_OPTIMAL, REASON_CONVERGED
     seconds = time.perf_counter() - t0

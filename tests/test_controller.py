@@ -185,6 +185,15 @@ def test_mesh_run_estimates_the_profiles_the_nlp_returns(monkeypatch, grid_mesh)
     assert checked == below_level_1
 
 
+def test_mesh_7x8_adaptive_run_pins_solves_and_objective(grid_mesh):
+    # nodes of degree 4 and 11 pipes with reversed flow at the optimum
+    net, gas, scn = grid_mesh(7, 8)
+    sol, state = run(net, scn, gas, AdaptiveConfig())
+    assert sum(q < 0.0 for q in sol.arc_flows.values()) == 11
+    assert len(state.trace) == 10
+    assert sol.objective == pytest.approx(2.736851288587666, rel=1e-9)
+
+
 # -- end-to-end loop ----------------------------------------------------------
 
 

@@ -259,6 +259,17 @@ def test_cli_simulate_constant_profile(capsys):
     assert all(r[1] == rows[1][1] for r in rows[1:])
 
 
+def test_cli_simulate_slope_within_the_network_file_bound(capsys):
+    # |slope| < 1, the bound of network files; at -5 the profile climbed to
+    # 2.25e11 Pa, and that is a usage error now
+    code = cli_main(["simulate", "--level", "2", "--slope", "-0.5", "--h", "2500"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    pressures = [float(r[1]) for r in rows]
+    assert len(pressures) == 5
+    assert all(a < b < 2.0 * pressures[0] for a, b in zip(pressures, pressures[1:]))
+
+
 def test_cli_simulate_bad_grid_is_error(capsys):
     code = cli_main(["simulate", "--h", "123.456", "--length", "1000"])
     assert code == 1
@@ -437,6 +448,10 @@ SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
         (["simulate", "--q", "nan"], 1),
         (["simulate", "--q", "inf"], 1),
         (["simulate", "--level", "2", "--slope", "nan"], 1),
+        (["simulate", "--level", "2", "--slope", "-5"], 1),
+        (["simulate", "--level", "2", "--slope", "1"], 1),
+        (["simulate", "--level", "2", "--slope", "-inf"], 1),
+        (["simulate", "--level", "2", "--slope", "x"], 1),
         ([], 1),
         (["--help"], 0),
         (["nlp-solve", "--help"], 0),
@@ -460,6 +475,10 @@ SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
         "simulate-q-nan",
         "simulate-q-infinity",
         "simulate-slope-nan",
+        "simulate-slope-minus-5",
+        "simulate-slope-1",
+        "simulate-slope-minus-infinity",
+        "simulate-slope-not-a-number",
         "no-command",
         "help",
         "subcommand-help",

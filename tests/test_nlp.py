@@ -209,6 +209,43 @@ def test_assemble_rejects_bad_interval_count():
         nlp.assemble(net, scn, gas, {"p": (ModelLevel.FRICTION, 20000.0 / 6)})
 
 
+def jacobian_matrix(inst, J):
+    """J as a CSR matrix, by scipy's COO construction from `linear_A` and the
+    gridpoint derivatives J of `inst.jacobian`."""
+    lin = inst.linear_A.tocoo()
+    rows = np.arange(lin.shape[0], inst.n_cons)
+    return sp.csr_matrix(
+        (
+            np.concatenate([lin.data, J.ravel()]),
+            (
+                np.concatenate([lin.row, rows, rows, rows]),
+                np.concatenate([lin.col, inst.ipkm1, inst.ipk, inst.iq]),
+            ),
+        ),
+        shape=(inst.n_cons, inst.n_vars),
+    )
+
+
+def hessian_matrix(inst, W):
+    """W as a CSR matrix, both triangles, by scipy's COO construction from
+    the gridpoint terms W of `inst.lagrangian_hessian`."""
+    h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq = W
+    ipk, ipkm1, iq = inst.ipk, inst.ipkm1, inst.iq
+    return sp.csr_matrix(
+        (
+            np.concatenate(
+                [h_pk_pk, h_pk_pkm1, h_pk_pkm1, h_q_pkm1, h_q_pkm1, h_q_pk, h_q_pk,
+                 h_qq]
+            ),
+            (
+                np.concatenate([ipk, ipk, ipkm1, ipkm1, iq, ipk, iq, iq]),
+                np.concatenate([ipk, ipkm1, ipk, iq, ipkm1, iq, ipk, iq]),
+            ),
+        ),
+        shape=(inst.n_vars, inst.n_vars),
+    )
+
+
 def test_derivatives_match_central_differences():
     # the Jacobian against central differences of the constraints, and the
     # Lagrangian Hessian against central differences of J^T y, at a point
@@ -233,17 +270,21 @@ def test_derivatives_match_central_differences():
             for e in np.eye(inst.n_vars) * h
         ]
     )
-    jac = inst.jacobian(x).toarray()
+    jac = jacobian_matrix(inst, inst.jacobian(x)).toarray()
     assert np.max(np.abs(jac - fd_jac)) <= 1e-6 * np.max(np.abs(jac))
 
     h = 1e-3
     fd_hess = np.array(
         [
-            (inst.jacobian(x + e).T @ y - inst.jacobian(x - e).T @ y) / (2 * h)
+            (
+                jacobian_matrix(inst, inst.jacobian(x + e)).T @ y
+                - jacobian_matrix(inst, inst.jacobian(x - e)).T @ y
+            )
+            / (2 * h)
             for e in np.eye(inst.n_vars) * h
         ]
     )
-    hess = inst.lagrangian_hessian(x, y).toarray()
+    hess = hessian_matrix(inst, inst.lagrangian_hessian(x, y)).toarray()
     assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(hess))
 
 
@@ -274,14 +315,19 @@ def test_solution_determinism():
 
 
 def kkt_reference(inst, W, J, sigma, delta_w):
-    """K = [[W + diag(sigma + delta_w), J^T], [J, -1e-12 I]] over the free
-    variables, built by sp.bmat."""
+    """K = [[W + diag(sigma + delta_w), J^T], [J, -E]] over the free
+    variables, built by sp.bmat from the gridpoint derivatives W and J; E is
+    1e-12 on the constraint rows but the relations whose p_k is an interior
+    pressure, which are independent."""
     free = np.flatnonzero(inst.lb < inst.ub)
-    Jf = J[:, free]
+    Jf = jacobian_matrix(inst, J)[:, free]
+    W = hessian_matrix(inst, W)
+    e = np.full(inst.n_cons, 1e-12)
+    e[inst.linear_A.shape[0] + np.flatnonzero(inst.ipk >= inst.n_scalar)] = 0.0
     return sp.bmat(
         [
             [W[free][:, free] + sp.diags(sigma[free] + delta_w), Jf.T],
-            [Jf, -sp.eye(inst.n_cons) * 1e-12],
+            [Jf, -sp.diags(e)],
         ],
         format="csc",
     )
@@ -294,7 +340,7 @@ def step_residual(inst, kkt, W, J, sigma, delta_w, rng):
     # system is well conditioned only for consistent constraints
     v = np.zeros(inst.n_vars)
     v[kkt.free_idx] = rng.standard_normal(len(kkt.free_idx))
-    rd, c = rng.standard_normal(inst.n_vars), J @ v
+    rd, c = rng.standard_normal(inst.n_vars), jacobian_matrix(inst, J) @ v
     kkt.delta_w = delta_w
     dx, dy = kkt.step(W, J, sigma, rd, c)
     assert kkt.delta_w == delta_w / 3.0  # factored at delta_w, no retry
@@ -346,10 +392,10 @@ def pipeless():
     [(chain5, 1), (chain5, 2), (chain5, 3), (tree12, 1), (tree12, 2), (tree12, 3),
      (pipeless, 1)],
 )
-def test_fixed_patterns_match_coo_construction(fixture, level, monkeypatch):
-    # the matrices scattered into the fixed patterns against their reference,
-    # scipy's COO construction from the same triplets, and the step of the
-    # band-and-border factorization against the sp.bmat K
+def test_fixed_patterns_match_coo_construction(fixture, level):
+    # the products with J and W that the solver forms from the gridpoint
+    # derivatives against those of scipy's COO construction from the same
+    # values, and the step of the band-and-border solve against the sp.bmat K
     net, gas, scn = fixture()
     state = {pid: (ModelLevel.of(level), p.length / 8) for pid, p in net.pipes.items()}
     inst = nlp.assemble(net, scn, gas, state)
@@ -360,45 +406,20 @@ def test_fixed_patterns_match_coo_construction(fixture, level, monkeypatch):
     sigma = rng.uniform(0.0, 10.0, n)
     delta_w = rng.uniform(0.0, 1e-3)
 
-    values = []
-    fill = nlp._fill
-
-    def recording_fill(pattern, data, *args):
-        values.append(data)
-        return fill(pattern, data, *args)
-
-    monkeypatch.setattr(nlp, "_fill", recording_fill)
     J = inst.jacobian(x)
     W = inst.lagrangian_hessian(x, y)
-
-    lin = inst.linear_A.tocoo()
-    rows = np.arange(lin.shape[0], m)
-    ipk, ipkm1, iq = inst.ipk, inst.ipkm1, inst.iq
-    J_ref = sp.csr_matrix(
-        (
-            values[0],
-            (
-                np.concatenate([lin.row, rows, rows, rows]),
-                np.concatenate([lin.col, ipkm1, ipk, iq]),
-            ),
-        ),
-        shape=(m, n),
-    )
-    W_ref = sp.csr_matrix(
-        (
-            values[1],
-            (
-                np.concatenate([ipk, ipk, ipkm1, ipkm1, iq, ipk, iq, iq]),
-                np.concatenate([ipk, ipkm1, ipk, iq, ipkm1, iq, ipk, iq]),
-            ),
-        ),
-        shape=(n, n),
-    )
-    np.testing.assert_allclose(J.toarray(), J_ref.toarray(), rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(W.toarray(), W_ref.toarray(), rtol=1e-14, atol=0.0)
+    J_ref, W_ref = jacobian_matrix(inst, J), hessian_matrix(inst, W)
+    dx = rng.standard_normal(n)
+    for got, want in [
+        (inst.jacobian_product(J, dx), J_ref @ dx),
+        (inst.jacobian_t_product(J, y), J_ref.T @ y),
+        (inst.hessian_product(W, dx), W_ref @ dx),
+    ]:
+        scale = np.max(np.abs(want), initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
 
     kkt = nlp.KktSystem(inst)
-    assert step_residual(inst, kkt, W_ref, J_ref, sigma, delta_w, rng) <= 1e-10
+    assert step_residual(inst, kkt, W, J, sigma, delta_w, rng) <= 1e-10
 
 
 @pytest.mark.parametrize("fixture", [chain5, tree12, pipeless])
@@ -415,6 +436,47 @@ def test_step_on_the_smallest_and_the_empty_band(fixture):
     W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
     sigma = rng.uniform(1.0, 10.0, inst.n_vars)
     assert step_residual(inst, kkt, W, inst.jacobian(x), sigma, 0.0, rng) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("fixture", [chain5, tree12])
+def test_band_solve_matches_the_dense_band(fixture, level, n):
+    # at derivatives of a random point: C, the band rows of K at the border,
+    # as filled from the gridpoint derivatives against the sp.bmat K, and
+    # B^-1 [C | r] by the two triangular band solves against numpy's dense
+    # solve with the band of that K, which couples no two pipes
+    net, gas, scn = fixture()
+    state = {pid: (ModelLevel.of(level), p.length / n) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    rng = np.random.default_rng(10 * n + level)
+    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    J = inst.jacobian(x)
+    W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
+    sigma = rng.uniform(0.0, 10.0, inst.n_vars)
+    kkt = nlp.KktSystem(inst)
+    diag = np.concatenate([sigma[kkt.free_idx], kkt.reg])  # K's, but for W
+    band, c_p, c_r, _ = kkt._parts(W, J, diag)
+
+    K = kkt_reference(inst, W, J, sigma, 0.0).toarray()
+    rows = np.concatenate([kkt.band_p, kkt.band_r])
+    n_band = len(kkt.band_p)
+    assert n_band == (n - 1) * len(net.pipes)
+    C = np.zeros((2 * n_band, len(kkt.border) + 1))  # a fixed slot: last column
+    for slot in range(4):
+        np.add.at(
+            C,
+            (np.arange(2 * n_band), np.tile(kkt.row_slots[slot], 2)),
+            np.concatenate([c_p[slot], c_r[slot]]),
+        )
+    np.testing.assert_array_equal(C[:, :-1], K[np.ix_(rows, kkt.border)])
+
+    B = K[np.ix_(rows, rows)]
+    b_p = np.vstack([c_p, rng.standard_normal(n_band)])
+    b_r = np.vstack([c_r, rng.standard_normal(n_band)])
+    want = np.linalg.solve(B, np.hstack([b_p, b_r]).T)
+    got = np.hstack(nlp._band_solve(band, b_p, b_r)).T
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class CountingSplu:
@@ -487,25 +549,33 @@ def test_factorization_failure_names_its_reason(monkeypatch):
 
 
 def test_singular_band_names_the_factorization_reason(monkeypatch):
-    # dgbtrf reports a zero pivot with info > 0; each of the 12 increases of
-    # delta_w meets it again, and S is never factored
-    bands = []
+    # an exactly zero dr_k/dp_k on the diagonal of A leaves the band singular
+    # at every delta_w: each of the 12 increases of delta_w meets it again,
+    # and S is never factored
+    jacobian, factor = nlp.NlpInstance.jacobian, nlp.KktSystem._factor
+    factored_at = []
 
-    def singular_dgbtrf(ab, kl, ku, **kwargs):
-        bands.append(ab.shape)
-        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+    def singular_jacobian(inst, x):
+        J = jacobian(inst, x)
+        J[1, 0] = 0.0  # r_1 of the first pipe at its p_1
+        return J
+
+    def recording_factor(kkt, W, J, sigma, delta_w):
+        factored_at.append(delta_w)
+        return factor(kkt, W, J, sigma, delta_w)
 
     net, gas, scn = chain5()
     state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
     inst = nlp.assemble(net, scn, gas, state)
     counter = CountingSplu(nlp.spla.splu)
     monkeypatch.setattr(nlp.spla, "splu", counter)
-    monkeypatch.setattr(nlp.lapack, "dgbtrf", singular_dgbtrf)
+    monkeypatch.setattr(nlp.NlpInstance, "jacobian", singular_jacobian)
+    monkeypatch.setattr(nlp.KktSystem, "_factor", recording_factor)
     sol = nlp.solve(inst)
     assert sol.status == nlp.STATUS_ITERATION_LIMIT
     assert sol.n_iterations == 1
     assert sol.reason == nlp.REASON_FACTORIZATION
-    assert bands == [(7, 2 * 7 * len(net.pipes))] * 12
+    assert factored_at == pytest.approx([0.0] + [10.0**k for k in range(-8, 3)])
     assert counter.factorizations == 0
 
 
@@ -569,7 +639,8 @@ def tree12_uniform_solve():
 
 
 def test_kkt_fill_stays_proportional_to_nnz(tree12_uniform_solve):
-    # the band LU keeps 7 rows per column; S is factored by SuperLU
+    # the band keeps A, H, C and u = A^-1 C_r, about 4 nonzeros per band
+    # row, within the 7 per band row of a band LU; S is factored by SuperLU
     _, factors, inst = tree12_uniform_solve
     n_band = len(nlp.KktSystem(inst).band)
     x = nlp._initial_point(inst)

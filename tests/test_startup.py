@@ -45,7 +45,7 @@ for argv in (
 seen["commands"] = {LOADED}
 seen["resolved"] = [
     nlp.spla.splu is sys.modules["scipy.sparse.linalg"].splu,
-    nlp.lapack.dgbtrf is sys.modules["scipy.linalg.lapack"].dgbtrf,
+    nlp.lapack.dtbtrs is sys.modules["scipy.linalg.lapack"].dtbtrs,
 ]
 assert cli.main(["nlp-solve", "--network", net, "--scenario", scn,
                  "--out", out + "/uniform.json"]) == cli.EXIT_OK
