@@ -147,21 +147,17 @@ class NlpInstance:
         phi = _smooth_abs_flow(q)
         dphi = _smooth_abs_flow_d1(q)
         d2phi = _smooth_abs_flow_d2(q)
-        b = self.ram_coef
-        bq2 = b * q * q
-        h_pk_pk = y * (
-            4.0 * bq2 / pk**3
-            - 6.0 * delta * bq2 / pk**4
-            + 2.0 * self.k_coef * phi / pk**3
-        )
-        h_pk_pkm1 = y * (-2.0 * bq2 / pk**3)
-        h_q_pkm1 = y * (2.0 * b * q / pk**2)
-        h_q_pk = y * (
-            -2.0 * b * q / pk**2
-            + 4.0 * delta * b * q / pk**3
-            - self.k_coef * dphi / pk**2
-        )
-        h_qq = y * (-2.0 * delta * b / pk**2 + self.k_coef * d2phi / pk)
+        b, k = self.ram_coef, self.k_coef
+        bq, bq2 = b * q, b * q * q
+        # y / p_k^2 and y / p_k^3 from products: a cube by `**` is a pow call
+        inv_pk = 1.0 / pk
+        y2 = y * inv_pk * inv_pk
+        y3 = y2 * inv_pk
+        h_pk_pk = y3 * (4.0 * bq2 - 6.0 * delta * bq2 * inv_pk + 2.0 * k * phi)
+        h_pk_pkm1 = y3 * (-2.0 * bq2)
+        h_q_pkm1 = y2 * (2.0 * bq)
+        h_q_pk = y2 * (-2.0 * bq + 4.0 * delta * bq * inv_pk - k * dphi)
+        h_qq = y2 * (-2.0 * delta * b + k * d2phi * pk)
         return np.stack([h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq])
 
     # -- products with J and W, from the gridpoint derivatives --------------
@@ -469,13 +465,6 @@ def _h_product(band, x):
     return hx
 
 
-def _band_solve(band, b_p, b_r):
-    """(x, y) = B^-1 [b_p; b_r] along the last axis, for the stacked pipe
-    bands B = [[H, A^T], [A, 0]]: A x = b_r, then A^T y = b_p - H x."""
-    x = _lower_solve(band, b_r)
-    return x, _lower_solve(band, b_p - _h_product(band, x), "T")
-
-
 class KktSystem:
     """The Newton system K = [[W + diag(sigma + delta_w), J^T], [J, -E]] of
     one instance, its rows the free variables and then the constraints in
@@ -489,7 +478,7 @@ class KktSystem:
     W + diag(sigma + delta_w) at the interior pressures, are one bidiagonal
     and one tridiagonal matrix with zero coupling between pipes, and the
     band B = [[H, A^T], [A, 0]] is block-triangular once its block rows are
-    swapped. So each B^-1 is two triangular band solves (`_band_solve`),
+    swapped: B^-1 [b_p; b_r] = [x; A^-T (b_p - H x)] with x = A^-1 b_r,
     nothing is factored, and inertia(K) = (N, N, 0) + inertia(S) for the N
     band pressures.
 
@@ -497,10 +486,14 @@ class KktSystem:
     last relation r_n. K is symmetric, and a pipe's band touches the border
     only through four slots, its q, r_n, p_from and p_to, so each pipe adds
     one 4x4 block to the Schur complement S = D - C^T B^-1 C of the border
-    block D, which SuperLU factors. A, H, C (4 x n_band, by slot) and each
-    pipe's part of D are written from the gridpoint derivatives of
-    `NlpInstance.jacobian` and `lagrangian_hessian`. delta_w carries over
-    from one step to the next.
+    block D, which SuperLU factors. Only C's column q is dense over the
+    band; its other columns hold one entry per pipe. With u = A^-1 [C_r,q |
+    C_r,from], C^T B^-1 C = M + M^T - u^T H u for M = C_p^T u: a
+    factorization is one two-column triangular solve and five sums over the
+    band, and a back-solve is two triangular solves, v = A^-1 r_r, whence
+    the band pressures v - u z, and A^-T for the band relations. A, H, C and
+    D are written from the gridpoint derivatives of `NlpInstance.jacobian`
+    and `lagrangian_hessian`. delta_w carries over from one step to the next.
     """
 
     def __init__(self, inst: NlpInstance):
@@ -520,7 +513,10 @@ class KktSystem:
         self.first = self.last - n_intervals + 1
         self.inner = np.flatnonzero(inst.ipk >= inst.n_scalar)
         self.starts = self.first - np.arange(len(self.first))
-        self.ends = self.last - 1 - np.arange(len(self.last))
+        ends = self.last - 1 - np.arange(len(self.last))
+        self.band_rows = n_intervals - 1  # per pipe
+        # the band row of each pipe's entry of C_p at r_n, p_from and p_to
+        self.end_rows = np.stack([ends, self.starts, ends])
         self.band_p, self.band_r = pos[inst.ipk[self.inner]], row0 + self.inner
         # r_1, p_1, r_2, ..., p_{n-1} per pipe: K has half-width 2 there
         self.band = np.column_stack([self.band_r, self.band_p]).ravel()
@@ -533,12 +529,10 @@ class KktSystem:
         in_border = np.full(size + 1, n_border)
         in_border[self.border] = np.arange(n_border)
 
-        # the slots q, r_n, p_from, p_to of each pipe as border rows, 4 x
-        # n_pipes, and per band row the slots of its pipe, 4 x n_band
+        # the slots q, r_n, p_from, p_to of each pipe as border rows, 4 x n_pipes
         q, p_from = pos[inst.iq[self.last]], pos[inst.ipkm1[self.first]]
         p_to = pos[inst.ipk[self.last]]
         self.slots = in_border[np.stack([q, row0 + self.last, p_from, p_to])]
-        self.row_slots = np.repeat(self.slots, n_intervals - 1, axis=1)
 
         # S: its diagonal, the linear rows and their transpose, then the 4x4
         # block of each pipe at its slots
@@ -563,16 +557,16 @@ class KktSystem:
 
     def _parts(self, W, J, diag):
         """The band (A in LAPACK's lower band storage, H's diagonal and
-        subdiagonal), C as its pressure and relation columns, and D at each
-        pipe's slots, 4 x 4 x n_pipes, from the gridpoint derivatives and
-        the diagonal of K but for W."""
+        subdiagonal); C as c_p and c_r, its pressure rows at q and relation
+        rows at q and p_from, and c_ends, its one pressure row per pipe at r_n,
+        p_from and p_to; and D at each pipe's slots, 4 x 4 x n_pipes; from the
+        gridpoint derivatives and the diagonal of K but for W."""
         d_pkm1, d_pk, d_q = J
         h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq = W
-        inner, first, last = self.inner, self.first, self.last
-        starts, ends = self.starts, self.ends
-        # A[j, j] at ab[0, j] and A[j, j-1] at ab[1, j-1]; H[j, j-1] at
-        # h_sub[j]; both zero where row j starts a pipe
-        ab = np.zeros((2, len(inner)))
+        inner, first, last, starts = self.inner, self.first, self.last, self.starts
+        # A[j, j] at ab[0, j], A[j, j-1] at ab[1, j-1], in dtbtrs's Fortran
+        # order; H[j, j-1] at h_sub[j]; both zero where row j starts a pipe
+        ab = np.zeros((2, len(inner)), order="F")
         ab[0] = d_pk[inner]
         ab[1, :-1] = d_pkm1[inner[1:]]
         ab[1, starts[1:] - 1] = 0.0
@@ -580,13 +574,12 @@ class KktSystem:
         h_sub = h_pk_pkm1[inner]
         h_sub[starts] = 0.0
 
-        c_p, c_r = np.zeros((2, 4, len(inner)))
-        c_p[0] = h_q_pk[inner] + h_q_pkm1[inner + 1]  # W(p_j, q)
-        c_p[1, ends] = d_pkm1[last]  # J(r_n, p_{n-1})
-        c_p[2, starts] = h_pk_pkm1[first]  # W(p_1, p_from)
-        c_p[3, ends] = h_pk_pkm1[last]  # W(p_{n-1}, p_to)
+        c_p = h_q_pk[inner] + h_q_pkm1[inner + 1]  # W(p_j, q)
+        c_r = np.zeros((2, len(inner)))
         c_r[0] = d_q[inner]  # J(r_k, q)
-        c_r[2, starts] = d_pkm1[first]  # J(r_1, p_from)
+        c_r[1, starts] = d_pkm1[first]  # J(r_1, p_from)
+        # J(r_n, p_{n-1}), W(p_1, p_from) and W(p_{n-1}, p_to), at end_rows
+        c_ends = np.stack([d_pkm1[last], h_pk_pkm1[first], h_pk_pkm1[last]])
 
         # J(r_n, q), W(q, p_from), W(q, p_to) and J(r_n, p_to), mirrored;
         # then W(q, q) and W(p_to, p_to)
@@ -594,46 +587,53 @@ class KktSystem:
         d[0, 1:], d[1, 3] = (d_q[last], h_q_pkm1[first], h_q_pk[last]), d_pk[last]
         d += d.transpose(1, 0, 2)
         d[0, 0], d[3, 3] = np.add.reduceat(h_qq, first), h_pk_pk[last]
-        return (ab, h_diag, h_sub), c_p, c_r, d
+        return (ab, h_diag, h_sub), c_p, c_r, c_ends, d
 
     def _factor(self, W, J, sigma, delta_w):
-        """(band, C, u = A^-1 C_r, SuperLU of S), C as its pressure columns
-        C_p and relation columns C_r; RuntimeError when A is singular."""
+        """(band, c_p, c_ends, u = A^-1 c_r, SuperLU of S), C as in `_parts`;
+        RuntimeError when A is singular."""
         diag = np.concatenate([sigma[self.free_idx] + delta_w, self.reg])
-        band, c_p, c_r, d = self._parts(W, J, diag)
-        # B^-1 C = [u; A^-T (C_p - H u)], so
-        # C^T B^-1 C = C_p^T u + u^T C_p - u^T H u; C_r is zero but at the
-        # slots q and p_from
-        u = np.zeros_like(c_r)
-        u[::2] = _lower_solve(band, c_r[::2])
-        half = c_p[:, None] * u - 0.5 * u[:, None] * _h_product(band, u)
-        half = np.add.reduceat(half, self.starts, axis=2)
-        blocks = d - half - half.transpose(1, 0, 2)
+        band, c_p, c_r, c_ends, d = self._parts(W, J, diag)
+        # B^-1 C = [u; A^-T (C_p - H u)]: C^T B^-1 C = M + M^T - u^T H u
+        u = _lower_solve(band, c_r)
+        hu = _h_product(band, u)
+        terms = [c_p * u[0], c_p * u[1], u[0] * hu[0], u[0] * hu[1], u[1] * hu[1]]
+        sums = np.add.reduceat(terms, self.starts, axis=1)
+        # M^T, 2 x 4 x n_pipes: the dense slot q, then the end entries
+        m_t = np.concatenate([sums[:2, None], c_ends * u[:, self.end_rows]], axis=1)
+        d[::2] -= m_t
+        d[:, ::2] -= m_t.transpose(1, 0, 2)
+        d[::2, ::2] += sums[[[2, 3], [3, 4]]]
         values = [diag[self.border], self.lin_values, self.lin_values]
-        values.append(blocks.ravel()[self.block])
+        values.append(d.ravel()[self.block])
         S = _fill(self.s_pattern, np.concatenate(values), self.s_shape)
         # SuperLU keeps its partial pivoting, which the -1e-12 rows need;
         # its default column order keeps the fill of S low on meshed borders
-        return band, c_p, c_r, u, spla.splu(S)
+        return band, c_p, c_ends, u, spla.splu(S)
 
     def _solve(self, factors, r):
         """z with K z = r: S z_border = r_border - C^T B^-1 r_band, then
         z_band = B^-1 (r_band - C z_border)."""
-        band, c_p, c_r, u, s_lu = factors
+        band, c_p, c_ends, u, s_lu = factors
         n_border = len(self.border)
         r_p, r_r = r[self.band_p], r[self.band_r]
         # C^T B^-1 r_band = C_p^T v + u^T (r_p - H v) with v = A^-1 r_r
         v = _lower_solve(band, r_r)
-        ct = np.add.reduceat(
-            c_p * v + u * (r_p - _h_product(band, v)), self.starts, axis=1
-        )
+        w = r_p - _h_product(band, v)
+        sums = np.add.reduceat([c_p * v + u[0] * w, u[1] * w], self.starts, axis=1)
+        ct = np.vstack([sums[0], c_ends * v[self.end_rows]])
+        ct[2] += sums[1]
         ct = np.bincount(self.slots.ravel(), ct.ravel(), n_border + 1)
         z = np.empty_like(r)
         z[self.border] = z_border = s_lu.solve(r[self.border] - ct[:n_border])
-        z_slots = np.append(z_border, 0.0)[self.row_slots]
-        b_p = r_p - np.sum(c_p * z_slots, axis=0)
-        b_r = r_r - np.sum(c_r * z_slots, axis=0)
-        z[self.band_p], z[self.band_r] = _band_solve(band, b_p, b_r)
+        # B^-1 (r_band - C z_border): the pressures x = A^-1 (r_r - C_r z)
+        # = v - u z, then the relations A^-T (r_p - C_p z - H x)
+        z_slots = np.append(z_border, 0.0)[self.slots]
+        z_q, z_from = np.repeat(z_slots[::2], self.band_rows, axis=1)
+        z[self.band_p] = x = v - u[0] * z_q - u[1] * z_from
+        b_p = r_p - c_p * z_q - _h_product(band, x)
+        np.subtract.at(b_p, self.end_rows, c_ends * z_slots[1:])
+        z[self.band_r] = _lower_solve(band, b_p, "T")
         return z
 
     def _split(self, z, n):

@@ -456,26 +456,76 @@ def test_band_solve_matches_the_dense_band(fixture, level, n):
     sigma = rng.uniform(0.0, 10.0, inst.n_vars)
     kkt = nlp.KktSystem(inst)
     diag = np.concatenate([sigma[kkt.free_idx], kkt.reg])  # K's, but for W
-    band, c_p, c_r, _ = kkt._parts(W, J, diag)
+    band, c_p, c_r, c_ends, _ = kkt._parts(W, J, diag)
 
     K = kkt_reference(inst, W, J, sigma, 0.0).toarray()
     rows = np.concatenate([kkt.band_p, kkt.band_r])
     n_band = len(kkt.band_p)
     assert n_band == (n - 1) * len(net.pipes)
+    # C by slot, its pressure rows C_p and relation rows C_r, 4 x n_band each
+    C_p, C_r = np.zeros((2, 4, n_band))
+    C_p[0], C_r[0], C_r[2] = c_p, c_r[0], c_r[1]
+    for slot in range(1, 4):
+        C_p[slot, kkt.end_rows[slot - 1]] = c_ends[slot - 1]
+    row_slots = np.repeat(kkt.slots, kkt.band_rows, axis=1)
     C = np.zeros((2 * n_band, len(kkt.border) + 1))  # a fixed slot: last column
     for slot in range(4):
         np.add.at(
             C,
-            (np.arange(2 * n_band), np.tile(kkt.row_slots[slot], 2)),
-            np.concatenate([c_p[slot], c_r[slot]]),
+            (np.arange(2 * n_band), np.tile(row_slots[slot], 2)),
+            np.concatenate([C_p[slot], C_r[slot]]),
         )
     np.testing.assert_array_equal(C[:, :-1], K[np.ix_(rows, kkt.border)])
 
+    def band_solve(b_p, b_r):
+        """B^-1 [b_p; b_r]: A x = b_r, then A^T y = b_p - H x."""
+        x = nlp._lower_solve(band, b_r)
+        return x, nlp._lower_solve(band, b_p - nlp._h_product(band, x), "T")
+
     B = K[np.ix_(rows, rows)]
-    b_p = np.vstack([c_p, rng.standard_normal(n_band)])
-    b_r = np.vstack([c_r, rng.standard_normal(n_band)])
+    b_p = np.vstack([C_p, rng.standard_normal(n_band)])
+    b_r = np.vstack([C_r, rng.standard_normal(n_band)])
     want = np.linalg.solve(B, np.hstack([b_p, b_r]).T)
-    got = np.hstack(nlp._band_solve(band, b_p, b_r)).T
+    got = np.hstack(band_solve(b_p, b_r)).T
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("delta_w", [0.0, 1e-4])
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("fixture", [chain5, tree12])
+def test_schur_complement_matches_the_dense_one(
+    fixture, level, n, delta_w, monkeypatch
+):
+    # the S that _factor hands to SuperLU, from the band sums and the end
+    # entries of C, against D - C B^-1 C^T taken densely from the sp.bmat K
+    net, gas, scn = fixture()
+    state = {pid: (ModelLevel.of(level), p.length / n) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    rng = np.random.default_rng(100 * n + level)
+    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    # signed flows large enough that the ram term of W(p_1, p_from) shows
+    for i in inst.flow_idx.values():
+        x[i] = rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 80.0)
+    J = inst.jacobian(x)
+    W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
+    sigma = rng.uniform(0.0, 10.0, inst.n_vars)
+    kkt = nlp.KktSystem(inst)
+    factored = []
+    splu = nlp.spla.splu
+
+    def recording_splu(S, *args, **kwargs):
+        factored.append(S.toarray())
+        return splu(S, *args, **kwargs)
+
+    monkeypatch.setattr(nlp.spla, "splu", recording_splu)
+    kkt._factor(W, J, sigma, delta_w)
+
+    K = kkt_reference(inst, W, J, sigma, delta_w).toarray()
+    band, border = kkt.band, kkt.border
+    C = K[np.ix_(band, border)]
+    want = K[np.ix_(border, border)] - C.T @ np.linalg.solve(K[np.ix_(band, band)], C)
+    (got,) = factored
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -531,6 +581,35 @@ def test_refinement_sharpens_an_inexact_back_solve(error, solves, monkeypatch):
     # the residual against the sp.bmat K, against 1e-6 unrefined
     assert step_residual(inst, kkt, W, J, sigma, 0.0, rng) <= 1e-10
     assert (counter.factorizations, counter.solves) == (1, solves)
+
+
+@pytest.mark.parametrize("error, solves", [(0.0, 1), (1e-6, 2)])
+def test_band_solves_per_factorization_and_back_solve(error, solves, monkeypatch):
+    # one two-column A^-1 per factorization for u, and per back-solve A^-1 r_r,
+    # from which the band pressures follow, and A^-T for the band relations:
+    # three band solves for a step without refinement, two more with it
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 64) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    rng = np.random.default_rng(5)
+    x = nlp._initial_point(inst)
+    J = inst.jacobian(x)
+    W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
+    sigma = rng.uniform(1.0, 10.0, inst.n_vars)
+    kkt = nlp.KktSystem(inst)
+    calls = []
+    dtbtrs = nlp.lapack.dtbtrs
+
+    def counting_dtbtrs(*args, trans="N", **kwargs):
+        calls.append(trans)
+        return dtbtrs(*args, trans=trans, **kwargs)
+
+    counter = CountingSplu(nlp.spla.splu, error)
+    monkeypatch.setattr(nlp.spla, "splu", counter)
+    monkeypatch.setattr(nlp.lapack, "dtbtrs", counting_dtbtrs)
+    assert step_residual(inst, kkt, W, J, sigma, 0.0, rng) <= 1e-10
+    assert (counter.factorizations, counter.solves) == (1, solves)
+    assert calls == ["N"] + ["N", "T"] * solves
 
 
 def test_factorization_failure_names_its_reason(monkeypatch):
