@@ -56,18 +56,10 @@ def __getattr__(name):
 
 
 def _smooth_abs_flow(q):
-    """phi(q) = q * sqrt(q^2 + sigma^2), a smooth stand-in for |q| q."""
-    return q * np.sqrt(q * q + FLOW_SMOOTHING**2)
-
-
-def _smooth_abs_flow_d1(q):
+    """phi(q) = q * sqrt(q^2 + sigma^2), a smooth stand-in for |q| q, and its
+    first and second derivatives."""
     s = np.sqrt(q * q + FLOW_SMOOTHING**2)
-    return s + q * q / s
-
-
-def _smooth_abs_flow_d2(q):
-    s = np.sqrt(q * q + FLOW_SMOOTHING**2)
-    return q * (2.0 * q * q + 3.0 * FLOW_SMOOTHING**2) / s**3
+    return q * s, s + q * q / s, q * (2.0 * q * q + 3.0 * FLOW_SMOOTHING**2) / s**3
 
 
 @dataclass
@@ -85,18 +77,25 @@ class NlpInstance:
     grad: np.ndarray = None  # linear objective gradient (scaled units)
     cost_idx: np.ndarray = None  # the nonzero entries of grad, at lifts
     linear_A: sp.csr_matrix = None
+    linear_AT: sp.csr_matrix = None  # linear_A.T as CSR, for J^T y
     linear_b: np.ndarray = None
     n_cons: int = 0
     # the gridpoint relations, one entry each, pipe after pipe in assembly
-    # order: variable indices of p_{k-1}, p_k and q, and the coefficients
-    # (kappa, alpha, beta) of models.pipe_coefficients in bar units
+    # order: variable indices of p_{k-1}, p_k and q
     ipkm1: np.ndarray = None
     ipk: np.ndarray = None
     iq: np.ndarray = None
-    relation_vars: np.ndarray = None  # ipkm1, ipk and iq end to end
+    inner: np.ndarray = None  # the relations whose p_k is an interior pressure
+    # per pipe, in assembly order: relation count, first and last relation,
+    # p_from, p_to and q as the rows of `ends`, and the coefficients (kappa,
+    # alpha, beta) of models.pipe_coefficients in bar units
+    pipe_n: np.ndarray = None
+    first: np.ndarray = None
+    last: np.ndarray = None
+    ends: np.ndarray = None
     k_coef: np.ndarray = None  # h * kappa / PRESSURE_SCALE^2
-    grav_coef: np.ndarray = None  # h * alpha; zero at level 3
     ram_coef: np.ndarray = None  # beta / PRESSURE_SCALE^2; zero below level 1
+    grav_coef: np.ndarray = None  # h * alpha, per relation; zero at level 3
 
     # -- evaluation in scaled units -------------------------------------
 
@@ -104,37 +103,31 @@ class NlpInstance:
         # over the lifts only: a full-length dot starts multithreaded BLAS
         return float(self.grad[self.cost_idx] @ x[self.cost_idx])
 
+    def _flow_terms(self, x, order):
+        """beta q, beta q^2 and kappa phi^(j)(q), j = 0..order, evaluated once
+        per pipe, whose flow is constant along it, and repeated to its relations."""
+        q = x[self.ends[2]]
+        bq = self.ram_coef * q
+        terms = [bq, bq * q] + [self.k_coef * d for d in _smooth_abs_flow(q)]
+        return np.repeat(terms[: order + 3], self.pipe_n, axis=1)
+
     def constraints(self, x):
-        pk, pkm1, q = x[self.ipk], x[self.ipkm1], x[self.iq]
-        ram = 1.0 - self.ram_coef * q * q / pk**2
-        r = (
-            (pk - pkm1) * ram
-            + self.k_coef * _smooth_abs_flow(q) / pk
-            + self.grav_coef * pk
-        )
+        pk, pkm1 = x[self.ipk], x[self.ipkm1]
+        _, bq2, kphi = self._flow_terms(x, 0)
+        r = (pk - pkm1) * (1.0 - bq2 / pk**2) + kphi / pk + self.grav_coef * pk
         return np.concatenate([self.linear_A @ x - self.linear_b, r])
 
     def jacobian(self, x):
         """The derivatives of each gridpoint relation at its p_{k-1}, p_k and
         q, the rows of a (3, n_relations) array; the linear rows of J are
         `linear_A`."""
-        pk, pkm1, q = x[self.ipk], x[self.ipkm1], x[self.iq]
+        pk, pkm1 = x[self.ipk], x[self.ipkm1]
         delta = pk - pkm1
-        phi = _smooth_abs_flow(q)
-        dphi = _smooth_abs_flow_d1(q)
-        bq2 = self.ram_coef * q * q
+        bq, bq2, kphi, kdphi = self._flow_terms(x, 1)
         ram = 1.0 - bq2 / pk**2
-        d_pkm1 = -ram
-        d_pk = (
-            ram
-            + 2.0 * delta * bq2 / pk**3
-            - self.k_coef * phi / pk**2
-            + self.grav_coef
-        )
-        d_q = (
-            -2.0 * delta * self.ram_coef * q / pk**2 + self.k_coef * dphi / pk
-        )
-        return np.stack([d_pkm1, d_pk, d_q])
+        d_pk = ram + 2.0 * delta * bq2 / pk**3 - kphi / pk**2 + self.grav_coef
+        d_q = -2.0 * delta * bq / pk**2 + kdphi / pk
+        return np.stack([-ram, d_pk, d_q])
 
     def lagrangian_hessian(self, x, y):
         """W = sum_k y_k * Hess(r_k) over the gridpoint relations, as the five
@@ -142,52 +135,35 @@ class NlpInstance:
         (p_k, p_{k-1}), (q, p_{k-1}), (q, p_k) and (q, q) of a
         (5, n_relations) array. The linear rows contribute nothing."""
         y = y[self.linear_A.shape[0] :]
-        pk, pkm1, q = x[self.ipk], x[self.ipkm1], x[self.iq]
+        pk, pkm1 = x[self.ipk], x[self.ipkm1]
         delta = pk - pkm1
-        phi = _smooth_abs_flow(q)
-        dphi = _smooth_abs_flow_d1(q)
-        d2phi = _smooth_abs_flow_d2(q)
-        b, k = self.ram_coef, self.k_coef
-        bq, bq2 = b * q, b * q * q
+        bq, bq2, kphi, kdphi, kd2phi = self._flow_terms(x, 2)
+        b = np.repeat(self.ram_coef, self.pipe_n)
         # y / p_k^2 and y / p_k^3 from products: a cube by `**` is a pow call
         inv_pk = 1.0 / pk
         y2 = y * inv_pk * inv_pk
         y3 = y2 * inv_pk
-        h_pk_pk = y3 * (4.0 * bq2 - 6.0 * delta * bq2 * inv_pk + 2.0 * k * phi)
+        h_pk_pk = y3 * (4.0 * bq2 - 6.0 * delta * bq2 * inv_pk + 2.0 * kphi)
         h_pk_pkm1 = y3 * (-2.0 * bq2)
         h_q_pkm1 = y2 * (2.0 * bq)
-        h_q_pk = y2 * (-2.0 * bq + 4.0 * delta * bq * inv_pk - k * dphi)
-        h_qq = y2 * (-2.0 * delta * b + k * d2phi * pk)
+        h_q_pk = y2 * (-2.0 * bq + 4.0 * delta * bq * inv_pk - kdphi)
+        h_qq = y2 * (-2.0 * delta * b + kd2phi * pk)
         return np.stack([h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq])
-
-    # -- products with J and W, from the gridpoint derivatives --------------
-
-    def jacobian_product(self, J, dx):
-        """J dx, J from `jacobian`."""
-        d_pkm1, d_pk, d_q = J
-        r = d_pkm1 * dx[self.ipkm1] + d_pk * dx[self.ipk] + d_q * dx[self.iq]
-        return np.concatenate([self.linear_A @ dx, r])
 
     def jacobian_t_product(self, J, y):
         """J^T y, J from `jacobian`."""
         n_lin = self.linear_A.shape[0]
-        return self.linear_A.T @ y[:n_lin] + self._scatter(*(J * y[n_lin:]))
-
-    def hessian_product(self, W, dx):
-        """W dx, W from `lagrangian_hessian`."""
-        h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq = W
-        dm, dp, dq = dx[self.ipkm1], dx[self.ipk], dx[self.iq]
-        return self._scatter(
-            h_pk_pkm1 * dp + h_q_pkm1 * dq,
-            h_pk_pk * dp + h_pk_pkm1 * dm + h_q_pk * dq,
-            h_q_pkm1 * dm + h_q_pk * dp + h_qq * dq,
-        )
+        return self.linear_AT @ y[:n_lin] + self._scatter(*(J * y[n_lin:]))
 
     def _scatter(self, at_pkm1, at_pk, at_q):
         """The n_vars-vector of each relation's three values summed into its
-        p_{k-1}, p_k and q."""
-        values = np.concatenate([at_pkm1, at_pk, at_q])
-        return np.bincount(self.relation_vars, values, self.n_vars)
+        p_{k-1}, p_k and q: relations inner[i] and inner[i] + 1 meet at the
+        interior pressure n_scalar + i, and each pipe ends at its p_from, p_to
+        and q."""
+        q_sums = np.add.reduceat(at_q, self.first)
+        ends = np.concatenate([at_pkm1[self.first], at_pk[self.last], q_sums])
+        at_ends = np.bincount(self.ends.ravel(), ends, self.n_scalar)
+        return np.concatenate([at_ends, (at_pk[:-1] + at_pkm1[1:])[self.inner]])
 
 
 def _pattern(rows, cols, shape):
@@ -275,7 +251,7 @@ def assemble(
     # after the scalar variables, and its n gridpoint relations
     # (the empty first entries keep a network without pipes valid)
     inst.n_scalar = idx
-    ipkm1, ipk, iq, coefs = [[]], [[]], [[]], [np.empty((0, 3))]
+    ipkm1, ipk, coefs = [[]], [[]], []
     for pipe in net.pipes.values():
         level, h = state[pipe.id]
         n = interval_count(pipe, h)
@@ -288,25 +264,25 @@ def assemble(
         )
         ipkm1.append(p[:-1])
         ipk.append(p[1:])
-        iq.append(np.full(n, inst.flow_idx[pipe.id]))
         kappa, alpha, beta = pipe_coefficients(level, pipe, gas, slope_of(pipe, net))
-        coefs.append(
-            np.full(
-                (n, 3),
-                (h * kappa / PRESSURE_SCALE**2, h * alpha, beta / PRESSURE_SCALE**2),
-            )
-        )
+        coefs.append((h * kappa, h * alpha, beta))
     inst.n_vars = idx
     n_interior = idx - inst.n_scalar
     inst.lb = np.concatenate([lb, np.full(n_interior, PRESSURE_FLOOR / PRESSURE_SCALE)])
     inst.ub = np.concatenate([ub, np.full(n_interior, np.inf)])
     inst.grad = np.concatenate([grad, np.zeros(n_interior)])
     inst.cost_idx = np.flatnonzero(inst.grad)
-    inst.ipkm1, inst.ipk, inst.iq = (
-        np.concatenate(i).astype(int) for i in (ipkm1, ipk, iq)
-    )
-    inst.relation_vars = np.concatenate([inst.ipkm1, inst.ipk, inst.iq])
-    inst.k_coef, inst.grav_coef, inst.ram_coef = np.concatenate(coefs).T
+    inst.ipkm1, inst.ipk = (np.concatenate(i).astype(int) for i in (ipkm1, ipk))
+    inst.pipe_n = np.fromiter(inst.n_intervals.values(), int, len(net.pipes))
+    inst.last = np.cumsum(inst.pipe_n) - 1
+    inst.first = inst.last - inst.pipe_n + 1
+    q = np.array([inst.flow_idx[pid] for pid in net.pipes], dtype=int)
+    inst.ends = np.stack([inst.ipkm1[inst.first], inst.ipk[inst.last], q])
+    inst.iq = np.repeat(q, inst.pipe_n)
+    inst.inner = np.flatnonzero(inst.ipk >= inst.n_scalar)
+    k_coef, grav, ram_coef = np.reshape(coefs, (-1, 3)).T
+    inst.k_coef, inst.ram_coef = (c / PRESSURE_SCALE**2 for c in (k_coef, ram_coef))
+    inst.grav_coef = np.repeat(grav, inst.pipe_n)
 
     # linear constraints: mass balance per node, compressor coupling
     rows, cols, data, rhs = [], [], [], []
@@ -337,6 +313,7 @@ def assemble(
     inst.linear_A = sp.csr_matrix(
         (data, (rows, cols)), shape=(row, inst.n_vars)
     )
+    inst.linear_AT = inst.linear_A.T.tocsr()
     inst.linear_b = np.array(rhs)
 
     inst.n_cons = row + len(inst.ipk)
@@ -494,6 +471,11 @@ class KktSystem:
     the band pressures v - u z, and A^-T for the band relations. A, H, C and
     D are written from the gridpoint derivatives of `NlpInstance.jacobian`
     and `lagrangian_hessian`. delta_w carries over from one step to the next.
+
+    Residual: K z - r, from the same derivatives with the W dx and J^T dy
+    terms of each relation summed and scattered once, checks each back-solve;
+    above 1e-12 relative to r it is refined once, and above 1e-8 * max(1,
+    max |r|) after that the factorization fails and delta_w rises.
     """
 
     def __init__(self, inst: NlpInstance):
@@ -508,13 +490,10 @@ class KktSystem:
 
         # the band relations, whose p_k is an interior pressure; a pipe's
         # relations run from first to last, its band rows from starts to ends
-        n_intervals = np.fromiter(inst.n_intervals.values(), int)
-        self.last = np.cumsum(n_intervals) - 1
-        self.first = self.last - n_intervals + 1
-        self.inner = np.flatnonzero(inst.ipk >= inst.n_scalar)
+        self.inner, self.first, self.last = inst.inner, inst.first, inst.last
         self.starts = self.first - np.arange(len(self.first))
         ends = self.last - 1 - np.arange(len(self.last))
-        self.band_rows = n_intervals - 1  # per pipe
+        self.band_rows = inst.pipe_n - 1  # per pipe
         # the band row of each pipe's entry of C_p at r_n, p_from and p_to
         self.end_rows = np.stack([ends, self.starts, ends])
         self.band_p, self.band_r = pos[inst.ipk[self.inner]], row0 + self.inner
@@ -530,8 +509,7 @@ class KktSystem:
         in_border[self.border] = np.arange(n_border)
 
         # the slots q, r_n, p_from, p_to of each pipe as border rows, 4 x n_pipes
-        q, p_from = pos[inst.iq[self.last]], pos[inst.ipkm1[self.first]]
-        p_to = pos[inst.ipk[self.last]]
+        p_from, p_to, q = pos[inst.ends]
         self.slots = in_border[np.stack([q, row0 + self.last, p_from, p_to])]
 
         # S: its diagonal, the linear rows and their transpose, then the 4x4
@@ -643,20 +621,31 @@ class KktSystem:
         return dx, z[len(self.free_idx) :]
 
     def _product(self, W, J, sigma, delta_w, z):
-        """K z, from the gridpoint derivatives W and J."""
+        """K z, from the gridpoint derivatives W and J: the W dx and J^T dy
+        terms of each relation are summed, then scattered once."""
         inst = self.inst
+        n_lin = inst.linear_A.shape[0]
         dx, dy = self._split(z, len(sigma))
-        top = inst.hessian_product(W, dx) + inst.jacobian_t_product(J, dy)
-        top += (sigma + delta_w) * dx
-        bottom = inst.jacobian_product(J, dx) + self.reg * dy
+        dm, dp, dq, dr = dx[inst.ipkm1], dx[inst.ipk], dx[inst.iq], dy[n_lin:]
+        d_pkm1, d_pk, d_q = J
+        h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq = W
+        top = inst._scatter(
+            h_pk_pkm1 * dp + h_q_pkm1 * dq + d_pkm1 * dr,
+            h_pk_pk * dp + h_pk_pkm1 * dm + h_q_pk * dq + d_pk * dr,
+            h_q_pkm1 * dm + h_q_pk * dp + h_qq * dq + d_q * dr,
+        )
+        top += inst.linear_AT @ dy[:n_lin] + (sigma + delta_w) * dx
+        j_dx = d_pkm1 * dm + d_pk * dp + d_q * dq
+        bottom = np.concatenate([inst.linear_A @ dx, j_dx]) + self.reg * dy
         return np.concatenate([top[self.free_idx], bottom])
 
     def step(self, W, J, sigma, rd, c):
         """(dx, dy) from K [dx_free, dy] = -[rd_free, c], with dx zero at
         fixed variables; None when the factorization fails at 12 increasing
-        values of delta_w."""
+        values of delta_w, as it does when the residual stays above
+        1e-8 * max(1, max |rhs|) after refinement."""
         rhs = -np.concatenate([rd[self.free_idx], c])
-        tol = 1e-12 * max(1.0, np.max(np.abs(rhs)))
+        scale = max(1.0, np.max(np.abs(rhs)))
         delta_w = self.delta_w
         for _ in range(12):
             with contextlib.suppress(RuntimeError, ValueError):
@@ -665,11 +654,12 @@ class KktSystem:
                 # one round of iterative refinement, only when the residual
                 # is above 1e-12 relative to the right-hand side
                 res = self._product(W, J, sigma, delta_w, z) - rhs
-                if np.max(np.abs(res)) > tol:
+                if np.max(np.abs(res)) > 1e-12 * scale:
                     z -= self._solve(factors, res)
-                if np.all(np.isfinite(z)):
+                    res = self._product(W, J, sigma, delta_w, z) - rhs
+                if np.max(np.abs(res)) <= 1e-8 * scale:
                     break
-            # a singular factor or a non-finite step: regularize more
+            # a singular factor or a residual above its bound: regularize more
             delta_w = max(1e-8, 10.0 * delta_w)
         else:
             return None
@@ -702,30 +692,37 @@ def solve(
         raise ValueError("a warm start needs the iterate of a solve on this network")
     n, m = inst.n_vars, inst.n_cons
     fixed = _fixed_mask(inst.lb, inst.ub)
-    free = ~fixed
-    # the lower and upper bounds as the two rows of one array: row r has the
-    # slack sign[r] * (x - bound[r]) and the multipliers z[r]; `has` masks
-    # out infinite bounds and fixed variables, whose bound entries are zeroed
-    bound = np.stack([inst.lb, inst.ub])
-    has = np.isfinite(bound) & free
-    bound[~has] = 0.0
-    sign = np.array([[1.0], [-1.0]])
+    # the finite bounds of the free variables, the lower bounds and then the
+    # upper ones, as one vector: bound b of variable var[b] has the slack
+    # sign[b] * (x[var[b]] - bound[b]) and the multiplier z[b]; `at` places
+    # them in the two rows, lower and upper, of Iterate.z
+    bounds = np.stack([inst.lb, inst.ub])
+    at = np.flatnonzero(np.isfinite(bounds) & ~fixed)
+    bound, var = bounds.ravel()[at], at % n
+    n_lower = np.searchsorted(at, n)
+    lower, upper = var[:n_lower], var[n_lower:]
+    sign = np.where(at < n, 1.0, -1.0)
 
     def slack(x):
-        return np.where(has, sign * (x - bound), 1.0)
+        return sign * (x[var] - bound)
 
-    def inside(x, margin):
-        """x moved at least `margin` inside each of its bounds."""
-        edge = np.where(has, bound + sign * margin, -sign * np.inf)
-        return np.clip(x, edge[0], edge[1])
+    def inside(x, edge):
+        """x, in place, moved onto the inner side of each bound's `edge`."""
+        x[lower] = np.maximum(x[lower], edge[:n_lower])
+        x[upper] = np.minimum(x[upper], edge[n_lower:])
+        return x
 
     x = _initial_point(inst, warm)
     x[fixed] = inst.lb[fixed]
     # push strictly inside the bounds; a warm start is presumed near-optimal,
     # so barely perturb it
     margin = 1e-12 if warm is not None else 1e-2
-    gap = np.where(has.all(axis=0), bound[1] - bound[0], np.inf)
-    x = inside(x, np.minimum(margin * np.maximum(1.0, np.abs(bound)), 1e-2 * gap))
+    gap = (inst.ub - inst.lb)[var]
+    scale = np.maximum(1.0, np.abs(bound))
+    x = inside(x, bound + sign * np.minimum(margin * scale, 1e-2 * gap))
+    # a machine-precision slack keeps 1/slack finite even when an infeasible
+    # instance pushes the iterate onto its bounds
+    eps_edge = bound + sign * (np.finfo(float).eps * scale)
 
     kkt_system = KktSystem(inst)
     mu_min = max(eps_opt / 10.0, 1e-14)
@@ -734,30 +731,37 @@ def solve(
     # multipliers of the previous solve, carried over onto this instance
     mu = 0.1 if warm is None else mu_min
     y = np.zeros(m)
-    z = np.where(has, np.clip(mu / np.maximum(slack(x), 1e-8), 0.0, 1e8), 0.0)
+    z = np.clip(mu / np.maximum(slack(x), 1e-8), 0.0, 1e8)
     if warm is not None:
-        _warm_multipliers(inst, warm, y, *z)
-        z = np.where(has, np.maximum(z, 1e-16), 0.0)
+        z_rows = np.zeros((2, n))
+        _warm_multipliers(inst, warm, y, *z_rows)
+        z = np.maximum(z_rows.ravel()[at], 1e-16)
     nu = 1.0  # l1 penalty weight for the merit function
     best_viol = np.inf
     stall = 0
 
     def dual_residual(gy, z):
         """grad f + J^T y - z_lower + z_upper, from gy = grad f + J^T y."""
-        return gy - z[0] + z[1]
+        g = gy.copy()
+        g[lower] -= z[:n_lower]
+        g[upper] += z[n_lower:]
+        return g
 
-    def kkt_errors(s, gy, c, y, z, mu):
-        g = dual_residual(gy, z)
-        comp = np.where(has, s * z - mu, 0.0)
+    def kkt_errors(s, gy, c, y, z):
+        """The primal KKT error, and the KKT error at mu as a function of mu."""
         s_d = max(1.0, (np.sum(np.abs(y)) + np.sum(z)) / max(1, m + n) / 100.0)
-        e_dual = np.max(np.abs(g[free])) / s_d if free.any() else 0.0
-        e_primal = np.max(np.abs(c)) if m else 0.0
-        e_comp = np.max(np.abs(comp), initial=0.0) / s_d
-        return e_dual, e_primal, e_comp
+        g = dual_residual(gy, z)[kkt_system.free_idx]
+        e_dual = np.max(np.abs(g), initial=0.0) / s_d
+        e_primal = np.max(np.abs(c), initial=0.0)
+
+        def at_mu(mu):
+            return max(e_dual, e_primal, np.max(np.abs(s * z - mu), initial=0.0) / s_d)
+
+        return e_primal, at_mu
 
     def merit(x, c):
         """The barrier objective plus the l1 penalty on the constraints c."""
-        barrier = np.sum(np.log(np.maximum(slack(x)[has], 1e-300)))
+        barrier = np.sum(np.log(np.maximum(slack(x), 1e-300)))
         return inst.objective(x) + nu * np.sum(np.abs(c)) - mu * barrier
 
     iterations = 0
@@ -767,17 +771,14 @@ def solve(
         iterations += 1
         s = slack(x)
         gy = inst.grad + inst.jacobian_t_product(J, y)
-        e_dual, e_primal, e_comp = kkt_errors(s, gy, c, y, z, 0.0)
-        kkt = max(e_dual, e_primal, e_comp)
+        e_primal, kkt_at = kkt_errors(s, gy, c, y, z)
+        kkt = kkt_at(0.0)
         if kkt <= eps_opt:
             status, reason = STATUS_OPTIMAL, REASON_CONVERGED
             break
         if not np.isfinite(kkt):
-            status = (
-                STATUS_INFEASIBLE
-                if best_viol > 1e4 * eps_opt
-                else STATUS_ITERATION_LIMIT
-            )
+            infeasible = best_viol > 1e4 * eps_opt
+            status = STATUS_INFEASIBLE if infeasible else STATUS_ITERATION_LIMIT
             reason = REASON_NOT_FINITE
             break
 
@@ -791,33 +792,35 @@ def solve(
             status, reason = STATUS_INFEASIBLE, REASON_STALLED
             break
 
-        if max(kkt_errors(s, gy, c, y, z, mu)) <= 10.0 * mu and mu > mu_min:
+        if kkt_at(mu) <= 10.0 * mu and mu > mu_min:
             mu = max(mu_min, 0.2 * mu)
             continue
 
-        sigma = np.sum(z / s, axis=0)
+        sigma = np.zeros(n)
+        sigma[lower] = z[:n_lower] / s[:n_lower]
+        sigma[upper] += z[n_lower:] / s[n_lower:]
         # condensed dual residual with the complementarity equations folded in
-        rd = dual_residual(gy, np.where(has, mu / s, 0.0))
+        rd = dual_residual(gy, mu / s)
         newton = kkt_system.step(inst.lagrangian_hessian(x, y), J, sigma, rd, c)
         if newton is None:
             status, reason = STATUS_ITERATION_LIMIT, REASON_FACTORIZATION
             break
         dx, dy = newton
-        ds = sign * dx  # the step of the slacks
-        dz = np.where(has, (mu - z * ds) / s - z, 0.0)
+        ds = sign * dx[var]  # the step of the slacks
+        dz = (mu - z * ds) / s - z
 
         # fraction-to-the-boundary
         tau = max(0.99, 1.0 - mu)
-        shrink = has & (ds < 0.0)
+        shrink = ds < 0.0
         alpha_p = np.min(-tau * s[shrink] / ds[shrink], initial=1.0)
-        shrink = has & (dz < 0.0) & (z > 0.0)
+        shrink = (dz < 0.0) & (z > 0.0)
         alpha_d = np.min(-tau * z[shrink] / dz[shrink], initial=1.0)
 
         # Armijo backtracking on the l1 merit function
         nu = max(nu, 2.0 * np.max(np.abs(y), initial=0.0) + 1.0)
         phi0 = merit(x, c)
         dphi = inst.objective(dx) - nu * np.sum(np.abs(c))
-        dphi -= mu * np.sum(ds[has] / s[has])
+        dphi -= mu * np.sum(ds / s)
         alpha = alpha_p
         for _ in range(30):
             x_trial = x + alpha * dx
@@ -831,22 +834,19 @@ def solve(
             alpha = min(alpha_p, 1e-8)
             x_trial = x + alpha * dx
 
-        # keep a machine-precision slack so 1/slack stays finite even when
-        # an infeasible instance pushes the iterate onto its bounds
-        x = inside(x_trial, np.finfo(float).eps * np.maximum(1.0, np.abs(bound)))
+        x = inside(x_trial, eps_edge)
         y = y + alpha_d * dy
         # clip duals so sigma stays within a bounded multiple of mu/slack
         z = np.clip(z + alpha_d * dz, 1e-16, 1e16)
-        z = np.where(has, np.clip(z, mu / (1e10 * s), 1e10 * mu / s), 0.0)
+        z = np.clip(z, mu / (1e10 * s), 1e10 * mu / s)
         c, J = inst.constraints(x), inst.jacobian(x)
     else:  # the iteration limit, or no iteration at all
         gy = inst.grad + inst.jacobian_t_product(J, y)
-        kkt = max(kkt_errors(slack(x), gy, c, y, z, 0.0))
+        kkt = kkt_errors(slack(x), gy, c, y, z)[1](0.0)
     if status == STATUS_ITERATION_LIMIT and kkt <= eps_opt:
         status, reason = STATUS_OPTIMAL, REASON_CONVERGED
     seconds = time.perf_counter() - t0
-    return _extract_solution(
-        inst, x, status, kkt, iterations, seconds,
-        iterate=Iterate(x, y, z, list(inst.n_intervals.values()), ids),
-        reason=reason,
-    )
+    z_rows = np.zeros(2 * n)
+    z_rows[at] = z
+    iterate = Iterate(x, y, z_rows.reshape(2, n), list(inst.n_intervals.values()), ids)
+    return _extract_solution(inst, x, status, kkt, iterations, seconds, iterate, reason)

@@ -288,6 +288,53 @@ def test_derivatives_match_central_differences():
     assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(hess))
 
 
+def test_evaluation_matches_the_gridpoint_formulas():
+    # the flow terms are evaluated once per pipe and repeated to its
+    # gridpoints; the residuals, J and W agree with the same formulas
+    # evaluated at every gridpoint to a few ulp
+    net, gas, scn = chain5()
+    state = {
+        pid: (ModelLevel.of(level), pipe.length / 8)
+        for level, (pid, pipe) in zip([1, 2, 3, 1, 2], net.pipes.items())
+    }
+    inst = nlp.assemble(net, scn, gas, state)
+    rng = np.random.default_rng(11)
+    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    for i in inst.flow_idx.values():
+        x[i] = rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 80.0)
+    y = rng.standard_normal(inst.n_cons)
+    n_lin = inst.linear_A.shape[0]
+
+    k, b = (np.repeat(c, inst.pipe_n) for c in (inst.k_coef, inst.ram_coef))
+    pk, pkm1, q = x[inst.ipk], x[inst.ipkm1], x[inst.iq]
+    delta = pk - pkm1
+    s = np.sqrt(q * q + nlp.FLOW_SMOOTHING**2)
+    phi, dphi = q * s, s + q * q / s
+    d2phi = q * (2.0 * q * q + 3.0 * nlp.FLOW_SMOOTHING**2) / s**3
+    ram = 1.0 - b * q * q / pk**2
+    r = delta * ram + k * phi / pk + inst.grav_coef * pk
+    J = [
+        -ram,
+        ram + 2.0 * delta * b * q * q / pk**3 - k * phi / pk**2 + inst.grav_coef,
+        -2.0 * delta * b * q / pk**2 + k * dphi / pk,
+    ]
+    inv_pk = 1.0 / pk
+    y2 = y[n_lin:] * inv_pk * inv_pk
+    y3 = y2 * inv_pk
+    W = [
+        y3 * (4.0 * b * q * q - 6.0 * delta * b * q * q * inv_pk + 2.0 * k * phi),
+        y3 * (-2.0 * b * q * q),
+        y2 * (2.0 * b * q),
+        y2 * (-2.0 * b * q + 4.0 * delta * b * q * inv_pk - k * dphi),
+        y2 * (-2.0 * delta * b + k * d2phi * pk),
+    ]
+    np.testing.assert_array_max_ulp(inst.constraints(x)[n_lin:], r, maxulp=4)
+    np.testing.assert_array_max_ulp(inst.jacobian(x), np.array(J), maxulp=4)
+    np.testing.assert_array_max_ulp(
+        inst.lagrangian_hessian(x, y), np.array(W), maxulp=4
+    )
+
+
 def test_warm_start_interpolates_onto_refined_grid():
     net, scn, gas, state = single_pipe_instance(3, n=16)
     sol = nlp.solve(nlp.assemble(net, scn, gas, state))
@@ -393,9 +440,10 @@ def pipeless():
      (pipeless, 1)],
 )
 def test_fixed_patterns_match_coo_construction(fixture, level):
-    # the products with J and W that the solver forms from the gridpoint
-    # derivatives against those of scipy's COO construction from the same
-    # values, and the step of the band-and-border solve against the sp.bmat K
+    # the products the solver forms from the gridpoint derivatives, J^T y and
+    # the refinement's K z, against those of scipy's COO construction from
+    # the same values, and the step of the band-and-border solve against the
+    # sp.bmat K
     net, gas, scn = fixture()
     state = {pid: (ModelLevel.of(level), p.length / 8) for pid, p in net.pipes.items()}
     inst = nlp.assemble(net, scn, gas, state)
@@ -408,17 +456,16 @@ def test_fixed_patterns_match_coo_construction(fixture, level):
 
     J = inst.jacobian(x)
     W = inst.lagrangian_hessian(x, y)
-    J_ref, W_ref = jacobian_matrix(inst, J), hessian_matrix(inst, W)
-    dx = rng.standard_normal(n)
+    kkt = nlp.KktSystem(inst)
+    z = rng.standard_normal(len(kkt.free_idx) + m)
     for got, want in [
-        (inst.jacobian_product(J, dx), J_ref @ dx),
-        (inst.jacobian_t_product(J, y), J_ref.T @ y),
-        (inst.hessian_product(W, dx), W_ref @ dx),
+        (inst.jacobian_t_product(J, y), jacobian_matrix(inst, J).T @ y),
+        (kkt._product(W, J, sigma, delta_w, z),
+         kkt_reference(inst, W, J, sigma, delta_w) @ z),
     ]:
         scale = np.max(np.abs(want), initial=0.0)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
 
-    kkt = nlp.KktSystem(inst)
     assert step_residual(inst, kkt, W, J, sigma, delta_w, rng) <= 1e-10
 
 
@@ -581,6 +628,22 @@ def test_refinement_sharpens_an_inexact_back_solve(error, solves, monkeypatch):
     # the residual against the sp.bmat K, against 1e-6 unrefined
     assert step_residual(inst, kkt, W, J, sigma, 0.0, rng) <= 1e-10
     assert (counter.factorizations, counter.solves) == (1, solves)
+
+
+def test_refinement_that_fails_its_bound_raises_delta_w(monkeypatch):
+    # a back-solve off by 1e-2 relative leaves 1e-4 relative after one round
+    # of refinement, above the bound of 1e-8 * max(1, max |r|): each of the
+    # 12 values of delta_w fails, and the solve stops for the factorization
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    counter = CountingSplu(nlp.spla.splu, 1e-2)
+    monkeypatch.setattr(nlp.spla, "splu", counter)
+    sol = nlp.solve(inst)
+    assert sol.status == nlp.STATUS_ITERATION_LIMIT
+    assert sol.reason == nlp.REASON_FACTORIZATION
+    assert sol.n_iterations == 1
+    assert (counter.factorizations, counter.solves) == (12, 24)
 
 
 @pytest.mark.parametrize("error, solves", [(0.0, 1), (1e-6, 2)])
@@ -778,6 +841,23 @@ def test_warm_start_carries_multipliers(instance, before, after):
     assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
     for node, p in cold.node_pressures.items():
         assert warm.node_pressures[node] == pytest.approx(p, rel=1e-8)
+
+
+def test_iterate_keeps_both_bound_rows():
+    # the solver keeps multipliers only at finite bounds of free variables;
+    # the iterate lays them out as a lower and an upper row over all
+    # variables, zero at infinite bounds and at fixed variables
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    z = nlp.solve(inst).iterate.z
+    assert z.shape == (2, inst.n_vars)
+    fixed = inst.lb == inst.ub
+    assert fixed.any() and np.isinf(inst.ub).any()
+    assert np.all(z[:, fixed] == 0.0)
+    assert np.all(z[1, np.isinf(inst.ub)] == 0.0)
+    has = np.isfinite(np.stack([inst.lb, inst.ub])) & ~fixed
+    assert np.all(z[has] > 0.0)
 
 
 def test_warm_start_from_another_network_or_a_file_is_rejected(tmp_path):
