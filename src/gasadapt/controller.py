@@ -7,6 +7,7 @@ error estimate drops below the tolerance.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,12 +37,16 @@ class AdaptiveConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} = {value} outside [0, 1]")
-        if self.tau < 1.0:
-            raise ValueError(f"tau = {self.tau} must be >= 1")
+        if not 1.0 <= self.tau < math.inf:
+            raise ValueError(f"tau = {self.tau} must be finite and >= 1")
         if self.mu < 1:
             raise ValueError(f"mu = {self.mu} must be a positive integer")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if self.max_outer_iterations < 0:
+            raise ValueError(
+                f"max_outer_iterations = {self.max_outer_iterations} must be >= 0"
+            )
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps = {self.eps} must be positive and finite")
         nlp.check_eps_opt(self.eps_opt)
         if self.initial_intervals % 4 != 0 or self.initial_intervals <= 0:
             raise ValueError("initial_intervals must be a positive multiple of 4")
@@ -188,16 +193,6 @@ def validate_parameters(config: AdaptiveConfig, n_pipes: int) -> list:
 # -- estimator evaluation ---------------------------------------------------
 
 
-def _extra_levels(level: ModelLevel):
-    # switch-up marking needs eta_m one level up (only meaningful at level 3);
-    # switch-down marking needs eta_m at min(level + 1, 3)
-    if level == ModelLevel.FRICTION:
-        return (ModelLevel.GRAVITY,)
-    if level == ModelLevel.GRAVITY:
-        return (ModelLevel.FRICTION,)
-    return (ModelLevel.GRAVITY,)
-
-
 def compute_estimates(
     net: Network,
     gas: GasParameters,
@@ -206,7 +201,8 @@ def compute_estimates(
     stepsizes: dict,
 ) -> tuple:
     """Per-pipe error estimates at the current NLP solution, in pipe-id
-    order, and per pipe its eta_m by model level, level 1 included at 0."""
+    order, and per pipe its eta_m at level 1 and at the levels next to its
+    own, which the switch-up and switch-down marking read."""
 
     def one(pipe):
         # the march the NLP discretizes: from the from-node, with signed flow
@@ -219,15 +215,12 @@ def compute_estimates(
             level,
             stepsizes[pipe.id],
             slope=slope_of(pipe, net),
-            extra_levels=_extra_levels(ModelLevel.of(level)),
+            extra_levels=(ModelLevel.FULL, max(level - 1, 1), min(level + 1, 3)),
         )
 
     bundles = {pid: one(net.pipes[pid]) for pid in sorted(net.pipes)}
     estimates = {pid: b.estimate for pid, b in bundles.items()}
-    eta_m_by_level = {
-        pid: {**b.eta_m_by_level, ModelLevel.FULL: 0.0} for pid, b in bundles.items()
-    }
-    return estimates, eta_m_by_level
+    return estimates, {pid: b.eta_m_by_level for pid, b in bundles.items()}
 
 
 def _switch_up_targets(levels, eta_m_by_level, eps):
@@ -272,17 +265,17 @@ def run(
         state.initial_stepsizes[pid] = state.stepsizes[pid]
 
     eps = config.eps_feasibility
-    solve_index = 0
-    pending_coarsened = 0
-    pending_switched_down = 0
 
-    def solve_and_estimate(warm, outer_k, inner_j, n_ref, n_up):
-        nonlocal solve_index, pending_coarsened, pending_switched_down
+    def solve_and_estimate(outer_k, inner_j, refined=(), up=(), coarsened=(), down=()):
+        """Solve at the current levels and stepsizes, warm from the last
+        solution, and append the trace record that counts the pipes marked
+        since the last solve; True if its average estimate is within eps."""
+        solve_index = len(state.trace)
         pipe_state = {
             pid: (state.levels[pid], state.stepsizes[pid]) for pid in net.pipes
         }
         instance = nlp.assemble(net, scn, gas, pipe_state)
-        sol = nlp.solve(instance, warm_start=warm, eps_opt=config.eps_opt)
+        sol = nlp.solve(instance, warm_start=state.solution, eps_opt=config.eps_opt)
         if sol.status == nlp.STATUS_INFEASIBLE:
             raise InfeasibleProblem(
                 f"NLP infeasible at solve {solve_index}: {sol.reason}"
@@ -311,23 +304,20 @@ def run(
             sum_eta_m=sum_m,
             sum_eta=sum_d + sum_m,
             avg_eta=(sum_d + sum_m) / len(estimates),
-            n_refined=n_ref,
-            n_switched_up=n_up,
-            n_coarsened=pending_coarsened,
-            n_switched_down=pending_switched_down,
+            n_refined=len(refined),
+            n_switched_up=len(up),
+            n_coarsened=len(coarsened),
+            n_switched_down=len(down),
         )
-        pending_coarsened = 0
-        pending_switched_down = 0
         state.trace.append(record)
         if progress is not None:
             progress(record)
-        solve_index += 1
-        return sol
+        return record.avg_eta <= eps
 
-    sol = solve_and_estimate(None, 0, 0, 0, 0)
-    if is_eps_feasible(state.estimates.values(), eps):
-        return sol, state
+    if solve_and_estimate(0, 0):
+        return state.solution, state
 
+    marked_coarsen = marked_down = ()
     for k in range(1, config.max_outer_iterations + 1):
         for j in range(1, config.mu + 1):
             targets = _switch_up_targets(state.levels, state.eta_m_by_level, eps)
@@ -341,9 +331,10 @@ def run(
             for pid in marked_refine:
                 state.stepsizes[pid] /= 2.0
 
-            sol = solve_and_estimate(sol, k, j, len(marked_refine), len(marked_up))
-            if is_eps_feasible(state.estimates.values(), eps):
-                return sol, state
+            marks = (marked_refine, marked_up, marked_coarsen, marked_down)
+            if solve_and_estimate(k, j, *marks):
+                return state.solution, state
+            marked_coarsen = marked_down = ()
 
         increases = _switch_down_increases(state.levels, state.eta_m_by_level)
         marked_down = mark_switch_down(increases, config.phi_m, config.tau, eps)
@@ -359,8 +350,6 @@ def run(
             state.levels[pid] = ModelLevel.of(min(state.levels[pid] + 1, 3))
         for pid in marked_coarsen:
             state.stepsizes[pid] *= 2.0
-        pending_coarsened = len(marked_coarsen)
-        pending_switched_down = len(marked_down)
 
     raise IterationLimit(
         f"no eps-feasible solution within {config.max_outer_iterations} outer iterations"

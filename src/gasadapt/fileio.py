@@ -11,11 +11,12 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import MISSING
 
 import numpy as np
 
-from .controller import AdaptiveConfig, AdaptiveState
+from .controller import AdaptiveConfig, AdaptiveState, TraceRecord
 from .errors import ParseError, ValidationError
 from .models import ModelLevel
 from .network import (
@@ -80,10 +81,19 @@ PRESSURE_FIELDS = ("pressure_min", "pressure_max", "lift_max")
 
 
 def _check(value, kind, context):
-    """The value, if it has the JSON type `kind`; a bool is never a number."""
+    """The value, if it has the JSON type `kind`; a bool is never a number,
+    and a number is a finite double (1e400 parses to inf, and an integer
+    of 400 digits overflows where it meets a float)."""
     expected = _TYPES.get(kind, ())
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, expected):
         raise ParseError(f"{context}: expected {kind}, got {value!r}")
+    if kind in ("float", "int"):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParseError(f"{context}: {kind} outside the range of a double")
     return value
 
 
@@ -303,23 +313,7 @@ def load_solution(path) -> tuple:
 
 # -- trace and estimate export -----------------------------------------------
 
-TRACE_COLUMNS = [
-    "solve_index",
-    "outer_k",
-    "inner_j",
-    "n_vars",
-    "n_cons",
-    "nlp_seconds",
-    "ivp_seconds",
-    "sum_eta_d",
-    "sum_eta_m",
-    "sum_eta",
-    "avg_eta",
-    "n_refined",
-    "n_switched_up",
-    "n_coarsened",
-    "n_switched_down",
-]
+TRACE_COLUMNS = [f.name for f in dataclasses.fields(TraceRecord)]
 
 
 def _fmt(value):

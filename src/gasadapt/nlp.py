@@ -668,10 +668,13 @@ class KktSystem:
 
 
 def check_eps_opt(eps_opt: float) -> None:
-    """ValueError unless eps_opt > 0: at eps_opt <= 0 no KKT error meets the
-    tolerance, and at NaN none is compared true with it."""
+    """ValueError unless eps_opt is positive and finite: at eps_opt <= 0 no
+    KKT error meets the tolerance, at NaN none is compared true with it, and
+    at inf every one does, the start point included."""
     if not eps_opt > 0.0:
         raise ValueError(f"eps_opt = {eps_opt} must be positive")
+    if eps_opt == np.inf:
+        raise ValueError(f"eps_opt = {eps_opt} must be finite")
 
 
 def solve(
@@ -776,10 +779,8 @@ def solve(
         if kkt <= eps_opt:
             status, reason = STATUS_OPTIMAL, REASON_CONVERGED
             break
-        if not np.isfinite(kkt):
-            infeasible = best_viol > 1e4 * eps_opt
-            status = STATUS_INFEASIBLE if infeasible else STATUS_ITERATION_LIMIT
-            reason = REASON_NOT_FINITE
+        if not np.isfinite(kkt):  # no verdict on the problem from a NaN
+            status, reason = STATUS_ITERATION_LIMIT, REASON_NOT_FINITE
             break
 
         # infeasibility heuristic: constraint violation stalls well above tol

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gasadapt import estimators, nlp
+from gasadapt import controller, estimators, nlp
 from gasadapt.controller import (
     AdaptiveConfig,
     compute_estimates,
@@ -35,9 +35,15 @@ def test_config_defaults_are_consistent():
         {"tau": 0.9},
         {"mu": 0},
         {"eps": 0.0},
+        {"eps": float("nan")},
+        {"eps": float("inf")},
+        {"tau": float("nan")},
+        {"tau": float("inf")},
+        {"max_outer_iterations": -3},
         {"eps_opt": 0.0},
         {"eps_opt": -1.0},
         {"eps_opt": float("nan")},
+        {"eps_opt": float("inf")},
         {"initial_intervals": 6},
         {"split_tolerance": True, "eps_opt": 100.0},
     ],
@@ -209,6 +215,42 @@ def test_run_terminates_eps_feasible(chain5_run):
     _, config, _, state = chain5_run
     assert is_eps_feasible(state.estimates.values(), config.eps)
     assert state.trace[-1].avg_eta <= config.eps
+
+
+def test_run_stops_at_the_first_record_within_eps(chain5_run):
+    # the stop is read from the trace: every earlier record is above eps
+    _, config, _, state = chain5_run
+    assert all(r.avg_eta > config.eps for r in state.trace[:-1])
+
+
+def test_run_counts_each_round_of_marks_on_the_next_solve(monkeypatch):
+    counts = {}
+
+    def counting(name):
+        mark = getattr(controller, name)
+
+        def wrapped(*args, **kwargs):
+            marked = mark(*args, **kwargs)
+            counts.setdefault(name, []).append(len(marked))
+            return marked
+
+        monkeypatch.setattr(controller, name, wrapped)
+
+    for name in ("mark_refine", "mark_switch_up", "mark_coarsen", "mark_switch_down"):
+        counting(name)
+    net, gas, scn = chain5()
+    _, state = run(net, scn, gas, AdaptiveConfig())
+    rows = state.trace[1:]
+    assert [r.n_refined for r in rows] == counts["mark_refine"]
+    assert [r.n_switched_up for r in rows] == counts["mark_switch_up"]
+    # a coarsen/switch-down round ends an outer iteration and is counted on
+    # the first solve of the next one, and on no other
+    first = [r for r in rows if r.inner_j == 1 and r.outer_k > 1]
+    assert [r.n_coarsened for r in first] == counts["mark_coarsen"]
+    assert [r.n_switched_down for r in first] == counts["mark_switch_down"]
+    others = [r for r in rows if r not in first]
+    assert all(r.n_coarsened == r.n_switched_down == 0 for r in others)
+    assert sum(counts["mark_coarsen"]) > 0
 
 
 def test_run_respects_grid_floor_and_alignment(chain5_run):

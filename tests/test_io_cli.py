@@ -4,6 +4,7 @@ import copy
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -298,6 +299,12 @@ def _edited(doc, path, value):
     return json.dumps(doc)
 
 
+def _with_literal(doc, path, literal):
+    """The JSON text of `doc` with the value at the key `path` written as
+    the number literal `literal`, which Python's JSON writer cannot emit."""
+    return _edited(doc, path, "@").replace('"@"', literal)
+
+
 def _chain5_solution():
     """A well-formed solution document for chain-5 (not an optimum)."""
     net = chain5_network_dict()
@@ -320,6 +327,7 @@ NETWORK = chain5_network_dict()
 SOLUTION = _chain5_solution()
 CHECK_NETWORK = ["validate-params", "--network", "BAD"]
 SOLVE_SCENARIO = ["nlp-solve", "--network", "NET", "--scenario", "BAD"]
+SOLVE_NETWORK = ["nlp-solve", "--network", "BAD", "--scenario", "SCN"]
 ESTIMATE = ["estimate", "--network", "NET", "--solution", "BAD"]
 RUN_CONFIG = ["run", "--network", "NET", "--scenario", "SCN", "--config", "BAD",
               "--out", "OUT", "--quiet"]
@@ -395,6 +403,10 @@ def test_cli_non_object_document_exits_one(
         (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "pressure_max"], float("inf"))),
         (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "elevaton"], 120.0)),
         (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "flow_mni"], -10.0)),
+        (RUN_CONFIG, '{"eps_opt": 1e400}'),
+        (SOLVE_NETWORK, _with_literal(NETWORK, ["pipes", 0, "length"], "1e400")),
+        (SOLVE_NETWORK, _with_literal(NETWORK, ["pipes", 0, "length"], "9" * 400)),
+        (RUN_CONFIG, '{"max_outer_iterations": -3}'),
     ],
     ids=[
         "length-string",
@@ -418,6 +430,10 @@ def test_cli_non_object_document_exits_one(
         "pressure-max-infinity",
         "node-elevaton",
         "flow-mni",
+        "eps-opt-1e400",
+        "length-1e400",
+        "length-400-digits",
+        "max-outer-iterations-negative",
     ],
 )
 def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, capsys):
@@ -531,7 +547,9 @@ def test_cli_nlp_solve_and_estimate(chain5_files, tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["p1", "p2", "p3", "p4", "p5"]
 
 
-def test_cli_nlp_solve_infeasible_exits_two(tmp_path, capsys):
+@pytest.fixture
+def infeasible_files(tmp_path):
+    """One pipe whose 0.1 bar pressure drop cannot carry its 40 kg/s."""
     doc = {
         "format_version": 1,
         "units": "bar",
@@ -549,10 +567,57 @@ def test_cli_nlp_solve_infeasible_exits_two(tmp_path, capsys):
     net_path.write_text(json.dumps(doc))
     scn_path.write_text(json.dumps({"format_version": 1,
                                     "flows": {"a": -40.0, "b": 40.0}}))
+    return str(net_path), str(scn_path)
+
+
+def test_cli_nlp_solve_infeasible_exits_two(infeasible_files, capsys):
+    net_path, scn_path = infeasible_files
+    code = cli_main(["nlp-solve", "--network", net_path, "--scenario", scn_path])
+    assert code == 2
+
+
+def test_cli_run_infeasible_exits_two(infeasible_files, tmp_path, capsys):
+    net_path, scn_path = infeasible_files
     code = cli_main(
-        ["nlp-solve", "--network", str(net_path), "--scenario", str(scn_path)]
+        ["run", "--network", net_path, "--scenario", scn_path,
+         "--out", str(tmp_path / "out"), "--quiet"]
     )
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: NLP infeasible at solve 0: ")
+
+
+def test_cli_run_without_outer_iterations_exits_one(chain5_files, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"max_outer_iterations": 0}))
+    code = cli_main(
+        ["run", "--network", chain5_files[0], "--scenario", chain5_files[1],
+         "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: no eps-feasible solution within 0 outer iterations\n"
+
+
+def test_cli_estimate_falls_back_to_the_given_level_and_intervals(
+    chain5_files, tmp_path, capsys
+):
+    # a solution without pipe states is estimated at --level and --intervals
+    doc = copy.deepcopy(SOLUTION)
+    del doc["pipe_states"]
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(doc))
+    code = cli_main(
+        ["estimate", "--network", chain5_files[0], "--solution", str(path),
+         "--level", "2", "--intervals", "8"]
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    lengths = {p["id"]: p["length"] for p in NETWORK["pipes"]}
+    assert [r[0] for r in rows[1:]] == sorted(lengths)
+    for pid, level, stepsize, *_ in rows[1:]:
+        assert level == "2"
+        assert float(stepsize) == lengths[pid] / 8
 
 
 @pytest.mark.parametrize("command", ["nlp-solve", "run"])
@@ -602,3 +667,34 @@ def test_cli_run_writes_artifacts(chain5_files, tmp_path, capsys):
     with open(out_dir / "estimates.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     assert [r[0] for r in rows[1:]] == ["p1", "p2", "p3", "p4", "p5"]
+
+
+def test_cli_run_prints_one_progress_line_per_trace_row(
+    chain5_files, tmp_path, capsys
+):
+    net_path, scn_path = chain5_files
+    out_dir = tmp_path / "artifacts"
+    code = cli_main(
+        ["run", "--network", net_path, "--scenario", scn_path, "--out", str(out_dir)]
+    )
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    progress = [
+        re.fullmatch(
+            r"solve (\d+): outer (\d+) inner (\d+) avg_eta (\S+) Pa "
+            r"\(\+(\d+) refined, \+(\d+) up\)",
+            line,
+        )
+        for line in lines
+        if line.startswith("solve ")
+    ]
+    with open(out_dir / "trace.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) > 1 and len(progress) == len(rows)
+    columns = ("solve_index", "outer_k", "inner_j")
+    for match, row in zip(progress, rows):
+        assert match is not None
+        assert list(match.group(1, 2, 3)) == [row[c] for c in columns]
+        assert match[4] == format(float(row["avg_eta"]), ".6g")
+        assert list(match.group(5, 6)) == [row["n_refined"], row["n_switched_up"]]
+    assert lines[-1].startswith(f"eps-feasible after {len(rows)} solves; ")

@@ -721,6 +721,22 @@ def test_singular_band_names_the_factorization_reason(monkeypatch):
     assert counter.factorizations == 0
 
 
+def test_non_finite_kkt_error_stops_at_the_iteration_limit(monkeypatch):
+    # a NaN says nothing of the problem: no Infeasible verdict from it, even
+    # at the first check, where no constraint violation has been seen yet
+    def nan_jacobian(inst, x):
+        return np.full((3, len(inst.ipk)), np.nan)
+
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    monkeypatch.setattr(nlp.NlpInstance, "jacobian", nan_jacobian)
+    sol = nlp.solve(inst)
+    assert sol.status == nlp.STATUS_ITERATION_LIMIT
+    assert sol.reason == nlp.REASON_NOT_FINITE
+    assert sol.n_iterations == 1
+
+
 def test_each_stop_has_its_reason():
     net, scn, gas, state = compressor_chain()
     inst = nlp.assemble(net, scn, gas, state)
@@ -937,3 +953,13 @@ def test_solve_rejects_a_non_positive_eps_opt(eps_opt):
     inst = nlp.assemble(net, scn, gas, state)
     with pytest.raises(ValueError, match=r"^eps_opt = .* must be positive$"):
         nlp.solve(inst, eps_opt=eps_opt)
+
+
+def test_solve_rejects_an_infinite_eps_opt():
+    # at inf the start point of chain-5 stopped LocalOptimum after 1 iteration
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, pipe.length / 4)
+             for pid, pipe in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    with pytest.raises(ValueError, match=r"^eps_opt = inf must be finite$"):
+        nlp.solve(inst, eps_opt=float("inf"))
