@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING
 
 import numpy as np
@@ -39,9 +40,19 @@ def _load_json(path):
     def non_finite(literal):  # NaN and Infinity are not JSON (RFC 8259)
         raise ParseError(f"{path}: {literal} is not a JSON number")
 
+    def unique_keys(pairs):  # a dict would keep the last of a repeated key
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ParseError(f"{path}: repeated key '{key}'")
+            doc[key] = value
+        return doc
+
     try:
         with open(path) as handle:
-            doc = json.load(handle, parse_constant=non_finite)
+            doc = json.load(
+                handle, parse_constant=non_finite, object_pairs_hook=unique_keys
+            )
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -186,6 +197,15 @@ def network_from_dict(doc) -> tuple:
         _record(Compressor, entry, "compressor", to_si, ARC_KEYS)
         for entry in _get(doc, "compressors", "network", "list", [])
     ]
+    # Network keys its records by id, so a repeated id must be caught here
+    repeated = [
+        f"{kind} {id_}: duplicate id"
+        for kind, records in (("node", nodes), ("arc", pipes + compressors))
+        for id_, count in Counter(record.id for record in records).items()
+        if count > 1
+    ]
+    if repeated:
+        raise ValidationError(repeated)
     net = Network(nodes, pipes, compressors)
     problems = validate_network(net)
     if problems:

@@ -81,22 +81,12 @@ class Network:
         self.nodes = {n.id: n for n in nodes}
         self.pipes = {p.id: p for p in pipes}
         self.compressors = {c.id: c for c in compressors}
-        self._in_arcs, self._out_arcs = {}, {}
-        for arc in self.arcs.values():
-            self._in_arcs.setdefault(arc.to_node, []).append(arc)
-            self._out_arcs.setdefault(arc.from_node, []).append(arc)
 
     @property
     def arcs(self):
         arcs = dict(self.pipes)
         arcs.update(self.compressors)
         return arcs
-
-    def in_arcs(self, node_id):
-        return self._in_arcs.get(node_id, [])
-
-    def out_arcs(self, node_id):
-        return self._out_arcs.get(node_id, [])
 
 
 def slope_of(pipe: Pipe, net: Network) -> float:
@@ -110,14 +100,10 @@ def slope_of(pipe: Pipe, net: Network) -> float:
 
 def mass_balance_residual(net: Network, scn: Scenario, flows: dict) -> dict:
     """Per-node defect of inflow minus outflow minus boundary flow."""
-    residual = {}
-    for node_id in net.nodes:
-        acc = 0.0
-        for arc in net.in_arcs(node_id):
-            acc += flows[arc.id]
-        for arc in net.out_arcs(node_id):
-            acc -= flows[arc.id]
-        residual[node_id] = acc - scn.flow_at(node_id)
+    residual = {node_id: -scn.flow_at(node_id) for node_id in net.nodes}
+    for arc in net.arcs.values():
+        residual[arc.to_node] += flows[arc.id]
+        residual[arc.from_node] -= flows[arc.id]
     return residual
 
 

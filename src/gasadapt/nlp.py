@@ -71,7 +71,6 @@ class NlpInstance:
     flow_idx: dict = field(default_factory=dict)
     lift_idx: dict = field(default_factory=dict)
     interior_idx: dict = field(default_factory=dict)  # pipe id -> ndarray
-    n_intervals: dict = field(default_factory=dict)  # pipe id -> n
     lb: np.ndarray = None
     ub: np.ndarray = None
     grad: np.ndarray = None  # linear objective gradient (scaled units)
@@ -222,101 +221,74 @@ def assemble(
     """Build the NLP for the given per-pipe (level, stepsize) assignment."""
     _load_scipy()
     inst = NlpInstance(net=net)
+    nodes, comps = net.nodes.values(), net.compressors.values()
+    arcs = [*net.pipes.values(), *comps]
+    n_nodes, n_pipes, n_comps = len(nodes), len(net.pipes), len(comps)
+    # the scalar variables: node pressures, arc flows and lifts, in this order
+    n_flows = n_nodes + len(arcs)
+    inst.n_scalar = n_flows + n_comps
+    inst.node_idx = dict(zip(net.nodes, range(n_nodes)))
+    inst.flow_idx = dict(zip([arc.id for arc in arcs], range(n_nodes, n_flows)))
+    inst.lift_idx = dict(zip(net.compressors, range(n_flows, inst.n_scalar)))
+    flows, lifts = np.arange(n_nodes, n_flows), np.arange(n_flows, inst.n_scalar)
+    from_node = np.array([inst.node_idx[arc.from_node] for arc in arcs], dtype=int)
+    to_node = np.array([inst.node_idx[arc.to_node] for arc in arcs], dtype=int)
 
-    idx = 0
-    lb, ub, grad = [], [], []
-
-    def add_var(lo, hi, cost=0.0):
-        nonlocal idx
-        lb.append(lo)
-        ub.append(hi)
-        grad.append(cost)
-        idx += 1
-        return idx - 1
-
-    for node in net.nodes.values():
-        inst.node_idx[node.id] = add_var(
-            max(node.pressure_min, PRESSURE_FLOOR) / PRESSURE_SCALE,
-            node.pressure_max / PRESSURE_SCALE,
-        )
-    for arc in list(net.pipes.values()) + list(net.compressors.values()):
-        inst.flow_idx[arc.id] = add_var(arc.flow_min, arc.flow_max)
-    for comp in net.compressors.values():
-        # objective is cost per Pa of lift; lift variable is in bar
-        inst.lift_idx[comp.id] = add_var(
-            0.0, comp.lift_max / PRESSURE_SCALE, cost=comp.cost_coeff * PRESSURE_SCALE
-        )
-
-    # each pipe: its n-1 interior pressures as one contiguous index range
-    # after the scalar variables, and its n gridpoint relations
-    # (the empty first entries keep a network without pipes valid)
-    inst.n_scalar = idx
-    ipkm1, ipk, coefs = [[]], [[]], []
+    pipe_n, coefs = [], []
     for pipe in net.pipes.values():
         level, h = state[pipe.id]
-        n = interval_count(pipe, h)
-        inst.n_intervals[pipe.id] = n
-        interior = np.arange(idx, idx + n - 1)
-        inst.interior_idx[pipe.id] = interior
-        idx += n - 1
-        p = np.concatenate(
-            [[inst.node_idx[pipe.from_node]], interior, [inst.node_idx[pipe.to_node]]]
-        )
-        ipkm1.append(p[:-1])
-        ipk.append(p[1:])
+        pipe_n.append(interval_count(pipe, h))
         kappa, alpha, beta = pipe_coefficients(level, pipe, gas, slope_of(pipe, net))
         coefs.append((h * kappa, h * alpha, beta))
-    inst.n_vars = idx
-    n_interior = idx - inst.n_scalar
-    inst.lb = np.concatenate([lb, np.full(n_interior, PRESSURE_FLOOR / PRESSURE_SCALE)])
-    inst.ub = np.concatenate([ub, np.full(n_interior, np.inf)])
-    inst.grad = np.concatenate([grad, np.zeros(n_interior)])
-    inst.cost_idx = np.flatnonzero(inst.grad)
-    inst.ipkm1, inst.ipk = (np.concatenate(i).astype(int) for i in (ipkm1, ipk))
-    inst.pipe_n = np.fromiter(inst.n_intervals.values(), int, len(net.pipes))
+    inst.pipe_n = np.array(pipe_n, dtype=int)
     inst.last = np.cumsum(inst.pipe_n) - 1
     inst.first = inst.last - inst.pipe_n + 1
-    q = np.array([inst.flow_idx[pid] for pid in net.pipes], dtype=int)
-    inst.ends = np.stack([inst.ipkm1[inst.first], inst.ipk[inst.last], q])
-    inst.iq = np.repeat(q, inst.pipe_n)
-    inst.inner = np.flatnonzero(inst.ipk >= inst.n_scalar)
     k_coef, grav, ram_coef = np.reshape(coefs, (-1, 3)).T
     inst.k_coef, inst.ram_coef = (c / PRESSURE_SCALE**2 for c in (k_coef, ram_coef))
     inst.grav_coef = np.repeat(grav, inst.pipe_n)
 
-    # linear constraints: mass balance per node, compressor coupling
-    rows, cols, data, rhs = [], [], [], []
-    row = 0
-    for node_id in net.nodes:
-        for arc in net.in_arcs(node_id):
-            rows.append(row)
-            cols.append(inst.flow_idx[arc.id])
-            data.append(1.0)
-        for arc in net.out_arcs(node_id):
-            rows.append(row)
-            cols.append(inst.flow_idx[arc.id])
-            data.append(-1.0)
-        rhs.append(scn.flow_at(node_id))
-        row += 1
-    for comp in net.compressors.values():
-        rows.extend([row, row, row])
-        cols.extend(
-            [
-                inst.node_idx[comp.to_node],
-                inst.node_idx[comp.from_node],
-                inst.lift_idx[comp.id],
-            ]
-        )
-        data.extend([1.0, -1.0, -1.0])
-        rhs.append(0.0)
-        row += 1
-    inst.linear_A = sp.csr_matrix(
-        (data, (rows, cols)), shape=(row, inst.n_vars)
-    )
-    inst.linear_AT = inst.linear_A.T.tocsr()
-    inst.linear_b = np.array(rhs)
+    # The layout: the relations are numbered from 0, pipe after pipe, and the
+    # n - 1 interior pressures of each pipe follow the scalar variables in the
+    # same order. Relation r of pipe i has p_k = n_scalar + r - i and
+    # p_{k-1} = p_k - 1, except that p_k is the pipe's to-node at its last
+    # relation and p_{k-1} its from-node at its first.
+    pipe_of = np.repeat(np.arange(n_pipes), inst.pipe_n)
+    inst.ipk = inst.n_scalar + np.arange(len(pipe_of)) - pipe_of
+    inst.ipkm1 = inst.ipk - 1
+    inst.ends = np.stack([from_node[:n_pipes], to_node[:n_pipes], flows[:n_pipes]])
+    inst.ipkm1[inst.first], inst.ipk[inst.last] = inst.ends[:2]
+    inst.iq = np.repeat(inst.ends[2], inst.pipe_n)
+    inst.inner = np.flatnonzero(inst.ipk >= inst.n_scalar)
+    inst.interior_idx = {
+        pid: inst.ipk[i:j] for pid, i, j in zip(net.pipes, inst.first, inst.last)
+    }
+    n_interior = len(inst.inner)  # one per relation but each pipe's last
+    inst.n_vars = inst.n_scalar + n_interior
 
-    inst.n_cons = row + len(inst.ipk)
+    # the bounds, pressures and lifts in bar, and the objective, cost per Pa
+    # of lift
+    lb = [max(n.pressure_min, PRESSURE_FLOOR) / PRESSURE_SCALE for n in nodes]
+    lb += [arc.flow_min for arc in arcs] + [0.0] * n_comps
+    ub = [n.pressure_max / PRESSURE_SCALE for n in nodes]
+    ub += [arc.flow_max for arc in arcs] + [c.lift_max / PRESSURE_SCALE for c in comps]
+    inst.lb = np.concatenate([lb, np.full(n_interior, PRESSURE_FLOOR / PRESSURE_SCALE)])
+    inst.ub = np.concatenate([ub, np.full(n_interior, np.inf)])
+    inst.grad = np.zeros(inst.n_vars)
+    inst.grad[lifts] = [c.cost_coeff * PRESSURE_SCALE for c in comps]
+    inst.cost_idx = np.flatnonzero(inst.grad)
+
+    # the linear rows as COO triples: the mass balance of each node, +1 at
+    # the flow of each arc into it and -1 at each arc out of it, then the
+    # coupling p_to - p_from - lift of each compressor
+    coupling = np.arange(n_nodes, n_nodes + n_comps)
+    rows = np.concatenate([to_node, from_node, np.tile(coupling, 3)])
+    cols = np.concatenate([flows, flows, to_node[n_pipes:], from_node[n_pipes:], lifts])
+    data = np.repeat([1.0, -1.0, 1.0, -1.0, -1.0], [len(arcs)] * 2 + [n_comps] * 3)
+    shape = (n_nodes + n_comps, inst.n_vars)
+    inst.linear_A = sp.csr_matrix((data, (rows, cols)), shape=shape)
+    inst.linear_AT = inst.linear_A.T.tocsr()
+    inst.linear_b = np.array([scn.flow_at(n) for n in net.nodes] + [0.0] * n_comps)
+    inst.n_cons = shape[0] + len(inst.ipk)
     return inst
 
 
@@ -350,13 +322,13 @@ def _initial_point(inst: NlpInstance, warm: Iterate = None) -> np.ndarray:
     finite_ub = np.where(np.isfinite(inst.ub), inst.ub, finite_lb + 100.0)
     x = 0.5 * (finite_lb + finite_ub)
     # cold, each pipe is regridded from one interval: its end pressures
-    old_x, old_n = x, [1] * len(inst.n_intervals)
+    old_x, old_n = x, [1] * len(inst.pipe_n)
     if warm is not None:
         x[: inst.n_scalar] = warm.x[: inst.n_scalar]
         old_x, old_n = warm.x, warm.n_intervals
     for pipe, (n, _, new), (n_old, _, old) in zip(
         inst.net.pipes.values(),
-        _pipe_blocks(inst, inst.n_intervals.values()),
+        _pipe_blocks(inst, inst.pipe_n),
         _pipe_blocks(inst, old_n),
     ):
         p_from = old_x[inst.node_idx[pipe.from_node]]
@@ -373,7 +345,7 @@ def _warm_multipliers(inst: NlpInstance, warm: Iterate, y, zl, zu):
     y[:n_lin] = warm.y[:n_lin]
     zl[: inst.n_scalar], zu[: inst.n_scalar] = warm.z[:, : inst.n_scalar]
     for (n, rows, new), (n_old, old_rows, old) in zip(
-        _pipe_blocks(inst, inst.n_intervals.values()),
+        _pipe_blocks(inst, inst.pipe_n),
         _pipe_blocks(inst, warm.n_intervals),
     ):
         y[rows] = _regrid(warm.y[old_rows], n_old, 1, n, n)
@@ -849,5 +821,5 @@ def solve(
     seconds = time.perf_counter() - t0
     z_rows = np.zeros(2 * n)
     z_rows[at] = z
-    iterate = Iterate(x, y, z_rows.reshape(2, n), list(inst.n_intervals.values()), ids)
+    iterate = Iterate(x, y, z_rows.reshape(2, n), inst.pipe_n.tolist(), ids)
     return _extract_solution(inst, x, status, kkt, iterations, seconds, iterate, reason)

