@@ -8,6 +8,7 @@ error estimate drops below the tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -39,12 +40,12 @@ class AdaptiveConfig:
                 raise ValueError(f"{name} = {value} outside [0, 1]")
         if not 1.0 <= self.tau < math.inf:
             raise ValueError(f"tau = {self.tau} must be finite and >= 1")
-        if self.mu < 1:
+        # both count loop rounds, so a float such as 2.5 is no count
+        if not isinstance(self.mu, numbers.Integral) or self.mu < 1:
             raise ValueError(f"mu = {self.mu} must be a positive integer")
-        if self.max_outer_iterations < 0:
-            raise ValueError(
-                f"max_outer_iterations = {self.max_outer_iterations} must be >= 0"
-            )
+        outer = self.max_outer_iterations
+        if not isinstance(outer, numbers.Integral) or outer < 0:
+            raise ValueError(f"max_outer_iterations = {outer} must be an integer >= 0")
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps = {self.eps} must be positive and finite")
         nlp.check_eps_opt(self.eps_opt)

@@ -30,7 +30,8 @@ class EmptyNetwork(GasAdaptError):
 
 
 class InvalidGrid(GasAdaptError):
-    """A pipe grid violates the multiple-of-4 interval requirement."""
+    """A pipe grid has a stepsize that is not positive and finite, or violates
+    the multiple-of-4 interval requirement."""
 
 
 class InfeasibleProblem(GasAdaptError):

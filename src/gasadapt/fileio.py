@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-from collections import Counter
 from dataclasses import MISSING
 
 import numpy as np
@@ -197,15 +196,6 @@ def network_from_dict(doc) -> tuple:
         _record(Compressor, entry, "compressor", to_si, ARC_KEYS)
         for entry in _get(doc, "compressors", "network", "list", [])
     ]
-    # Network keys its records by id, so a repeated id must be caught here
-    repeated = [
-        f"{kind} {id_}: duplicate id"
-        for kind, records in (("node", nodes), ("arc", pipes + compressors))
-        for id_, count in Counter(record.id for record in records).items()
-        if count > 1
-    ]
-    if repeated:
-        raise ValidationError(repeated)
     net = Network(nodes, pipes, compressors)
     problems = validate_network(net)
     if problems:

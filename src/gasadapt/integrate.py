@@ -62,8 +62,11 @@ class Grid:
 
 
 def interval_count(pipe: Pipe, h: float) -> int:
-    """L/h for the pipe; it must be a multiple of 4 so that the 2h and 4h
-    subgrids of the error estimators exist."""
+    """L/h for the pipe at a positive and finite stepsize h; it must be a
+    multiple of 4 so that the 2h and 4h subgrids of the error estimators
+    exist."""
+    if not 0.0 < h < math.inf:
+        raise InvalidGrid(f"pipe {pipe.id}: stepsize {h} must be positive and finite")
     n = round(pipe.length / h)
     if n % 4 != 0 or not math.isclose(n * h, pipe.length, rel_tol=GRID_RTOL):
         raise InvalidGrid(

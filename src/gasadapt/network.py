@@ -7,7 +7,10 @@ at file ingestion, never here.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+
+from .errors import ValidationError
 
 BALANCE_TOL = 1e-9
 AREA_RTOL = 1e-9
@@ -78,6 +81,17 @@ class Scenario:
 
 class Network:
     def __init__(self, nodes, pipes, compressors=()):
+        """ValidationError when two nodes share an id, or two arcs, pipes and
+        compressors alike: each record is kept by its id."""
+        nodes, pipes, compressors = list(nodes), list(pipes), list(compressors)
+        repeated = [
+            f"{kind} {id_}: duplicate id"
+            for kind, records in (("node", nodes), ("arc", pipes + compressors))
+            for id_, count in Counter(record.id for record in records).items()
+            if count > 1
+        ]
+        if repeated:
+            raise ValidationError(repeated)
         self.nodes = {n.id: n for n in nodes}
         self.pipes = {p.id: p for p in pipes}
         self.compressors = {c.id: c for c in compressors}
@@ -118,11 +132,7 @@ def validate_network(net: Network, scn: Scenario = None) -> list:
                 f"node {node.id}: pressure bounds inverted or non-positive "
                 f"[{node.pressure_min}, {node.pressure_max}]"
             )
-    seen = set()
-    for arc in list(net.pipes.values()) + list(net.compressors.values()):
-        if arc.id in seen:
-            problems.append(f"arc {arc.id}: duplicate id")
-        seen.add(arc.id)
+    for arc in net.arcs.values():
         for endpoint in (arc.from_node, arc.to_node):
             if endpoint not in net.nodes:
                 problems.append(f"arc {arc.id}: dangling endpoint '{endpoint}'")

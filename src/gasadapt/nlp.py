@@ -195,7 +195,7 @@ class Iterate:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray  # the lower- and upper-bound multipliers as two rows
-    n_intervals: list  # per pipe, in assembly order
+    pipe_n: np.ndarray  # the instance's interval count per pipe
     ids: tuple  # the node, arc and compressor ids of the network
 
 
@@ -295,23 +295,22 @@ def assemble(
 # -- warm starting -------------------------------------------------------
 
 
-def _regrid(values, n_old, first, n_new, count):
-    """Values at the gridpoints k/n_old, k = first, first + 1, ..., of a
-    pipe, interpolated onto the gridpoints k/n_new, k = 1..count."""
-    old_pos = np.arange(first, first + len(values)) / n_old
-    new_pos = np.arange(1, count + 1) / n_new
-    return np.interp(new_pos, old_pos, values)
-
-
-def _pipe_blocks(inst: NlpInstance, n_intervals):
-    """Per pipe of the network, in assembly order, at the interval counts
-    `n_intervals`: (n, the slice of its n relations among the constraints,
-    the slice of its n - 1 interior pressures among the variables)."""
-    blocks, row, var = [], inst.linear_A.shape[0], inst.n_scalar
-    for n in n_intervals:
-        blocks.append((n, slice(row, row + n), slice(var, var + n - 1)))
-        row, var = row + n, var + n - 1
-    return blocks
+def _regrid(values, n_old, k0, k1, n_new):
+    """Each pipe's values at its gridpoints k/n_old, k = k0..n_old - k1,
+    pipe after pipe, interpolated onto its gridpoints k/n_new, k = 1..n_new,
+    in one `np.interp`: pipe i's gridpoints move to [2i, 2i + 1], exactly for
+    power-of-two counts, and a new point outside a pipe's old range is
+    clipped to it, as `np.interp` holds the end values of a single pipe."""
+    if not len(values):  # no pipes: np.interp rejects an empty grid
+        return values
+    count = n_old + 1 - k0 - k1  # old values per pipe
+    pipe = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(values)) - (np.cumsum(count) - count - k0)[pipe]
+    old_pos = 2 * pipe + k / n_old[pipe]
+    pipe = np.repeat(np.arange(len(n_new)), n_new)
+    k = np.arange(len(pipe)) - (np.cumsum(n_new) - n_new - 1)[pipe]
+    lo, hi = k0 / n_old[pipe], (n_old - k1)[pipe] / n_old[pipe]
+    return np.interp(2 * pipe + np.clip(k / n_new[pipe], lo, hi), old_pos, values)
 
 
 def _initial_point(inst: NlpInstance, warm: Iterate = None) -> np.ndarray:
@@ -322,35 +321,30 @@ def _initial_point(inst: NlpInstance, warm: Iterate = None) -> np.ndarray:
     finite_ub = np.where(np.isfinite(inst.ub), inst.ub, finite_lb + 100.0)
     x = 0.5 * (finite_lb + finite_ub)
     # cold, each pipe is regridded from one interval: its end pressures
-    old_x, old_n = x, [1] * len(inst.pipe_n)
+    old_x, old_n = x[: inst.n_scalar], np.ones_like(inst.pipe_n)
     if warm is not None:
         x[: inst.n_scalar] = warm.x[: inst.n_scalar]
-        old_x, old_n = warm.x, warm.n_intervals
-    for pipe, (n, _, new), (n_old, _, old) in zip(
-        inst.net.pipes.values(),
-        _pipe_blocks(inst, inst.pipe_n),
-        _pipe_blocks(inst, old_n),
-    ):
-        p_from = old_x[inst.node_idx[pipe.from_node]]
-        p_to = old_x[inst.node_idx[pipe.to_node]]
-        x[new] = _regrid(np.r_[p_from, old_x[old], p_to], n_old, 0, n, n - 1)
+        old_x, old_n = warm.x, warm.pipe_n
+    # each pipe's old profile p_from, interior pressures, p_to: its end
+    # pressures inserted at the start s_i and the end e_i of its block of
+    # n_old - 1; where e_i = s_{i+1}, np.insert keeps the order given
+    at = np.cumsum(np.column_stack([np.zeros_like(old_n), old_n - 1]))
+    profile = np.insert(old_x[inst.n_scalar :], at, old_x[inst.ends[:2]].ravel("F"))
+    x[inst.n_scalar :] = _regrid(profile, old_n, 0, 0, inst.pipe_n)[inst.inner]
     return x
 
 
 def _warm_multipliers(inst: NlpInstance, warm: Iterate, y, zl, zu):
     """Overwrite y, zl and zu in place with the multipliers of `warm`: as
     they are for the linear rows and scalar variables, regridded onto this
-    instance's grid for each pipe."""
+    instance's grid for each pipe; an interior pressure has no upper bound,
+    so zu keeps its zero there."""
     n_lin = inst.linear_A.shape[0]
     y[:n_lin] = warm.y[:n_lin]
     zl[: inst.n_scalar], zu[: inst.n_scalar] = warm.z[:, : inst.n_scalar]
-    for (n, rows, new), (n_old, old_rows, old) in zip(
-        _pipe_blocks(inst, inst.pipe_n),
-        _pipe_blocks(inst, warm.n_intervals),
-    ):
-        y[rows] = _regrid(warm.y[old_rows], n_old, 1, n, n)
-        zl[new] = _regrid(warm.z[0, old], n_old, 1, n, n - 1)
-        zu[new] = _regrid(warm.z[1, old], n_old, 1, n, n - 1)
+    y[n_lin:] = _regrid(warm.y[n_lin:], warm.pipe_n, 1, 0, inst.pipe_n)
+    zl_pipes = _regrid(warm.z[0, inst.n_scalar :], warm.pipe_n, 1, 1, inst.pipe_n)
+    zl[inst.n_scalar :] = zl_pipes[inst.inner]
 
 
 def _extract_solution(
@@ -821,5 +815,5 @@ def solve(
     seconds = time.perf_counter() - t0
     z_rows = np.zeros(2 * n)
     z_rows[at] = z
-    iterate = Iterate(x, y, z_rows.reshape(2, n), inst.pipe_n.tolist(), ids)
+    iterate = Iterate(x, y, z_rows.reshape(2, n), inst.pipe_n, ids)
     return _extract_solution(inst, x, status, kkt, iterations, seconds, iterate, reason)

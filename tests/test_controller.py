@@ -46,6 +46,8 @@ def test_config_defaults_are_consistent():
         {"eps_opt": float("inf")},
         {"initial_intervals": 6},
         {"split_tolerance": True, "eps_opt": 100.0},
+        {"mu": 2.5},
+        {"max_outer_iterations": 1.5},
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from gasadapt.errors import ValidationError
 from gasadapt.fixtures import chain5, tree12
 from gasadapt.network import (
     Compressor,
@@ -114,12 +115,29 @@ def test_validate_dangling_endpoint():
 
 
 def test_validate_duplicate_arc_id():
-    net = Network(
-        [_node("a", "entry"), _node("b", "exit")],
-        [_pipe("p", "a", "b")],
-        [Compressor("p", "a", "b", lift_max=1e5, cost_coeff=1.0)],
-    )
-    assert any("duplicate id" in p for p in validate_network(net))
+    # a pipe and a compressor share the arc ids
+    with pytest.raises(ValidationError, match="arc p: duplicate id"):
+        Network(
+            [_node("a", "entry"), _node("b", "exit")],
+            [_pipe("p", "a", "b")],
+            [Compressor("p", "a", "b", lift_max=1e5, cost_coeff=1.0)],
+        )
+
+
+@pytest.mark.parametrize(
+    "node_ids, pipe_ids, message",
+    [
+        ("aba", "p", "node a: duplicate id"),
+        ("ab", "pp", "arc p: duplicate id"),
+    ],
+    ids=["node", "pipe"],
+)
+def test_network_rejects_a_repeated_id(node_ids, pipe_ids, message):
+    # kept by id, the later record would replace the earlier one unseen
+    nodes = [_node(nid) for nid in node_ids]
+    pipes = [_pipe(pid, "a", "b") for pid in pipe_ids]
+    with pytest.raises(ValidationError, match=message):
+        Network(nodes, pipes)
 
 
 def test_validate_geometry():

@@ -201,12 +201,17 @@ def test_assemble_dimensions():
     assert inst.n_cons == 18
 
 
-def test_assemble_rejects_bad_interval_count():
+@pytest.mark.parametrize(
+    "h",
+    [20000.0 / 6, -20000.0 / 8, 0.0, float("nan"), float("inf")],
+    ids=["not-a-multiple-of-4", "negative", "zero", "nan", "infinite"],
+)
+def test_assemble_rejects_bad_interval_count(h):
     from gasadapt.errors import InvalidGrid
 
     net, scn, gas, _ = single_pipe_instance(3)
     with pytest.raises(InvalidGrid):
-        nlp.assemble(net, scn, gas, {"p": (ModelLevel.FRICTION, 20000.0 / 6)})
+        nlp.assemble(net, scn, gas, {"p": (ModelLevel.FRICTION, h)})
 
 
 def per_pipe_build(net, scn, counts):
@@ -926,6 +931,47 @@ def test_warm_start_carries_multipliers(instance, before, after):
     assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
     for node, p in cold.node_pressures.items():
         assert warm.node_pressures[node] == pytest.approx(p, rel=1e-8)
+
+
+def per_pipe_regrid(values, n_old, k0, k1, n_new):
+    """`nlp._regrid` by one `np.interp` per pipe: its values at k/n_old,
+    k = k0..n_old - k1, onto k/n_new, k = 1..n_new, the end values held."""
+    out, start = [np.zeros(0)], 0
+    for m, n in zip(n_old, n_new):
+        old_pos = np.arange(k0, m - k1 + 1) / m
+        old_values = values[start : start + len(old_pos)]
+        out.append(np.interp(np.arange(1, n + 1) / n, old_pos, old_values))
+        start += len(old_pos)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("k0, k1", [(0, 0), (1, 0), (1, 1)], ids=["x", "y", "z"])
+@pytest.mark.parametrize(
+    "n_old, n_new",
+    [
+        ([4, 8, 16, 4, 64], [8, 4, 16, 32, 8]),  # refine, coarsen, equal, x8, /8
+        ([12, 20, 8, 12], [24, 20, 12, 4]),
+        ([4 + 4 * i for i in range(6)], [8, 4, 24, 16, 20, 96]),
+        ([], []),  # a pipeless network
+    ],
+    ids=["powers-of-two", "12-and-20", "4+4i", "pipeless"],
+)
+def test_regrid_matches_a_per_pipe_interpolation(k0, k1, n_old, n_new):
+    # smooth profiles, as a solve's pressures and multipliers are, and a
+    # different one per pipe, so that a new point interpolated across two
+    # pipes shows
+    n_old, n_new = np.array(n_old, dtype=int), np.array(n_new, dtype=int)
+    values = [np.zeros(0)] + [
+        50.0 + 10.0 * np.cos(3.0 * (i + np.arange(k0, m - k1 + 1) / m))
+        for i, m in enumerate(n_old)
+    ]
+    values = np.concatenate(values)
+    got = nlp._regrid(values, n_old, k0, k1, n_new)
+    want = per_pipe_regrid(values, n_old, k0, k1, n_new)
+    if all(n & (n - 1) == 0 for n in np.r_[n_old, n_new]):
+        assert np.array_equal(got, want)
+    else:  # the moved gridpoints round at the 1e-16 level
+        np.testing.assert_array_max_ulp(got, want, maxulp=8)
 
 
 def test_iterate_keeps_both_bound_rows():
