@@ -88,7 +88,8 @@ class AdaptiveState:
     initial_stepsizes: dict = field(default_factory=dict)
     solution: nlp.NlpSolution = None
     estimates: dict = field(default_factory=dict)  # pipe id -> ErrorEstimate
-    # pipe id -> {level: eta_m}, level 1 included at 0
+    # pipe id -> {level: eta_m}: its own level, level 1 at 0, one level down
+    # and, after the mu-th solve of an outer iteration, one level up
     eta_m_by_level: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
@@ -200,10 +201,12 @@ def compute_estimates(
     sol: nlp.NlpSolution,
     levels: dict,
     stepsizes: dict,
+    neighbours=(),
 ) -> tuple:
     """Per-pipe error estimates at the current NLP solution, in pipe-id
-    order, and per pipe its eta_m at level 1 and at the levels next to its
-    own, which the switch-up and switch-down marking read."""
+    order, and per pipe its eta_m at its own level, at level 1 (0, no march)
+    and at level + d, clamped to 1-3, for each offset d in `neighbours`: the
+    levels the next marking round reads."""
 
     def one(pipe):
         # the march the NLP discretizes: from the from-node, with signed flow
@@ -216,7 +219,10 @@ def compute_estimates(
             level,
             stepsizes[pipe.id],
             slope=slope_of(pipe, net),
-            extra_levels=(ModelLevel.FULL, max(level - 1, 1), min(level + 1, 3)),
+            extra_levels=(
+                ModelLevel.FULL,
+                *(min(max(level + d, 1), 3) for d in neighbours),
+            ),
         )
 
     bundles = {pid: one(net.pipes[pid]) for pid in sorted(net.pipes)}
@@ -283,9 +289,13 @@ def run(
             )
         if sol.status == nlp.STATUS_ITERATION_LIMIT:
             raise IterationLimit(f"NLP stopped at solve {solve_index}: {sol.reason}")
+        # a switch-up round reads eta_m one level down; the switch-down round
+        # after the mu-th solve also one level up, and the switch-up round
+        # after it the switched pipes' old level, one below their new one
+        neighbours = (-1, 1) if inner_j == config.mu else (-1,)
         t0 = time.perf_counter()
         estimates, eta_m_by_level = compute_estimates(
-            net, gas, sol, state.levels, state.stepsizes
+            net, gas, sol, state.levels, state.stepsizes, neighbours
         )
         ivp_seconds = time.perf_counter() - t0
         state.solution = sol

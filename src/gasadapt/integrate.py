@@ -33,8 +33,8 @@ class Grid:
     def __post_init__(self):
         if self.n_intervals <= 0:
             raise InvalidGrid(f"n_intervals {self.n_intervals} must be positive")
-        if self.stepsize <= 0.0:
-            raise InvalidGrid(f"stepsize {self.stepsize} must be positive")
+        if not 0.0 < self.stepsize < math.inf:
+            raise InvalidGrid(f"stepsize {self.stepsize} must be positive and finite")
 
     @classmethod
     def for_pipe(cls, length: float, n_intervals: int) -> "Grid":

@@ -12,10 +12,10 @@ from gasadapt.controller import (
     validate_parameters,
 )
 from gasadapt.errors import EmptyNetwork
-from gasadapt.fixtures import chain5
+from gasadapt.fixtures import chain5, tree12
 from gasadapt.integrate import integrate
 from gasadapt.models import ModelLevel
-from gasadapt.network import GasParameters, Network, Node, Pipe, Scenario
+from gasadapt.network import GasParameters, Network, Node, Pipe, Scenario, slope_of
 
 
 # -- configuration ------------------------------------------------------------
@@ -164,7 +164,7 @@ def test_estimators_march_reversed_pipe_from_its_from_node(monkeypatch, level, n
     assert sol.arc_flows["p"] == pytest.approx(-60.0)
 
     calls = record_integrations(monkeypatch)
-    compute_estimates(net, gas, sol, levels, stepsizes)
+    compute_estimates(net, gas, sol, levels, stepsizes, neighbours=(-1, 1))
     # level 1 at 2h and 4h, and at h the current and the alternative level
     # unless it is level 1
     assert len(calls) == (3 if level == 1 else 4)
@@ -172,6 +172,45 @@ def test_estimators_march_reversed_pipe_from_its_from_node(monkeypatch, level, n
         assert (p0, q) == (sol.node_pressures["a"], sol.arc_flows["p"])
     if level != 1:
         assert assert_current_marches_match_nlp(calls, sol, levels, stepsizes) == 1
+    # without neighbours, at h only the current level unless it is level 1
+    calls.clear()
+    compute_estimates(net, gas, sol, levels, stepsizes)
+    assert len(calls) == (2 if level == 1 else 3)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_compute_estimates_marches_only_the_neighbours_asked_for(monkeypatch, level):
+    net, gas, scn = chain5()
+    levels = {pid: ModelLevel.of(level) for pid in net.pipes}
+    stepsizes = {pid: pipe.length / 8 for pid, pipe in net.pipes.items()}
+    state = {pid: (levels[pid], stepsizes[pid]) for pid in net.pipes}
+    sol = nlp.solve(nlp.assemble(net, scn, gas, state))
+    assert sol.status == nlp.STATUS_OPTIMAL
+
+    calls = record_integrations(monkeypatch)
+    estimates, by_level = compute_estimates(net, gas, sol, levels, stepsizes)
+    # level 1 at 2h and 4h, and the own level at h unless it is level 1
+    assert len(calls) == len(net.pipes) * (2 if level == 1 else 3)
+    assert all(set(t) == {level, ModelLevel.FULL} for t in by_level.values())
+
+    # both neighbours give the table of all three levels next to the own one
+    both, by_level_both = compute_estimates(
+        net, gas, sol, levels, stepsizes, neighbours=(-1, 1)
+    )
+    for pid, pipe in net.pipes.items():
+        bundle = estimators.estimate_with_alternatives(
+            pipe,
+            gas,
+            sol.node_pressures[pipe.from_node],
+            sol.arc_flows[pid],
+            level,
+            stepsizes[pid],
+            slope=slope_of(pipe, net),
+            extra_levels=(ModelLevel.FULL, max(level - 1, 1), min(level + 1, 3)),
+        )
+        assert by_level_both[pid] == bundle.eta_m_by_level
+    down, _ = compute_estimates(net, gas, sol, levels, stepsizes, neighbours=(-1,))
+    assert estimates == down == both
 
 
 def test_mesh_run_estimates_the_profiles_the_nlp_returns(monkeypatch, grid_mesh):
@@ -198,6 +237,26 @@ def test_mesh_7x8_adaptive_run_pins_solves_and_objective(grid_mesh):
     assert sum(q < 0.0 for q in sol.arc_flows.values()) == 11
     assert len(state.trace) == 10
     assert sol.objective == pytest.approx(2.736851288587666, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "network, mu, solves, objective, down, up",
+    [
+        (tree12, 4, 15, 1.0717776533752648, 20, 18),
+        (chain5, 4, 13, 0.8743468328586245, 2, 2),
+        (chain5, 1, 35, 0.8744140322819905, 36, 36),  # every solve the mu-th
+    ],
+)
+def test_radial_runs_from_level_1_switch_down(network, mu, solves, objective, down, up):
+    # a loose tau and phi_m let the switch-down rounds, which read eta_m one
+    # level up, move pipes from level 1 to level 2
+    net, gas, scn = network()
+    config = AdaptiveConfig(initial_level=1, tau=10.0, phi_m=0.9, mu=mu)
+    sol, state = run(net, scn, gas, config)
+    assert len(state.trace) == solves
+    assert sol.objective == pytest.approx(objective, rel=1e-12)
+    assert sum(r.n_switched_down for r in state.trace) == down
+    assert sum(r.n_switched_up for r in state.trace) == up
 
 
 # -- end-to-end loop ----------------------------------------------------------

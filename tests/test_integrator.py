@@ -119,6 +119,22 @@ def test_grid_for_pipe_requires_multiple_of_four():
     assert grid.stepsize == 125.0
 
 
+@pytest.mark.parametrize(
+    "stepsize, n_intervals",
+    [
+        (0.0, 4),
+        (-125.0, 4),
+        (math.nan, 4),  # positions() were all NaN
+        (math.inf, 4),
+        (-math.inf, 4),
+        (125.0, 0),
+    ],
+)
+def test_grid_rejects_a_bad_stepsize(stepsize, n_intervals):
+    with pytest.raises(InvalidGrid):
+        Grid(stepsize, n_intervals)
+
+
 def test_grid_positions_and_length():
     grid = Grid(125.0, 8)
     assert grid.length == 1000.0

@@ -1044,7 +1044,7 @@ def test_chain5_adaptive_run_solve_count():
 
 
 def test_tree12_adaptive_run_pins_solves_objective_and_steps(monkeypatch):
-    # the estimators integrate 51,879 steps over the 14 solves of the run
+    # the estimators integrate 31,095 steps over the 14 solves of the run
     steps = []
 
     def counting_integrate(level, pipe, gas, p0, q, grid, *args, **kwargs):
@@ -1056,7 +1056,7 @@ def test_tree12_adaptive_run_pins_solves_objective_and_steps(monkeypatch):
     sol, state = run(net, scn, gas, AdaptiveConfig())
     assert len(state.trace) == 14
     assert sol.objective == pytest.approx(TREE12_ADAPTIVE_OBJECTIVE, rel=1e-12)
-    assert sum(steps) == 51_879
+    assert sum(steps) == 31_095
 
 
 @pytest.mark.parametrize("eps_opt", [0.0, -1.0, float("nan")])
