@@ -23,7 +23,7 @@ from .controller import AdaptiveConfig, compute_estimates, run, validate_paramet
 from .errors import GasAdaptError, InfeasibleProblem, ValidationError
 from .integrate import Grid, integrate
 from .models import ModelLevel
-from .network import GasParameters, Pipe, validate_network
+from .network import GasParameters, Pipe
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -133,14 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_problem(args):
-    """Network, gas and scenario of a command, the scenario checked against
-    the network."""
+    """Network, gas and scenario of a command; `nlp.assemble` checks the
+    scenario against the network."""
     net, gas = fileio.load_network(args.network)
-    scn = fileio.load_scenario(args.scenario)
-    problems = validate_network(net, scn)
-    if problems:
-        raise ValidationError(problems)
-    return net, gas, scn
+    return net, gas, fileio.load_scenario(args.scenario)
 
 
 def _cmd_run(args) -> int:

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
 from .integrate import interval_count
 from .models import pipe_coefficients
-from .network import GasParameters, Network, Scenario, slope_of
+from .network import GasParameters, Network, Scenario, slope_of, validate_network
 
 PRESSURE_SCALE = 1e5  # internal pressure unit is bar
 FLOW_SMOOTHING = 1e-6  # kg/s, smooths |q| q at q = 0
@@ -218,7 +219,11 @@ class NlpSolution:
 def assemble(
     net: Network, scn: Scenario, gas: GasParameters, state: dict
 ) -> NlpInstance:
-    """Build the NLP for the given per-pipe (level, stepsize) assignment."""
+    """Build the NLP for the given per-pipe (level, stepsize) assignment;
+    ValidationError for a network or scenario that `validate_network` rejects."""
+    problems = validate_network(net, scn)
+    if problems:
+        raise ValidationError(problems)
     _load_scipy()
     inst = NlpInstance(net=net)
     nodes, comps = net.nodes.values(), net.compressors.values()
@@ -279,16 +284,19 @@ def assemble(
 
     # the linear rows as COO triples: the mass balance of each node, +1 at
     # the flow of each arc into it and -1 at each arc out of it, then the
-    # coupling p_to - p_from - lift of each compressor
-    coupling = np.arange(n_nodes, n_nodes + n_comps)
-    rows = np.concatenate([to_node, from_node, np.tile(coupling, 3)])
+    # coupling p_to - p_from - lift of each compressor; the last node's
+    # balance, which the others imply, gets row n_lin and is left out
+    n_lin = max(n_nodes - 1, 0) + n_comps
+    balance = np.append(np.arange(n_nodes - 1), n_lin)  # the row of each node
+    coupling = np.arange(n_lin - n_comps, n_lin)
+    rows = np.concatenate([balance[to_node], balance[from_node], np.tile(coupling, 3)])
     cols = np.concatenate([flows, flows, to_node[n_pipes:], from_node[n_pipes:], lifts])
     data = np.repeat([1.0, -1.0, 1.0, -1.0, -1.0], [len(arcs)] * 2 + [n_comps] * 3)
-    shape = (n_nodes + n_comps, inst.n_vars)
-    inst.linear_A = sp.csr_matrix((data, (rows, cols)), shape=shape)
+    keep, shape = rows < n_lin, (n_lin, inst.n_vars)
+    inst.linear_A = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=shape)
     inst.linear_AT = inst.linear_A.T.tocsr()
-    inst.linear_b = np.array([scn.flow_at(n) for n in net.nodes] + [0.0] * n_comps)
-    inst.n_cons = shape[0] + len(inst.ipk)
+    inst.linear_b = np.r_[[scn.flow_at(n) for n in net.nodes][:-1], np.zeros(n_comps)]
+    inst.n_cons = n_lin + len(inst.ipk)
     return inst
 
 
@@ -409,21 +417,20 @@ def _h_product(band, x):
 
 
 class KktSystem:
-    """The Newton system K = [[W + diag(sigma + delta_w), J^T], [J, -E]] of
+    """The Newton system K = [[W + diag(sigma + delta_w), J^T], [J, 0]] of
     one instance, its rows the free variables and then the constraints in
-    assembly order, solved as pipe bands plus a small border.
+    assembly order, solved as pipe bands plus a small border. Without the
+    implied mass balance J has full row rank, and y is unique.
 
     Band: each pipe's relations r_1..r_{n-1} and interior pressures
     p_1..p_{n-1}. Keeping r_n out makes A, the derivative of these relations
-    at these pressures, square and lower bidiagonal: they are independent,
-    and E, 1e-12 on the constraint rows for the dependent mass balances,
-    leaves them out. Stacked over the pipes, A and H, the part of
-    W + diag(sigma + delta_w) at the interior pressures, are one bidiagonal
-    and one tridiagonal matrix with zero coupling between pipes, and the
-    band B = [[H, A^T], [A, 0]] is block-triangular once its block rows are
-    swapped: B^-1 [b_p; b_r] = [x; A^-T (b_p - H x)] with x = A^-1 b_r,
-    nothing is factored, and inertia(K) = (N, N, 0) + inertia(S) for the N
-    band pressures.
+    at these pressures, square and lower bidiagonal. Stacked over the pipes,
+    A and H, the part of W + diag(sigma + delta_w) at the interior
+    pressures, are one bidiagonal and one tridiagonal matrix with zero
+    coupling between pipes, and the band B = [[H, A^T], [A, 0]] is
+    block-triangular once its block rows are swapped: B^-1 [b_p; b_r] =
+    [x; A^-T (b_p - H x)] with x = A^-1 b_r, nothing is factored, and
+    inertia(K) = (N, N, 0) + inertia(S) for the N band pressures.
 
     Border: the node pressures, flows, lifts, linear rows and each pipe's
     last relation r_n. K is symmetric, and a pipe's band touches the border
@@ -440,8 +447,11 @@ class KktSystem:
 
     Residual: K z - r, from the same derivatives with the W dx and J^T dy
     terms of each relation summed and scattered once, checks each back-solve;
-    above 1e-12 relative to r it is refined once, and above 1e-8 * max(1,
-    max |r|) after that the factorization fails and delta_w rises.
+    above 1e-12 * max(1, max |r|) it is refined once. After that a normwise
+    backward error max |K z - r| / (k max |z| + max |r|) above 1e-10 fails
+    the factorization and delta_w rises (Rigal & Gaches 1967; Higham 2002,
+    Thm 7.1): k = max(|W|, |J|, sigma + delta_w, 1) stands in for K's
+    largest entry, a lower bound on ||K||_inf.
     """
 
     def __init__(self, inst: NlpInstance):
@@ -494,9 +504,6 @@ class KktSystem:
         self.s_pattern = _pattern(  # CSC: the CSR pattern of S^T
             np.concatenate(cols), np.concatenate(rows), self.s_shape
         )
-        # -E, the -1e-12 of the constraint rows but the band relations
-        self.reg = np.full(inst.n_cons, -1e-12)
-        self.reg[self.inner + inst.linear_A.shape[0]] = 0.0
         self.delta_w = 0.0
 
     def _parts(self, W, J, diag):
@@ -536,7 +543,7 @@ class KktSystem:
     def _factor(self, W, J, sigma, delta_w):
         """(band, c_p, c_ends, u = A^-1 c_r, SuperLU of S), C as in `_parts`;
         RuntimeError when A is singular."""
-        diag = np.concatenate([sigma[self.free_idx] + delta_w, self.reg])
+        diag = np.r_[sigma[self.free_idx] + delta_w, np.zeros(self.inst.n_cons)]
         band, c_p, c_r, c_ends, d = self._parts(W, J, diag)
         # B^-1 C = [u; A^-T (C_p - H u)]: C^T B^-1 C = M + M^T - u^T H u
         u = _lower_solve(band, c_r)
@@ -551,8 +558,8 @@ class KktSystem:
         values = [diag[self.border], self.lin_values, self.lin_values]
         values.append(d.ravel()[self.block])
         S = _fill(self.s_pattern, np.concatenate(values), self.s_shape)
-        # SuperLU keeps its partial pivoting, which the -1e-12 rows need;
-        # its default column order keeps the fill of S low on meshed borders
+        # SuperLU keeps its partial pivoting for the zeros on the diagonal of
+        # S; its default column order keeps the fill of S low on meshed borders
         return band, c_p, c_ends, u, spla.splu(S)
 
     def _solve(self, factors, r):
@@ -602,30 +609,31 @@ class KktSystem:
         )
         top += inst.linear_AT @ dy[:n_lin] + (sigma + delta_w) * dx
         j_dx = d_pkm1 * dm + d_pk * dp + d_q * dq
-        bottom = np.concatenate([inst.linear_A @ dx, j_dx]) + self.reg * dy
+        bottom = np.concatenate([inst.linear_A @ dx, j_dx])
         return np.concatenate([top[self.free_idx], bottom])
 
     def step(self, W, J, sigma, rd, c):
         """(dx, dy) from K [dx_free, dy] = -[rd_free, c], with dx zero at
         fixed variables; None when the factorization fails at 12 increasing
-        values of delta_w, as it does when the residual stays above
-        1e-8 * max(1, max |rhs|) after refinement."""
+        values of delta_w, as it does when the backward error of the step
+        stays above 1e-10 after refinement."""
         rhs = -np.concatenate([rd[self.free_idx], c])
-        scale = max(1.0, np.max(np.abs(rhs)))
+        r_max, sigma_max = np.max(np.abs(rhs)), np.max(sigma, initial=0.0)
+        k_wj = max(np.max(np.abs(W), initial=1.0), np.max(np.abs(J), initial=1.0))
         delta_w = self.delta_w
         for _ in range(12):
             with contextlib.suppress(RuntimeError, ValueError):
                 factors = self._factor(W, J, sigma, delta_w)
                 z = self._solve(factors, rhs)
-                # one round of iterative refinement, only when the residual
-                # is above 1e-12 relative to the right-hand side
+                # one round of iterative refinement, when the residual needs it
                 res = self._product(W, J, sigma, delta_w, z) - rhs
-                if np.max(np.abs(res)) > 1e-12 * scale:
+                if np.max(np.abs(res)) > 1e-12 * max(1.0, r_max):
                     z -= self._solve(factors, res)
                     res = self._product(W, J, sigma, delta_w, z) - rhs
-                if np.max(np.abs(res)) <= 1e-8 * scale:
+                k = max(k_wj, sigma_max + delta_w)
+                if np.max(np.abs(res)) <= 1e-10 * (k * np.max(np.abs(z)) + r_max):
                     break
-            # a singular factor or a residual above its bound: regularize more
+            # a singular factor or a backward error above its bound: regularize
             delta_w = max(1e-8, 10.0 * delta_w)
         else:
             return None

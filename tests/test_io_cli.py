@@ -10,12 +10,14 @@ import pytest
 
 from gasadapt import fileio
 from gasadapt.cli import main as cli_main
-from gasadapt.controller import AdaptiveConfig, AdaptiveState, TraceRecord
-from gasadapt.errors import ParseError, ValidationError
+from gasadapt.controller import AdaptiveConfig, AdaptiveState, TraceRecord, run
+from gasadapt.errors import InfeasibleProblem, ParseError, ValidationError
 from gasadapt.estimators import ErrorEstimate
 from gasadapt.fixtures import (
     chain5_network_dict,
     chain5_scenario_dict,
+    tree12_network_dict,
+    tree12_scenario_dict,
 )
 from gasadapt.models import ModelLevel
 
@@ -601,6 +603,31 @@ def test_cli_run_infeasible_exits_two(infeasible_files, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("infeasible: NLP infeasible at solve 0: ")
+
+
+@pytest.mark.parametrize("scale", [2.08, 2.09])
+def test_demand_probe_ends_infeasible(scale, tmp_path, capsys):
+    # tree-12 with every boundary flow scaled: the start model is feasible,
+    # but after the first switch-up round t01 and t02 climb with gravity
+    # while the downhill t03 has none, and exit_a cannot reach 40 bar. The
+    # run says so, InfeasibleProblem and exit 2, rather than take the huge
+    # but backward-stable Newton steps there for a failed factorization
+    doc = tree12_scenario_dict()
+    doc["flows"] = {node: flow * scale for node, flow in doc["flows"].items()}
+    net, gas = fileio.network_from_dict(tree12_network_dict())
+    scn = fileio.scenario_from_dict(doc)
+    with pytest.raises(InfeasibleProblem, match="^NLP infeasible at solve 1: "):
+        run(net, scn, gas, AdaptiveConfig())
+    net_path, scn_path = tmp_path / "net.json", tmp_path / "scn.json"
+    net_path.write_text(json.dumps(tree12_network_dict()))
+    scn_path.write_text(json.dumps(doc))
+    code = cli_main(
+        ["run", "--network", str(net_path), "--scenario", str(scn_path),
+         "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("infeasible: NLP infeasible at solve 1: ")
 
 
 def test_cli_run_without_outer_iterations_exits_one(chain5_files, tmp_path, capsys):

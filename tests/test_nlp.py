@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from gasadapt import estimators, fileio, nlp
 from gasadapt.controller import AdaptiveConfig, run
+from gasadapt.errors import ValidationError
 from gasadapt.fixtures import chain5, tree12
 from gasadapt.integrate import Grid, integrate
 from gasadapt.models import ModelLevel
@@ -197,8 +198,63 @@ def test_assemble_dimensions():
     inst = nlp.assemble(net, scn, gas, state)
     # 2 node pressures + 1 flow + 15 interior pressures
     assert inst.n_vars == 18
-    # 2 mass balances + 16 pipe gridpoint relations
-    assert inst.n_cons == 18
+    # the mass balance of a (b's is implied) + 16 pipe gridpoint relations
+    assert inst.n_cons == 17
+
+
+def test_assemble_rejects_a_network_that_is_not_connected():
+    # the balances of each component imply one of its own, so leaving out
+    # only the last node's would leave J rank-deficient; two single-pipe
+    # networks side by side would otherwise solve as one
+    net, scn, gas, state = single_pipe_instance(3)
+    nodes = [Node("c", "entry", 60e5, 60e5), Node("d", "exit", 1e5, 1e7)]
+    twin = Network(
+        [*net.nodes.values(), *nodes],
+        [*net.pipes.values(), Pipe("p2", "c", "d", 20000.0, 0.6, 0.011)],
+    )
+    scn = Scenario({"a": -50.0, "b": 50.0, "c": -50.0, "d": 50.0})
+    with pytest.raises(ValidationError, match="^network is not connected$"):
+        nlp.assemble(twin, scn, gas, {**state, "p2": state["p"]})
+
+
+def test_assemble_rejects_a_scenario_out_of_balance():
+    # the balances left in the NLP hold while the last node's does not: the
+    # solve would end at a local optimum with node b off by 10 kg/s
+    net, _, gas, state = single_pipe_instance(3)
+    with pytest.raises(ValidationError, match="^global imbalance -10.0$"):
+        nlp.assemble(net, Scenario({"a": -50.0, "b": 40.0}), gas, state)
+
+
+@pytest.mark.parametrize("case", ["chain5", "tree12", "mesh-7x8"])
+def test_constraint_jacobian_has_full_row_rank(case, grid_mesh):
+    # at the level-1 n = 8 optimum, J over the free variables has rank
+    # n_cons: smallest singular values 7.3e-2, 4.7e-2 and 5.7e-4. A balance
+    # row for every node would make it n_cons - 1
+    build = {"chain5": chain5, "tree12": tree12}
+    net, gas, scn = build[case]() if case in build else grid_mesh(7, 8)
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    sol = nlp.solve(inst)
+    assert sol.status == nlp.STATUS_OPTIMAL
+    J = jacobian_matrix(inst, inst.jacobian(sol.iterate.x)).toarray()
+    assert np.linalg.matrix_rank(J[:, inst.lb < inst.ub]) == inst.n_cons
+
+
+@pytest.mark.parametrize("fixture", [chain5, tree12])
+def test_linear_row_multipliers_are_unique(fixture):
+    # a cold solve and one warm-started from another model and grid end at
+    # the same multipliers of the balances and couplings (4.9e-9 apart);
+    # were they fixed only up to a shift, they would differ by up to 5.9e-3
+    net, gas, scn = fixture()
+    coarse = {pid: (ModelLevel.FRICTION, p.length / 32) for pid, p in net.pipes.items()}
+    state = {pid: (ModelLevel.FULL, p.length / 16) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    cold = nlp.solve(inst)
+    warm = nlp.solve(inst, warm_start=nlp.solve(nlp.assemble(net, scn, gas, coarse)))
+    assert cold.status == warm.status == nlp.STATUS_OPTIMAL
+    n_lin = inst.linear_A.shape[0]
+    y_cold, y_warm = cold.iterate.y[:n_lin], warm.iterate.y[:n_lin]
+    assert np.max(np.abs(y_cold - y_warm)) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -218,7 +274,8 @@ def per_pipe_build(net, scn, counts):
     """The layout of `assemble`, built variable by variable, pipe by pipe and
     row by row, for the given interval count of each pipe: the pressures
     [from-node, interior range, to-node] of each pipe's gridpoints, and the
-    mass balance of each node and the coupling of each compressor."""
+    mass balance of each node but the last and the coupling of each
+    compressor."""
     nodes, pipes = list(net.nodes.values()), list(net.pipes.values())
     comps = list(net.compressors.values())
     arcs = pipes + comps
@@ -247,13 +304,13 @@ def per_pipe_build(net, scn, counts):
         want["ipk"] += p[1:]
         want["iq"] += [flow[pipe.id]] * n
         ends.append((p[0], p[-1], flow[pipe.id]))
-    A = np.zeros((len(nodes) + len(comps), len(lb)))
-    for row, n in enumerate(nodes):
+    A = np.zeros((len(nodes) - 1 + len(comps), len(lb)))
+    for row, n in enumerate(nodes[:-1]):
         for arc in arcs:
             A[row, flow[arc.id]] += (arc.to_node == n.id) - (arc.from_node == n.id)
-    for row, c in enumerate(comps, len(nodes)):
+    for row, c in enumerate(comps, len(nodes) - 1):
         A[row, [node[c.to_node], node[c.from_node], lift[c.id]]] = [1.0, -1.0, -1.0]
-    b = [scn.flow_at(n.id) for n in nodes] + [0.0] * len(comps)
+    b = [scn.flow_at(n.id) for n in nodes[:-1]] + [0.0] * len(comps)
     want.update(ends=np.reshape(ends, (-1, 3)).T, lb=lb, ub=ub, grad=grad,
                 linear_b=b, linear_A=A, interior_idx=interior)
     return want
@@ -436,20 +493,13 @@ def test_solution_determinism():
 
 
 def kkt_reference(inst, W, J, sigma, delta_w):
-    """K = [[W + diag(sigma + delta_w), J^T], [J, -E]] over the free
-    variables, built by sp.bmat from the gridpoint derivatives W and J; E is
-    1e-12 on the constraint rows but the relations whose p_k is an interior
-    pressure, which are independent."""
+    """K = [[W + diag(sigma + delta_w), J^T], [J, 0]] over the free
+    variables, built by sp.bmat from the gridpoint derivatives W and J."""
     free = np.flatnonzero(inst.lb < inst.ub)
     Jf = jacobian_matrix(inst, J)[:, free]
     W = hessian_matrix(inst, W)
-    e = np.full(inst.n_cons, 1e-12)
-    e[inst.linear_A.shape[0] + np.flatnonzero(inst.ipk >= inst.n_scalar)] = 0.0
     return sp.bmat(
-        [
-            [W[free][:, free] + sp.diags(sigma[free] + delta_w), Jf.T],
-            [Jf, -sp.diags(e)],
-        ],
+        [[W[free][:, free] + sp.diags(sigma[free] + delta_w), Jf.T], [Jf, None]],
         format="csc",
     )
 
@@ -457,8 +507,7 @@ def kkt_reference(inst, W, J, sigma, delta_w):
 def step_residual(inst, kkt, W, J, sigma, delta_w, rng):
     """max |K z - rhs| / max |rhs| of the step `kkt` takes at delta_w for a
     random right-hand side, against the sp.bmat reference K."""
-    # c in the range of J: the mass balances are linearly dependent, so the
-    # system is well conditioned only for consistent constraints
+    # c in the range of J, as the linearization of a feasible problem has it
     v = np.zeros(inst.n_vars)
     v[kkt.free_idx] = rng.standard_normal(len(kkt.free_idx))
     rd, c = rng.standard_normal(inst.n_vars), jacobian_matrix(inst, J) @ v
@@ -576,7 +625,7 @@ def test_band_solve_matches_the_dense_band(fixture, level, n):
     W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
     sigma = rng.uniform(0.0, 10.0, inst.n_vars)
     kkt = nlp.KktSystem(inst)
-    diag = np.concatenate([sigma[kkt.free_idx], kkt.reg])  # K's, but for W
+    diag = np.concatenate([sigma[kkt.free_idx], np.zeros(inst.n_cons)])  # K's, but W
     band, c_p, c_r, c_ends, _ = kkt._parts(W, J, diag)
 
     K = kkt_reference(inst, W, J, sigma, 0.0).toarray()
@@ -706,7 +755,7 @@ def test_refinement_sharpens_an_inexact_back_solve(error, solves, monkeypatch):
 
 def test_refinement_that_fails_its_bound_raises_delta_w(monkeypatch):
     # a back-solve off by 1e-2 relative leaves 1e-4 relative after one round
-    # of refinement, above the bound of 1e-8 * max(1, max |r|): each of the
+    # of refinement, a backward error above its bound of 1e-10: each of the
     # 12 values of delta_w fails, and the solve stops for the factorization
     net, gas, scn = chain5()
     state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
@@ -731,7 +780,11 @@ def test_band_solves_per_factorization_and_back_solve(error, solves, monkeypatch
     rng = np.random.default_rng(5)
     x = nlp._initial_point(inst)
     J = inst.jacobian(x)
-    W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
+    # one draw per mass balance, the implied one included, as the bound
+    # below was set with: one draw fewer shifts every later one, and at
+    # n = 64 the step residual under a 1e-6 error sits near its bound
+    y = rng.standard_normal(inst.n_cons + 1)[1:]
+    W = inst.lagrangian_hessian(x, y)
     sigma = rng.uniform(1.0, 10.0, inst.n_vars)
     kkt = nlp.KktSystem(inst)
     calls = []
