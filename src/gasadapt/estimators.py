@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EmptyNetwork
 from .models import ModelLevel
 from .integrate import Grid, integrate, interval_count
@@ -56,7 +54,7 @@ def estimate_with_alternatives(
     reference = march(ModelLevel.FULL, 2)
 
     def distance(values):
-        return float(np.max(np.abs(reference - values)))
+        return float(abs(reference - values).max())
 
     eta_d = distance(march(ModelLevel.FULL, 4))
     by_level = {

@@ -70,10 +70,10 @@ def _writable(path_or_handle):
 
 
 def write_json(doc, path_or_handle):
-    """Indented JSON with sorted keys and a trailing newline."""
+    """Compact JSON with sorted keys on one line and a trailing newline:
+    `json.dumps` without indent encodes in C, `json.dump` never does."""
     with _writable(path_or_handle) as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _write_csv(header, rows, path_or_handle):
@@ -272,7 +272,7 @@ def solution_to_dict(sol: NlpSolution, pipe_states: dict = None) -> dict:
         "arc_flows": sol.arc_flows,
         "compressor_lifts": sol.compressor_lifts,
         "interior_pressures": {
-            pid: list(map(float, values))
+            pid: np.asarray(values, dtype=float).tolist()
             for pid, values in sol.interior_pressures.items()
         },
     }
@@ -289,7 +289,15 @@ def save_solution(sol: NlpSolution, path, pipe_states: dict = None):
 
 
 def _profile(values, context):
-    return np.asarray([_number(v, context) for v in _check(values, "list", context)])
+    """The list `values` as an array of finite numbers, checked in one pass;
+    on failure, the `_number` error of the first value that fails."""
+    values = _check(values, "list", context)
+    if set(map(type, values)) <= {int, float}:  # a bool is no number
+        with contextlib.suppress(OverflowError):  # an int beyond a double
+            profile = np.asarray(values, dtype=float)
+            if np.isfinite(profile).all():
+                return profile
+    return np.asarray([_number(v, context) for v in values])
 
 
 def _pipe_state(entry, context):

@@ -119,6 +119,7 @@ def integrate(
     # local names: these loops run once per gridpoint
     sqrt, asin, sin = math.sqrt, math.asin, math.sin
     p, values = p0, [p0]
+    append = values.append
     if b == 0.0:
         four_a_hK, two_a = 4.0 * a * hK, 2.0 * a
         for _ in range(grid.n_intervals):
@@ -126,25 +127,28 @@ def integrate(
             if disc < 0.0:
                 raise DrainedPipe(f"implicit step from p={p} has no real root")
             p = (p + sqrt(disc)) / two_a
-            values.append(p)
+            append(p)
     else:
         three_a, e = 3.0 * a, (hK - b) / (3.0 * a)
         half_g, lift = (3.0 * e + 3.0 * b) / 2.0, (a - 1.0) / a
+        # 1 - b / p^2 <= SONIC_GUARD, without a division per step
+        sonic = b / (1.0 - SONIC_GUARD)
         for _ in range(grid.n_intervals):
             s = p / three_a
-            r2 = s * s - e
+            s2 = s * s
+            r2 = s2 - e
             if r2 <= 0.0:
                 raise SonicFlow(f"implicit step from p={p} has no subsonic root")
             r = sqrt(r2)
             r_minus_s = -e / (r + s)
-            sin2_half = (r_minus_s * (r2 + r * s + s * s) + s * half_g) / (2.0 * r2 * r)
+            sin2_half = (r_minus_s * (r2 + r * s + s2) + s * half_g) / (2.0 * r2 * r)
             if sin2_half > 1.0:
                 raise SonicFlow(f"implicit step from p={p} has no subsonic root")
             sin_sixth = sin(asin(sqrt(sin2_half)) / 3.0) if sin2_half > 0.0 else 0.0
             p += 2.0 * r_minus_s - 4.0 * r * sin_sixth * sin_sixth - p * lift
-            if 1.0 - b / (p * p) <= SONIC_GUARD:
+            if p * p <= sonic:
                 raise SonicFlow(f"implicit step from p={values[-1]} is sonic")
-            values.append(p)
+            append(p)
     return PressureProfile(grid, np.array(values), level, q)
 
 

@@ -58,14 +58,15 @@ def pipe_coefficients(
     level 3) and beta the ram-pressure factor per q^2 (0 below level 1).
     The integrator and the NLP both build their discrete relation from it.
     """
-    level = ModelLevel.of(level)
-    kappa = friction_coefficient(pipe, gas, 1.0)
-    alpha = 0.0
-    if level != ModelLevel.FRICTION:
-        alpha = gravity_coefficient(pipe, gas, slope)
-    beta = 0.0
-    if level == ModelLevel.FULL:
-        beta = _sound_speed_squared(gas) / pipe.cross_area**2
+    # in one pass, without the enum call of ModelLevel.of: the integrator
+    # calls this once per march
+    if level not in (1, 2, 3):
+        raise ValueError(f"{level} is not a valid ModelLevel")
+    c2 = _sound_speed_squared(gas)
+    area2 = pipe.cross_area**2
+    kappa = pipe.friction * c2 / (2.0 * area2 * pipe.diameter)
+    alpha = 0.0 if level == ModelLevel.FRICTION else gas.gravity * slope / c2
+    beta = c2 / area2 if level == ModelLevel.FULL else 0.0
     return kappa, alpha, beta
 
 

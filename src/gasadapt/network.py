@@ -16,6 +16,12 @@ BALANCE_TOL = 1e-9
 AREA_RTOL = 1e-9
 
 NODE_KINDS = ("entry", "exit", "inner")
+# the fields that must be finite; an infinite pressure, flow or lift bound
+# means no bound
+FINITE_FIELDS = frozenset(
+    ("length", "diameter", "cross_area", "friction", "slope", "elevation")
+)
+INFINITIES = (math.inf, -math.inf)
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,17 @@ def mass_balance_residual(net: Network, scn: Scenario, flows: dict) -> dict:
 
 def validate_network(net: Network, scn: Scenario = None) -> list:
     """Collect every violated structural invariant; empty list means valid."""
-    problems = []
+    # every NaN number, and an infinite one among FINITE_FIELDS
+    problems = [
+        f"{kind} {record.id}: {name} {value} is not finite"
+        for kind, records in (
+            ("node", net.nodes), ("pipe", net.pipes), ("compressor", net.compressors)
+        )
+        for record in records.values()
+        for name, value in vars(record).items()
+        # NaN alone differs from itself
+        if value != value or (name in FINITE_FIELDS and value in INFINITIES)
+    ]
     for node in net.nodes.values():
         if node.kind not in NODE_KINDS:
             problems.append(f"node {node.id}: unknown kind '{node.kind}'")

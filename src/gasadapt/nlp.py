@@ -76,8 +76,11 @@ class NlpInstance:
     ub: np.ndarray = None
     grad: np.ndarray = None  # linear objective gradient (scaled units)
     cost_idx: np.ndarray = None  # the nonzero entries of grad, at lifts
-    linear_A: sp.csr_matrix = None
-    linear_AT: sp.csr_matrix = None  # linear_A.T as CSR, for J^T y
+    # the linear rows A x = b: the (row, column, value) of each nonzero of A
+    # in CSR order, and its (column, row, value) in CSC order
+    n_lin: int = 0
+    linear: tuple = None
+    linear_t: tuple = None
     linear_b: np.ndarray = None
     n_cons: int = 0
     # the gridpoint relations, one entry each, pipe after pipe in assembly
@@ -111,30 +114,38 @@ class NlpInstance:
         terms = [bq, bq * q] + [self.k_coef * d for d in _smooth_abs_flow(q)]
         return np.repeat(terms[: order + 3], self.pipe_n, axis=1)
 
+    def linear_product(self, x):
+        """A x, each row summed in column order as a CSR product sums it."""
+        return _apply(self.linear, x, self.n_lin)
+
+    def linear_t_product(self, y):
+        """A^T y for the linear rows' part y of a multiplier vector."""
+        return _apply(self.linear_t, y, self.n_vars)
+
     def constraints(self, x):
         pk, pkm1 = x[self.ipk], x[self.ipkm1]
         _, bq2, kphi = self._flow_terms(x, 0)
         r = (pk - pkm1) * (1.0 - bq2 / pk**2) + kphi / pk + self.grav_coef * pk
-        return np.concatenate([self.linear_A @ x - self.linear_b, r])
+        return np.concatenate([self.linear_product(x) - self.linear_b, r])
 
     def jacobian(self, x):
         """The derivatives of each gridpoint relation at its p_{k-1}, p_k and
         q, the rows of a (3, n_relations) array; the linear rows of J are
-        `linear_A`."""
+        A, `linear`."""
         pk, pkm1 = x[self.ipk], x[self.ipkm1]
         delta = pk - pkm1
         bq, bq2, kphi, kdphi = self._flow_terms(x, 1)
         ram = 1.0 - bq2 / pk**2
         d_pk = ram + 2.0 * delta * bq2 / pk**3 - kphi / pk**2 + self.grav_coef
         d_q = -2.0 * delta * bq / pk**2 + kdphi / pk
-        return np.stack([-ram, d_pk, d_q])
+        return np.array([-ram, d_pk, d_q])
 
     def lagrangian_hessian(self, x, y):
         """W = sum_k y_k * Hess(r_k) over the gridpoint relations, as the five
         distinct entries of each relation's term: the rows (p_k, p_k),
         (p_k, p_{k-1}), (q, p_{k-1}), (q, p_k) and (q, q) of a
         (5, n_relations) array. The linear rows contribute nothing."""
-        y = y[self.linear_A.shape[0] :]
+        y = y[self.n_lin :]
         pk, pkm1 = x[self.ipk], x[self.ipkm1]
         delta = pk - pkm1
         bq, bq2, kphi, kdphi, kd2phi = self._flow_terms(x, 2)
@@ -148,12 +159,12 @@ class NlpInstance:
         h_q_pkm1 = y2 * (2.0 * bq)
         h_q_pk = y2 * (-2.0 * bq + 4.0 * delta * bq * inv_pk - kdphi)
         h_qq = y2 * (-2.0 * delta * b + kd2phi * pk)
-        return np.stack([h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq])
+        return np.array([h_pk_pk, h_pk_pkm1, h_q_pkm1, h_q_pk, h_qq])
 
     def jacobian_t_product(self, J, y):
         """J^T y, J from `jacobian`."""
-        n_lin = self.linear_A.shape[0]
-        return self.linear_AT @ y[:n_lin] + self._scatter(*(J * y[n_lin:]))
+        n_lin = self.n_lin
+        return self.linear_t_product(y[:n_lin]) + self._scatter(*(J * y[n_lin:]))
 
     def _scatter(self, at_pkm1, at_pk, at_q):
         """The n_vars-vector of each relation's three values summed into its
@@ -166,6 +177,13 @@ class NlpInstance:
         return np.concatenate([at_ends, (at_pk[:-1] + at_pkm1[1:])[self.inner]])
 
 
+def _apply(triples, v, size):
+    """The size-vector of each entry's value times v at its second index,
+    summed at its first in the order of the entries."""
+    out, into, values = triples
+    return np.bincount(out, values * v[into], size)
+
+
 def _pattern(rows, cols, shape):
     """CSR pattern of the matrix with entries at (rows, cols), duplicates
     summed: (indices, indptr, scatter), where entry t is summed into the
@@ -175,14 +193,6 @@ def _pattern(rows, cols, shape):
     # 32-bit indices, which scipy would choose and SuperLU takes, spare a
     # conversion of the pattern for each matrix built on it
     return (keys % shape[1]).astype(np.int32), indptr.astype(np.int32), scatter
-
-
-def _fill(pattern, values, shape):
-    """The CSC matrix of `values` summed into a CSC pattern from `_pattern`."""
-    indices, indptr, scatter = pattern
-    data = np.bincount(scatter, weights=values, minlength=len(indices))
-    # (the bincount of no entries is integer)
-    return sp.csc_matrix((data.astype(float, copy=False), indices, indptr), shape=shape)
 
 
 @dataclass
@@ -260,7 +270,7 @@ def assemble(
     pipe_of = np.repeat(np.arange(n_pipes), inst.pipe_n)
     inst.ipk = inst.n_scalar + np.arange(len(pipe_of)) - pipe_of
     inst.ipkm1 = inst.ipk - 1
-    inst.ends = np.stack([from_node[:n_pipes], to_node[:n_pipes], flows[:n_pipes]])
+    inst.ends = np.array([from_node[:n_pipes], to_node[:n_pipes], flows[:n_pipes]])
     inst.ipkm1[inst.first], inst.ipk[inst.last] = inst.ends[:2]
     inst.iq = np.repeat(inst.ends[2], inst.pipe_n)
     inst.inner = np.flatnonzero(inst.ipk >= inst.n_scalar)
@@ -282,20 +292,26 @@ def assemble(
     inst.grad[lifts] = [c.cost_coeff * PRESSURE_SCALE for c in comps]
     inst.cost_idx = np.flatnonzero(inst.grad)
 
-    # the linear rows as COO triples: the mass balance of each node, +1 at
-    # the flow of each arc into it and -1 at each arc out of it, then the
-    # coupling p_to - p_from - lift of each compressor; the last node's
-    # balance, which the others imply, gets row n_lin and is left out
-    n_lin = max(n_nodes - 1, 0) + n_comps
+    # the linear rows: the mass balance of each node, +1 at the flow of each
+    # arc into it and -1 at each arc out of it, then the coupling p_to -
+    # p_from - lift of each compressor; the last node's balance, which the
+    # others imply, gets row n_lin and is left out. Entries at one (row,
+    # column) are summed, as scipy sums them
+    n_lin = inst.n_lin = max(n_nodes - 1, 0) + n_comps
     balance = np.append(np.arange(n_nodes - 1), n_lin)  # the row of each node
     coupling = np.arange(n_lin - n_comps, n_lin)
     rows = np.concatenate([balance[to_node], balance[from_node], np.tile(coupling, 3)])
     cols = np.concatenate([flows, flows, to_node[n_pipes:], from_node[n_pipes:], lifts])
     data = np.repeat([1.0, -1.0, 1.0, -1.0, -1.0], [len(arcs)] * 2 + [n_comps] * 3)
-    keep, shape = rows < n_lin, (n_lin, inst.n_vars)
-    inst.linear_A = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=shape)
-    inst.linear_AT = inst.linear_A.T.tocsr()
-    inst.linear_b = np.r_[[scn.flow_at(n) for n in net.nodes][:-1], np.zeros(n_comps)]
+    keep = rows < n_lin
+    keys, at = np.unique(rows[keep] * inst.n_vars + cols[keep], return_inverse=True)
+    rows, cols = np.divmod(keys, inst.n_vars)
+    data = np.bincount(at, data[keep], len(keys))
+    inst.linear = rows, cols, data
+    by_col = np.lexsort((rows, cols))
+    inst.linear_t = cols[by_col], rows[by_col], data[by_col]
+    flows_at = [scn.flow_at(n) for n in net.nodes][:-1]
+    inst.linear_b = np.array(flows_at + [0.0] * n_comps, dtype=float)
     inst.n_cons = n_lin + len(inst.ipk)
     return inst
 
@@ -311,14 +327,17 @@ def _regrid(values, n_old, k0, k1, n_new):
     clipped to it, as `np.interp` holds the end values of a single pipe."""
     if not len(values):  # no pipes: np.interp rejects an empty grid
         return values
+    # per-pipe values are repeated to the points: a gather by pipe index
+    # costs more
     count = n_old + 1 - k0 - k1  # old values per pipe
     pipe = np.repeat(np.arange(len(count)), count)
-    k = np.arange(len(values)) - (np.cumsum(count) - count - k0)[pipe]
-    old_pos = 2 * pipe + k / n_old[pipe]
+    k = np.arange(len(values)) - np.repeat(np.cumsum(count) - count - k0, count)
+    old_pos = 2 * pipe + k / np.repeat(n_old, count)
     pipe = np.repeat(np.arange(len(n_new)), n_new)
-    k = np.arange(len(pipe)) - (np.cumsum(n_new) - n_new - 1)[pipe]
-    lo, hi = k0 / n_old[pipe], (n_old - k1)[pipe] / n_old[pipe]
-    return np.interp(2 * pipe + np.clip(k / n_new[pipe], lo, hi), old_pos, values)
+    k = np.arange(len(pipe)) - np.repeat(np.cumsum(n_new) - n_new - 1, n_new)
+    lo, hi = (np.repeat(bound / n_old, n_new) for bound in (k0, n_old - k1))
+    new_pos = np.minimum(np.maximum(k / np.repeat(n_new, n_new), lo), hi)
+    return np.interp(2 * pipe + new_pos, old_pos, values)
 
 
 def _initial_point(inst: NlpInstance, warm: Iterate = None) -> np.ndarray:
@@ -347,7 +366,7 @@ def _warm_multipliers(inst: NlpInstance, warm: Iterate, y, zl, zu):
     they are for the linear rows and scalar variables, regridded onto this
     instance's grid for each pipe; an interior pressure has no upper bound,
     so zu keeps its zero there."""
-    n_lin = inst.linear_A.shape[0]
+    n_lin = inst.n_lin
     y[:n_lin] = warm.y[:n_lin]
     zl[: inst.n_scalar], zu[: inst.n_scalar] = warm.z[:, : inst.n_scalar]
     y[n_lin:] = _regrid(warm.y[n_lin:], warm.pipe_n, 1, 0, inst.pipe_n)
@@ -462,7 +481,7 @@ class KktSystem:
         size = nfree + inst.n_cons
         pos = np.full(inst.n_vars, -1)  # the row of each variable in K
         pos[free] = np.arange(nfree)
-        row0 = nfree + inst.linear_A.shape[0]  # the row of the first relation
+        row0 = nfree + inst.n_lin  # the row of the first relation
 
         # the band relations, whose p_k is an interior pressure; a pipe's
         # relations run from first to last, its band rows from starts to ends
@@ -471,7 +490,7 @@ class KktSystem:
         ends = self.last - 1 - np.arange(len(self.last))
         self.band_rows = inst.pipe_n - 1  # per pipe
         # the band row of each pipe's entry of C_p at r_n, p_from and p_to
-        self.end_rows = np.stack([ends, self.starts, ends])
+        self.end_rows = np.array([ends, self.starts, ends])
         self.band_p, self.band_r = pos[inst.ipk[self.inner]], row0 + self.inner
         # r_1, p_1, r_2, ..., p_{n-1} per pipe: K has half-width 2 there
         self.band = np.column_stack([self.band_r, self.band_p]).ravel()
@@ -486,23 +505,27 @@ class KktSystem:
 
         # the slots q, r_n, p_from, p_to of each pipe as border rows, 4 x n_pipes
         p_from, p_to, q = pos[inst.ends]
-        self.slots = in_border[np.stack([q, row0 + self.last, p_from, p_to])]
+        self.slots = in_border[np.array([q, row0 + self.last, p_from, p_to])]
 
         # S: its diagonal, the linear rows and their transpose, then the 4x4
         # block of each pipe at its slots
-        lin = inst.linear_A.tocoo()
-        lin_row, lin_col = in_border[nfree + lin.row], in_border[pos[lin.col]]
+        lin_row, lin_col, lin_data = inst.linear
+        lin_row, lin_col = in_border[nfree + lin_row], in_border[pos[lin_col]]
         keep = lin_col < n_border
-        self.lin_values = lin.data[keep]
+        self.lin_values = lin_data[keep]
         block_row = np.repeat(self.slots[:, None], 4, axis=1).ravel()
         block_col = np.repeat(self.slots[None], 4, axis=0).ravel()
         self.block = (block_row < n_border) & (block_col < n_border)
         diag = np.arange(n_border)
-        self.s_shape = (n_border, n_border)
         rows = [diag, lin_row[keep], lin_col[keep], block_row[self.block]]
         cols = [diag, lin_col[keep], lin_row[keep], block_col[self.block]]
-        self.s_pattern = _pattern(  # CSC: the CSR pattern of S^T
-            np.concatenate(cols), np.concatenate(rows), self.s_shape
+        indices, indptr, self.s_scatter = _pattern(  # CSC: the CSR pattern of S^T
+            np.concatenate(cols), np.concatenate(rows), (n_border, n_border)
+        )
+        # one matrix whose values each factorization overwrites: scipy checks
+        # the format of a matrix once, not at each construction
+        self.S = sp.csc_matrix(
+            (np.zeros(len(indices)), indices, indptr), shape=(n_border, n_border)
         )
         self.delta_w = 0.0
 
@@ -530,7 +553,7 @@ class KktSystem:
         c_r[0] = d_q[inner]  # J(r_k, q)
         c_r[1, starts] = d_pkm1[first]  # J(r_1, p_from)
         # J(r_n, p_{n-1}), W(p_1, p_from) and W(p_{n-1}, p_to), at end_rows
-        c_ends = np.stack([d_pkm1[last], h_pk_pkm1[first], h_pk_pkm1[last]])
+        c_ends = np.array([d_pkm1[last], h_pk_pkm1[first], h_pk_pkm1[last]])
 
         # J(r_n, q), W(q, p_from), W(q, p_to) and J(r_n, p_to), mirrored;
         # then W(q, q) and W(p_to, p_to)
@@ -543,7 +566,8 @@ class KktSystem:
     def _factor(self, W, J, sigma, delta_w):
         """(band, c_p, c_ends, u = A^-1 c_r, SuperLU of S), C as in `_parts`;
         RuntimeError when A is singular."""
-        diag = np.r_[sigma[self.free_idx] + delta_w, np.zeros(self.inst.n_cons)]
+        diag = sigma[self.free_idx] + delta_w
+        diag = np.concatenate([diag, np.zeros(self.inst.n_cons)])
         band, c_p, c_r, c_ends, d = self._parts(W, J, diag)
         # B^-1 C = [u; A^-T (C_p - H u)]: C^T B^-1 C = M + M^T - u^T H u
         u = _lower_solve(band, c_r)
@@ -557,10 +581,12 @@ class KktSystem:
         d[::2, ::2] += sums[[[2, 3], [3, 4]]]
         values = [diag[self.border], self.lin_values, self.lin_values]
         values.append(d.ravel()[self.block])
-        S = _fill(self.s_pattern, np.concatenate(values), self.s_shape)
+        self.S.data[:] = np.bincount(
+            self.s_scatter, np.concatenate(values), len(self.S.data)
+        )
         # SuperLU keeps its partial pivoting for the zeros on the diagonal of
         # S; its default column order keeps the fill of S low on meshed borders
-        return band, c_p, c_ends, u, spla.splu(S)
+        return band, c_p, c_ends, u, spla.splu(self.S)
 
     def _solve(self, factors, r):
         """z with K z = r: S z_border = r_border - C^T B^-1 r_band, then
@@ -597,7 +623,7 @@ class KktSystem:
         """K z, from the gridpoint derivatives W and J: the W dx and J^T dy
         terms of each relation are summed, then scattered once."""
         inst = self.inst
-        n_lin = inst.linear_A.shape[0]
+        n_lin = inst.n_lin
         dx, dy = self._split(z, len(sigma))
         dm, dp, dq, dr = dx[inst.ipkm1], dx[inst.ipk], dx[inst.iq], dy[n_lin:]
         d_pkm1, d_pk, d_q = J
@@ -607,9 +633,9 @@ class KktSystem:
             h_pk_pk * dp + h_pk_pkm1 * dm + h_q_pk * dq + d_pk * dr,
             h_q_pkm1 * dm + h_q_pk * dp + h_qq * dq + d_q * dr,
         )
-        top += inst.linear_AT @ dy[:n_lin] + (sigma + delta_w) * dx
+        top += inst.linear_t_product(dy[:n_lin]) + (sigma + delta_w) * dx
         j_dx = d_pkm1 * dm + d_pk * dp + d_q * dq
-        bottom = np.concatenate([inst.linear_A @ dx, j_dx])
+        bottom = np.concatenate([inst.linear_product(dx), j_dx])
         return np.concatenate([top[self.free_idx], bottom])
 
     def step(self, W, J, sigma, rd, c):
@@ -618,8 +644,8 @@ class KktSystem:
         values of delta_w, as it does when the backward error of the step
         stays above 1e-10 after refinement."""
         rhs = -np.concatenate([rd[self.free_idx], c])
-        r_max, sigma_max = np.max(np.abs(rhs)), np.max(sigma, initial=0.0)
-        k_wj = max(np.max(np.abs(W), initial=1.0), np.max(np.abs(J), initial=1.0))
+        r_max, sigma_max = abs(rhs).max(), sigma.max(initial=0.0)
+        k_wj = max(abs(W).max(initial=1.0), abs(J).max(initial=1.0))
         delta_w = self.delta_w
         for _ in range(12):
             with contextlib.suppress(RuntimeError, ValueError):
@@ -627,11 +653,11 @@ class KktSystem:
                 z = self._solve(factors, rhs)
                 # one round of iterative refinement, when the residual needs it
                 res = self._product(W, J, sigma, delta_w, z) - rhs
-                if np.max(np.abs(res)) > 1e-12 * max(1.0, r_max):
+                if abs(res).max() > 1e-12 * max(1.0, r_max):
                     z -= self._solve(factors, res)
                     res = self._product(W, J, sigma, delta_w, z) - rhs
                 k = max(k_wj, sigma_max + delta_w)
-                if np.max(np.abs(res)) <= 1e-10 * (k * np.max(np.abs(z)) + r_max):
+                if abs(res).max() <= 1e-10 * (k * abs(z).max() + r_max):
                     break
             # a singular factor or a backward error above its bound: regularize
             delta_w = max(1e-8, 10.0 * delta_w)
@@ -673,7 +699,7 @@ def solve(
     # upper ones, as one vector: bound b of variable var[b] has the slack
     # sign[b] * (x[var[b]] - bound[b]) and the multiplier z[b]; `at` places
     # them in the two rows, lower and upper, of Iterate.z
-    bounds = np.stack([inst.lb, inst.ub])
+    bounds = np.array([inst.lb, inst.ub])
     at = np.flatnonzero(np.isfinite(bounds) & ~fixed)
     bound, var = bounds.ravel()[at], at % n
     n_lower = np.searchsorted(at, n)
@@ -684,10 +710,13 @@ def solve(
         return sign * (x[var] - bound)
 
     def inside(x, edge):
-        """x, in place, moved onto the inner side of each bound's `edge`."""
-        x[lower] = np.maximum(x[lower], edge[:n_lower])
-        x[upper] = np.minimum(x[upper], edge[n_lower:])
-        return x
+        """Move x, in place, onto the inner side of each bound's `edge`;
+        whether that moved a coordinate."""
+        low = x[lower] < edge[:n_lower]
+        x[lower[low]] = edge[:n_lower][low]
+        high = x[upper] > edge[n_lower:]
+        x[upper[high]] = edge[n_lower:][high]
+        return low.any() or high.any()
 
     x = _initial_point(inst, warm)
     x[fixed] = inst.lb[fixed]
@@ -696,7 +725,7 @@ def solve(
     margin = 1e-12 if warm is not None else 1e-2
     gap = (inst.ub - inst.lb)[var]
     scale = np.maximum(1.0, np.abs(bound))
-    x = inside(x, bound + sign * np.minimum(margin * scale, 1e-2 * gap))
+    inside(x, bound + sign * np.minimum(margin * scale, 1e-2 * gap))
     # a machine-precision slack keeps 1/slack finite even when an infeasible
     # instance pushes the iterate onto its bounds
     eps_edge = bound + sign * (np.finfo(float).eps * scale)
@@ -726,30 +755,32 @@ def solve(
 
     def kkt_errors(s, gy, c, y, z):
         """The primal KKT error, and the KKT error at mu as a function of mu."""
-        s_d = max(1.0, (np.sum(np.abs(y)) + np.sum(z)) / max(1, m + n) / 100.0)
+        s_d = max(1.0, (abs(y).sum() + z.sum()) / max(1, m + n) / 100.0)
         g = dual_residual(gy, z)[kkt_system.free_idx]
-        e_dual = np.max(np.abs(g), initial=0.0) / s_d
-        e_primal = np.max(np.abs(c), initial=0.0)
+        e_dual = abs(g).max(initial=0.0) / s_d
+        e_primal = abs(c).max(initial=0.0)
 
         def at_mu(mu):
-            return max(e_dual, e_primal, np.max(np.abs(s * z - mu), initial=0.0) / s_d)
+            return max(e_dual, e_primal, abs(s * z - mu).max(initial=0.0) / s_d)
 
         return e_primal, at_mu
 
     def merit(x, c):
         """The barrier objective plus the l1 penalty on the constraints c."""
-        barrier = np.sum(np.log(np.maximum(slack(x), 1e-300)))
-        return inst.objective(x) + nu * np.sum(np.abs(c)) - mu * barrier
+        barrier = np.log(np.maximum(slack(x), 1e-300)).sum()
+        return inst.objective(x) + nu * abs(c).sum() - mu * barrier
 
     iterations = 0
     status, reason = STATUS_ITERATION_LIMIT, REASON_ITERATION_LIMIT
     c, J = inst.constraints(x), inst.jacobian(x)  # evaluated once per iterate
+    stepped = True  # whether x, y and z moved since the last iteration
     while iterations < max_iterations:
         iterations += 1
-        s = slack(x)
-        gy = inst.grad + inst.jacobian_t_product(J, y)
-        e_primal, kkt_at = kkt_errors(s, gy, c, y, z)
-        kkt = kkt_at(0.0)
+        if stepped:  # a mu decrease leaves the errors as they are
+            s = slack(x)
+            gy = inst.grad + inst.jacobian_t_product(J, y)
+            e_primal, kkt_at = kkt_errors(s, gy, c, y, z)
+            kkt = kkt_at(0.0)
         if kkt <= eps_opt:
             status, reason = STATUS_OPTIMAL, REASON_CONVERGED
             break
@@ -769,7 +800,9 @@ def solve(
 
         if kkt_at(mu) <= 10.0 * mu and mu > mu_min:
             mu = max(mu_min, 0.2 * mu)
+            stepped = False
             continue
+        stepped = True
 
         sigma = np.zeros(n)
         sigma[lower] = z[:n_lower] / s[:n_lower]
@@ -787,19 +820,20 @@ def solve(
         # fraction-to-the-boundary
         tau = max(0.99, 1.0 - mu)
         shrink = ds < 0.0
-        alpha_p = np.min(-tau * s[shrink] / ds[shrink], initial=1.0)
+        alpha_p = (-tau * s[shrink] / ds[shrink]).min(initial=1.0)
         shrink = (dz < 0.0) & (z > 0.0)
-        alpha_d = np.min(-tau * z[shrink] / dz[shrink], initial=1.0)
+        alpha_d = (-tau * z[shrink] / dz[shrink]).min(initial=1.0)
 
         # Armijo backtracking on the l1 merit function
-        nu = max(nu, 2.0 * np.max(np.abs(y), initial=0.0) + 1.0)
+        nu = max(nu, 2.0 * abs(y).max(initial=0.0) + 1.0)
         phi0 = merit(x, c)
-        dphi = inst.objective(dx) - nu * np.sum(np.abs(c))
-        dphi -= mu * np.sum(ds / s)
+        dphi = inst.objective(dx) - nu * abs(c).sum()
+        dphi -= mu * (ds / s).sum()
         alpha = alpha_p
         for _ in range(30):
             x_trial = x + alpha * dx
-            phi_trial = merit(x_trial, inst.constraints(x_trial))
+            c_trial = inst.constraints(x_trial)
+            phi_trial = merit(x_trial, c_trial)
             if phi_trial <= phi0 + 1e-4 * alpha * min(dphi, 0.0) or phi_trial < phi0:
                 break
             alpha *= 0.5
@@ -807,17 +841,22 @@ def solve(
             # fall back to a tiny step to escape; if it persists the stall
             # counter above will trigger
             alpha = min(alpha_p, 1e-8)
-            x_trial = x + alpha * dx
+            x_trial, c_trial = x + alpha * dx, None
 
-        x = inside(x_trial, eps_edge)
+        # the accepted trial's constraint values are the new iterate's,
+        # unless `inside` moves it
+        x, c = x_trial, c_trial
+        if inside(x, eps_edge) or c is None:
+            c = inst.constraints(x)
+        J = inst.jacobian(x)
         y = y + alpha_d * dy
         # clip duals so sigma stays within a bounded multiple of mu/slack
-        z = np.clip(z + alpha_d * dz, 1e-16, 1e16)
-        z = np.clip(z, mu / (1e10 * s), 1e10 * mu / s)
-        c, J = inst.constraints(x), inst.jacobian(x)
+        z = np.minimum(np.maximum(z + alpha_d * dz, 1e-16), 1e16)
+        z = np.minimum(np.maximum(z, mu / (1e10 * s)), 1e10 * mu / s)
     else:  # the iteration limit, or no iteration at all
-        gy = inst.grad + inst.jacobian_t_product(J, y)
-        kkt = kkt_errors(slack(x), gy, c, y, z)[1](0.0)
+        if stepped:
+            gy = inst.grad + inst.jacobian_t_product(J, y)
+            kkt = kkt_errors(slack(x), gy, c, y, z)[1](0.0)
     if status == STATUS_ITERATION_LIMIT and kkt <= eps_opt:
         status, reason = STATUS_OPTIMAL, REASON_CONVERGED
     seconds = time.perf_counter() - t0

@@ -196,7 +196,7 @@ def test_profile_satisfies_nlp_pipe_relation(test_pipe, gas, level, q):
     pressure_idx = [inst.node_idx["a"], *inst.interior_idx[pipe.id], inst.node_idx["b"]]
     x[pressure_idx] = profile.values / nlp.PRESSURE_SCALE
     x[inst.flow_idx[pipe.id]] = q
-    pipe_rows = inst.constraints(x)[inst.linear_A.shape[0] :]
+    pipe_rows = inst.constraints(x)[inst.n_lin :]
     assert len(pipe_rows) == grid.n_intervals
     assert np.max(np.abs(pipe_rows)) <= 1e-12  # bar
 

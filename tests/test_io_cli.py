@@ -201,6 +201,32 @@ def test_solution_reason_round_trip(tmp_path):
     assert fileio.load_solution(path)[0].reason == ""
 
 
+def test_solution_file_is_one_line_and_round_trips_every_float(tmp_path):
+    # an adaptive run's solution, written compact with sorted keys: each of
+    # its floats, with their 17 significant digits, reads back bit for bit
+    import numpy as np
+
+    from gasadapt.fixtures import chain5
+
+    net, gas, scn = chain5()
+    sol, state = run(net, scn, gas, AdaptiveConfig())
+    states = {pid: (state.levels[pid], state.stepsizes[pid]) for pid in net.pipes}
+    path = tmp_path / "sol.json"
+    fileio.save_solution(sol, path, states)
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    loaded, _ = fileio.load_solution(path)
+    for name in ("node_pressures", "arc_flows", "compressor_lifts"):
+        assert getattr(loaded, name) == getattr(sol, name)
+    assert loaded.interior_pressures.keys() == sol.interior_pressures.keys()
+    for pid, values in sol.interior_pressures.items():
+        got = loaded.interior_pressures[pid]
+        assert got.dtype == values.dtype == np.float64
+        assert got.tobytes() == values.tobytes()
+    assert (loaded.objective, loaded.kkt_error) == (sol.objective, sol.kkt_error)
+
+
 # -- CSV artifacts ------------------------------------------------------------
 
 
@@ -333,6 +359,7 @@ def _chain5_solution():
 
 NETWORK = chain5_network_dict()
 SOLUTION = _chain5_solution()
+INTERIOR = {**SOLUTION, "interior_pressures": {"p1": [50e5, 50e5, 50e5]}}
 CHECK_NETWORK = ["validate-params", "--network", "BAD"]
 SOLVE_SCENARIO = ["nlp-solve", "--network", "NET", "--scenario", "BAD"]
 SOLVE_NETWORK = ["nlp-solve", "--network", "BAD", "--scenario", "SCN"]
@@ -420,6 +447,10 @@ def test_cli_non_object_document_exits_one(
         (CHECK_NETWORK, _appended(NETWORK, "compressors", 0, lift_max=20.0)),
         (RUN_CONFIG, '{"mu": 4, "mu": 8}'),
         (SOLVE_SCENARIO, '{"flows": {"entry": -55, "exit": 40, "exit": 55}}'),
+        (ESTIMATE, _edited(INTERIOR, ["interior_pressures", "p1", 1], "50e5")),
+        (ESTIMATE, _edited(INTERIOR, ["interior_pressures", "p1", 1], True)),
+        (ESTIMATE, _with_literal(INTERIOR, ["interior_pressures", "p1", 1], "1e400")),
+        (ESTIMATE, _with_literal(INTERIOR, ["interior_pressures", "p1", 1], "9" * 400)),
     ],
     ids=[
         "length-string",
@@ -452,6 +483,10 @@ def test_cli_non_object_document_exits_one(
         "compressor-id-repeated",
         "config-key-repeated",
         "scenario-key-repeated",
+        "interior-pressure-string",
+        "interior-pressure-boolean",
+        "interior-pressure-1e400",
+        "interior-pressure-400-digits",
     ],
 )
 def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, capsys):

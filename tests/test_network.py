@@ -147,6 +147,60 @@ def test_validate_geometry():
     assert any("slope magnitude" in p for p in validate_network(net))
 
 
+def _compressor_net(**comp_kw):
+    comp = dict(lift_max=1e5, cost_coeff=1.0)
+    comp.update(comp_kw)
+    return Network(
+        [_node("a", "entry"), _node("b", "exit")],
+        [],
+        [Compressor("c", "a", "b", **comp)],
+    )
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "net, problem",
+    [
+        (_two_node_net(length=NAN), "pipe p: length nan is not finite"),
+        (_two_node_net(diameter=NAN), "pipe p: diameter nan is not finite"),
+        (_two_node_net(cross_area=NAN), "pipe p: cross_area nan is not finite"),
+        (_two_node_net(friction=NAN), "pipe p: friction nan is not finite"),
+        (_two_node_net(slope=NAN), "pipe p: slope nan is not finite"),
+        (_two_node_net(flow_max=NAN), "pipe p: flow_max nan is not finite"),
+        (_two_node_net(length=math.inf), "pipe p: length inf is not finite"),
+        (_two_node_net(friction=math.inf), "pipe p: friction inf is not finite"),
+        (_two_node_net(slope=-math.inf), "pipe p: slope -inf is not finite"),
+        (
+            Network([_node("a", "entry", elevation=NAN), _node("b", "exit")], []),
+            "node a: elevation nan is not finite",
+        ),
+        (
+            Network([_node("a", "entry", elevation=math.inf), _node("b", "exit")], []),
+            "node a: elevation inf is not finite",
+        ),
+        (
+            Network([_node("a", "entry", pmax=NAN), _node("b", "exit")], []),
+            "node a: pressure_max nan is not finite",
+        ),
+        (_compressor_net(lift_max=NAN), "compressor c: lift_max nan is not finite"),
+        (_compressor_net(cost_coeff=NAN), "compressor c: cost_coeff nan is not finite"),
+    ],
+)
+def test_validate_reports_each_non_finite_number(net, problem):
+    assert problem in validate_network(net)
+
+
+def test_validate_keeps_infinite_bounds_as_no_bound():
+    net = Network(
+        [_node("a", "entry", pmax=math.inf), _node("b", "exit")],
+        [_pipe("p", "a", "b", flow_min=-math.inf, flow_max=math.inf)],
+        [Compressor("c", "b", "a", lift_max=math.inf, cost_coeff=1.0)],
+    )
+    assert validate_network(net) == []
+
+
 def test_validate_disconnected():
     net = Network(
         [_node("a", "entry"), _node("b", "exit"), _node("c"), _node("d")],

@@ -1,5 +1,7 @@
 """NLP assembly and interior-point solver against closed-form oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -240,6 +242,30 @@ def test_constraint_jacobian_has_full_row_rank(case, grid_mesh):
     assert np.linalg.matrix_rank(J[:, inst.lb < inst.ub]) == inst.n_cons
 
 
+def _tree12_with(record, **changes):
+    """Tree-12 with `changes` applied to its first node (record "node") or
+    first pipe (record "pipe")."""
+    net, gas, scn = tree12()
+    nodes, pipes = list(net.nodes.values()), list(net.pipes.values())
+    edited = nodes if record == "node" else pipes
+    edited[0] = dataclasses.replace(edited[0], **changes)
+    return Network(nodes, pipes, net.compressors.values()), gas, scn
+
+
+@pytest.mark.parametrize(
+    "record, field", [("pipe", "slope"), ("node", "elevation")]
+)
+def test_nan_in_a_network_built_in_code_fails_validation(record, field):
+    # a NaN slope passed validation, and with every estimate NaN the loop
+    # refined every pipe in every round until memory ran out
+    net, gas, scn = _tree12_with(record, **{field: float("nan")})
+    state = {pid: (ModelLevel.FRICTION, p.length / 4) for pid, p in net.pipes.items()}
+    with pytest.raises(ValidationError, match=f"{field} nan is not finite"):
+        nlp.assemble(net, scn, gas, state)
+    with pytest.raises(ValidationError, match=f"{field} nan is not finite"):
+        run(net, scn, gas, AdaptiveConfig(max_outer_iterations=1))
+
+
 @pytest.mark.parametrize("fixture", [chain5, tree12])
 def test_linear_row_multipliers_are_unique(fixture):
     # a cold solve and one warm-started from another model and grid end at
@@ -252,7 +278,7 @@ def test_linear_row_multipliers_are_unique(fixture):
     cold = nlp.solve(inst)
     warm = nlp.solve(inst, warm_start=nlp.solve(nlp.assemble(net, scn, gas, coarse)))
     assert cold.status == warm.status == nlp.STATUS_OPTIMAL
-    n_lin = inst.linear_A.shape[0]
+    n_lin = inst.n_lin
     y_cold, y_warm = cold.iterate.y[:n_lin], warm.iterate.y[:n_lin]
     assert np.max(np.abs(y_cold - y_warm)) <= 1e-6
 
@@ -329,8 +355,16 @@ def test_assemble_layout_matches_a_per_pipe_build(case, grid_mesh):
     }
     inst = nlp.assemble(net, scn, gas, state)
     want = per_pipe_build(net, scn, counts)
+    A = want.pop("linear_A")
     got = {key: getattr(inst, key) for key in want}
-    got["linear_A"] = inst.linear_A.toarray()
+    # the linear rows' nonzeros, row by row in `linear` and column by
+    # column in `linear_t`, as scipy's CSR and CSC forms of A hold them
+    for triples, form in ((inst.linear, sp.csr_matrix), (inst.linear_t, sp.csc_matrix)):
+        m = form(A)
+        outer = np.repeat(np.arange(len(m.indptr) - 1), np.diff(m.indptr))
+        for got_part, want_part in zip(triples, (outer, m.indices, m.data)):
+            assert np.array_equal(got_part, want_part)
+    assert inst.n_lin == len(A)
     assert got.pop("interior_idx").keys() == want["interior_idx"].keys()
     for pid, idx in inst.interior_idx.items():
         assert np.array_equal(idx, want["interior_idx"][pid]), pid
@@ -341,16 +375,16 @@ def test_assemble_layout_matches_a_per_pipe_build(case, grid_mesh):
 
 
 def jacobian_matrix(inst, J):
-    """J as a CSR matrix, by scipy's COO construction from `linear_A` and the
-    gridpoint derivatives J of `inst.jacobian`."""
-    lin = inst.linear_A.tocoo()
-    rows = np.arange(lin.shape[0], inst.n_cons)
+    """J as a CSR matrix, by scipy's COO construction from the linear rows'
+    triples `linear` and the gridpoint derivatives J of `inst.jacobian`."""
+    lin_row, lin_col, lin_data = inst.linear
+    rows = np.arange(inst.n_lin, inst.n_cons)
     return sp.csr_matrix(
         (
-            np.concatenate([lin.data, J.ravel()]),
+            np.concatenate([lin_data, J.ravel()]),
             (
-                np.concatenate([lin.row, rows, rows, rows]),
-                np.concatenate([lin.col, inst.ipkm1, inst.ipk, inst.iq]),
+                np.concatenate([lin_row, rows, rows, rows]),
+                np.concatenate([lin_col, inst.ipkm1, inst.ipk, inst.iq]),
             ),
         ),
         shape=(inst.n_cons, inst.n_vars),
@@ -434,7 +468,7 @@ def test_evaluation_matches_the_gridpoint_formulas():
     for i in inst.flow_idx.values():
         x[i] = rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 80.0)
     y = rng.standard_normal(inst.n_cons)
-    n_lin = inst.linear_A.shape[0]
+    n_lin = inst.n_lin
 
     k, b = (np.repeat(c, inst.pipe_n) for c in (inst.k_coef, inst.ram_coef))
     pk, pkm1, q = x[inst.ipk], x[inst.ipkm1], x[inst.iq]
@@ -900,6 +934,82 @@ def test_solve_reuses_the_last_kkt_error(monkeypatch):
     assert limited.status == nlp.STATUS_ITERATION_LIMIT
     assert len(calls) == 2
     assert not np.array_equal(calls[0], calls[1])
+
+
+@pytest.mark.parametrize("case", ["chain5", "tree12", "mesh-7x8"])
+def test_linear_products_match_scipy_csr_products_bitwise(case, grid_mesh):
+    # the triples sum each row of A x and of A^T y in the order in which
+    # scipy's CSR products sum it; values of widely spread magnitude make
+    # any other order round differently
+    build = {"chain5": chain5, "tree12": tree12}
+    net, gas, scn = build[case]() if case in build else grid_mesh(7, 8)
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    A = sp.csr_matrix(per_pipe_build(net, scn, inst.pipe_n)["linear_A"])
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.standard_normal(inst.n_vars) * 10.0 ** rng.uniform(-8, 8, inst.n_vars)
+        y = rng.standard_normal(inst.n_lin) * 10.0 ** rng.uniform(-8, 8, inst.n_lin)
+        assert np.array_equal(inst.linear_product(x), A @ x)
+        assert np.array_equal(inst.linear_t_product(y), A.T.tocsr() @ y)
+
+
+def recorded_solve(monkeypatch, inst):
+    """The solve of `inst`, the x of each constraints call, and per Newton
+    step the iterate x (from the Hessian call before it) and the c it was
+    given."""
+    calls, steps = [], []
+    constraints = nlp.NlpInstance.constraints
+    hessian = nlp.NlpInstance.lagrangian_hessian
+    step = nlp.KktSystem.step
+
+    def counting_constraints(self, x):
+        calls.append(x.copy())
+        return constraints(self, x)
+
+    def recording_hessian(self, x, y):
+        steps.append([x.copy()])
+        return hessian(self, x, y)
+
+    def recording_step(self, W, J, sigma, rd, c):
+        steps[-1].append(c.copy())
+        return step(self, W, J, sigma, rd, c)
+
+    monkeypatch.setattr(nlp.NlpInstance, "constraints", counting_constraints)
+    monkeypatch.setattr(nlp.NlpInstance, "lagrangian_hessian", recording_hessian)
+    monkeypatch.setattr(nlp.KktSystem, "step", recording_step)
+    sol = nlp.solve(inst)
+    monkeypatch.undo()
+    return sol, calls, steps
+
+
+def test_constraints_evaluated_once_per_iterate(monkeypatch):
+    # the accepted line-search trial's values are the next iterate's, and a
+    # decrease of mu evaluates nothing: 24 calls in 33 iterations, 45 when
+    # each iterate was evaluated again
+    net, gas, scn = tree12()
+    state = {pid: (ModelLevel.FULL, p.length / 512) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    sol, calls, steps = recorded_solve(monkeypatch, inst)
+    assert sol.status == nlp.STATUS_OPTIMAL
+    assert (sol.n_iterations, len(calls)) == (33, 24)
+    for x, c in steps:
+        assert np.array_equal(c, inst.constraints(x))
+
+
+def test_carried_constraints_are_fresh_where_inside_moves_x(monkeypatch):
+    # on the chain whose lift bound is too small, the iterate keeps landing
+    # on the machine-precision edge of a bound, so the line search's values
+    # are stale there and the iterate is evaluated again
+    net, scn, gas, state = compressor_chain(lift_max=1e5)
+    inst = nlp.assemble(net, scn, gas, state)
+    sol, calls, steps = recorded_solve(monkeypatch, inst)
+    assert sol.status == nlp.STATUS_INFEASIBLE
+    finite = np.isfinite(inst.ub)
+    edge = inst.ub[finite] - np.finfo(float).eps * np.maximum(1.0, inst.ub[finite])
+    assert any(np.any(x[finite] == edge) for x, _ in steps)
+    for x, c in steps:
+        assert np.array_equal(c, inst.constraints(x))
 
 
 @pytest.fixture(scope="module")
