@@ -14,6 +14,7 @@ errors included.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -64,6 +65,7 @@ def _positive(kind):
     return _finite(kind, 0)
 
 
+@functools.cache  # argparse parsers can be reused; build once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gasadapt",
@@ -101,11 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "estimate", help="per-pipe error estimates for a solution file"
     )
     p_est.add_argument("--network", required=True)
-    p_est.add_argument("--solution", required=True)
-    p_est.add_argument("--level", type=int, default=3, choices=(1, 2, 3),
-                       help="fallback level when the solution has no pipe states")
-    p_est.add_argument("--intervals", type=int, default=4,
-                       help="fallback interval count (multiple of 4)")
+    p_est.add_argument(
+        "--solution", required=True, help="solution JSON with its pipe states"
+    )
     p_est.add_argument("--out", help="CSV path; stdout when omitted")
 
     p_val = sub.add_parser(
@@ -159,10 +159,7 @@ def _cmd_run(args) -> int:
     sol, state = run(net, scn, gas, config, progress=progress)
 
     os.makedirs(args.out, exist_ok=True)
-    pipe_states = {
-        pid: (state.levels[pid], state.stepsizes[pid]) for pid in net.pipes
-    }
-    fileio.save_solution(sol, os.path.join(args.out, "solution.json"), pipe_states)
+    fileio.save_solution(sol, os.path.join(args.out, "solution.json"))
     fileio.export_trace(state, os.path.join(args.out, "trace.csv"))
     fileio.export_estimates(
         state.estimates.values(), os.path.join(args.out, "estimates.csv")
@@ -197,22 +194,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     net, gas = fileio.load_network(args.network)
-    sol, pipe_states = fileio.load_solution(args.solution)
-    if pipe_states is None:
-        pipe_states = _uniform_states(net, args)
+    sol = fileio.load_solution(args.solution)
     problems = [
         f"solution: {name} misses {missing}"
         for name, given, needed in (
             ("node_pressures", sol.node_pressures, net.nodes),
             ("arc_flows", sol.arc_flows, net.pipes),
-            ("pipe_states", pipe_states, net.pipes),
+            ("pipe_states", sol.pipe_states, net.pipes),
         )
         if (missing := sorted(set(needed) - set(given)))
     ]
     if problems:
         raise ValidationError(problems)
-    levels = {pid: lv for pid, (lv, _) in pipe_states.items()}
-    stepsizes = {pid: h for pid, (_, h) in pipe_states.items()}
+    levels = {pid: lv for pid, (lv, _) in sol.pipe_states.items()}
+    stepsizes = {pid: h for pid, (_, h) in sol.pipe_states.items()}
     estimates, _ = compute_estimates(net, gas, sol, levels, stepsizes)
     fileio.export_estimates(
         estimates.values(), args.out if args.out else sys.stdout
@@ -235,22 +230,16 @@ def _cmd_validate_params(args) -> int:
     return EXIT_OK
 
 
-def _uniform_states(net, args):
-    """Every pipe at the level and interval count of the command line."""
+def _cmd_nlp_solve(args) -> int:
+    net, gas, scn = _load_problem(args)
     level = ModelLevel.of(args.level)
-    return {
+    state = {
         pid: (level, Grid.for_pipe(p.length, args.intervals).stepsize)
         for pid, p in net.pipes.items()
     }
-
-
-def _cmd_nlp_solve(args) -> int:
-    net, gas, scn = _load_problem(args)
-    state = _uniform_states(net, args)
-    instance = nlp.assemble(net, scn, gas, state)
-    sol = nlp.solve(instance, eps_opt=args.eps_opt)
+    sol = nlp.solve(nlp.assemble(net, scn, gas, state), eps_opt=args.eps_opt)
     fileio.write_json(
-        fileio.solution_to_dict(sol, state), args.out if args.out else sys.stdout
+        fileio.solution_to_dict(sol), args.out if args.out else sys.stdout
     )
     if sol.status == nlp.STATUS_INFEASIBLE:
         print("infeasible", file=sys.stderr)

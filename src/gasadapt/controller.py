@@ -31,7 +31,6 @@ class AdaptiveConfig:
     max_outer_iterations: int = 100
     initial_intervals: int = 4
     initial_level: int = 3
-    split_tolerance: bool = False  # check feasibility against eps - eps_opt
 
     def __post_init__(self):
         for name in ("theta_d", "theta_m", "phi_d", "phi_m"):
@@ -53,13 +52,6 @@ class AdaptiveConfig:
             raise ValueError("initial_intervals must be a positive multiple of 4")
         if self.initial_level not in tuple(ModelLevel):
             raise ValueError(f"initial_level = {self.initial_level} is not 1, 2 or 3")
-        if self.split_tolerance and self.eps_opt >= self.eps:
-            raise ValueError("tolerance splitting requires eps_opt < eps")
-
-    @property
-    def eps_feasibility(self) -> float:
-        """Tolerance used in the feasibility checks of the loop."""
-        return self.eps - self.eps_opt if self.split_tolerance else self.eps
 
 
 @dataclass
@@ -271,7 +263,7 @@ def run(
         state.stepsizes[pid] = pipe.length / config.initial_intervals
         state.initial_stepsizes[pid] = state.stepsizes[pid]
 
-    eps = config.eps_feasibility
+    eps = config.eps
 
     def solve_and_estimate(outer_k, inner_j, refined=(), up=(), coarsened=(), down=()):
         """Solve at the current levels and stepsizes, warm from the last

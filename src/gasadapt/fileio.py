@@ -260,8 +260,8 @@ def load_config(path) -> AdaptiveConfig:
 # -- solutions ---------------------------------------------------------------
 
 
-def solution_to_dict(sol: NlpSolution, pipe_states: dict = None) -> dict:
-    doc = {
+def solution_to_dict(sol: NlpSolution) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "status": sol.status,
         "objective": sol.objective,
@@ -275,17 +275,15 @@ def solution_to_dict(sol: NlpSolution, pipe_states: dict = None) -> dict:
             pid: np.asarray(values, dtype=float).tolist()
             for pid, values in sol.interior_pressures.items()
         },
-    }
-    if pipe_states is not None:
-        doc["pipe_states"] = {
+        "pipe_states": {
             pid: {"level": int(level), "stepsize": h}
-            for pid, (level, h) in pipe_states.items()
-        }
-    return doc
+            for pid, (level, h) in sol.pipe_states.items()
+        },
+    }
 
 
-def save_solution(sol: NlpSolution, path, pipe_states: dict = None):
-    write_json(solution_to_dict(sol, pipe_states), path)
+def save_solution(sol: NlpSolution, path):
+    write_json(solution_to_dict(sol), path)
 
 
 def _profile(values, context):
@@ -310,23 +308,20 @@ def _pipe_state(entry, context):
     return ModelLevel.of(level), stepsize
 
 
-def load_solution(path) -> tuple:
-    """Returns (NlpSolution, pipe_states or None)."""
+def load_solution(path) -> NlpSolution:
+    """The solution in the file, with the grid it was solved on."""
     doc = _load_json(path)
-    sol = _record(
+    return _record(
         NlpSolution,
         doc,
         "solution",
-        extra=["format_version", "pipe_states"],
+        extra=["format_version"],
         node_pressures=_id_map(doc, "node_pressures", "solution"),
         arc_flows=_id_map(doc, "arc_flows", "solution"),
         compressor_lifts=_id_map(doc, "compressor_lifts", "solution", {}),
         interior_pressures=_id_map(doc, "interior_pressures", "solution", {}, _profile),
+        pipe_states=_id_map(doc, "pipe_states", "solution", read=_pipe_state),
     )
-    pipe_states = None
-    if "pipe_states" in doc:
-        pipe_states = _id_map(doc, "pipe_states", "solution", read=_pipe_state)
-    return sol, pipe_states
 
 
 # -- trace and estimate export -----------------------------------------------

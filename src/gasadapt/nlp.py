@@ -66,6 +66,7 @@ def _smooth_abs_flow(q):
 @dataclass
 class NlpInstance:
     net: Network
+    pipe_states: dict  # pipe id -> (level, stepsize), as assembled
     n_vars: int = 0
     n_scalar: int = 0  # node pressures, arc flows and lifts come first
     node_idx: dict = field(default_factory=dict)
@@ -77,10 +78,9 @@ class NlpInstance:
     grad: np.ndarray = None  # linear objective gradient (scaled units)
     cost_idx: np.ndarray = None  # the nonzero entries of grad, at lifts
     # the linear rows A x = b: the (row, column, value) of each nonzero of A
-    # in CSR order, and its (column, row, value) in CSC order
+    # in CSR order
     n_lin: int = 0
     linear: tuple = None
-    linear_t: tuple = None
     linear_b: np.ndarray = None
     n_cons: int = 0
     # the gridpoint relations, one entry each, pipe after pipe in assembly
@@ -115,12 +115,17 @@ class NlpInstance:
         return np.repeat(terms[: order + 3], self.pipe_n, axis=1)
 
     def linear_product(self, x):
-        """A x, each row summed in column order as a CSR product sums it."""
-        return _apply(self.linear, x, self.n_lin)
+        """A x, each row summed in column order as a CSR product sums it:
+        `np.bincount` sums in the order of its input."""
+        rows, cols, values = self.linear
+        return np.bincount(rows, values * x[cols], self.n_lin)
 
     def linear_t_product(self, y):
-        """A^T y for the linear rows' part y of a multiplier vector."""
-        return _apply(self.linear_t, y, self.n_vars)
+        """A^T y for the linear rows' part y of a multiplier vector, each
+        column summed in row order: CSR order lists a column's entries by
+        ascending row, as a CSR product with A^T sums them."""
+        rows, cols, values = self.linear
+        return np.bincount(cols, values * y[rows], self.n_vars)
 
     def constraints(self, x):
         pk, pkm1 = x[self.ipk], x[self.ipkm1]
@@ -177,13 +182,6 @@ class NlpInstance:
         return np.concatenate([at_ends, (at_pk[:-1] + at_pkm1[1:])[self.inner]])
 
 
-def _apply(triples, v, size):
-    """The size-vector of each entry's value times v at its second index,
-    summed at its first in the order of the entries."""
-    out, into, values = triples
-    return np.bincount(out, values * v[into], size)
-
-
 def _pattern(rows, cols, shape):
     """CSR pattern of the matrix with entries at (rows, cols), duplicates
     summed: (indices, indptr, scatter), where entry t is summed into the
@@ -220,6 +218,7 @@ class NlpSolution:
     interior_pressures: dict  # pipe id -> ndarray of n-1 values, Pa
     kkt_error: float
     n_iterations: int
+    pipe_states: dict  # pipe id -> (level, stepsize) of the grid solved on
     solve_seconds: float = 0.0
     # the final iterate, from which a solve on the same network can start
     iterate: Iterate = None
@@ -229,13 +228,14 @@ class NlpSolution:
 def assemble(
     net: Network, scn: Scenario, gas: GasParameters, state: dict
 ) -> NlpInstance:
-    """Build the NLP for the given per-pipe (level, stepsize) assignment;
-    ValidationError for a network or scenario that `validate_network` rejects."""
+    """Build the NLP for the given per-pipe (level, stepsize) assignment,
+    which the instance keeps and its solutions name; ValidationError for a
+    network or scenario that `validate_network` rejects."""
     problems = validate_network(net, scn)
     if problems:
         raise ValidationError(problems)
     _load_scipy()
-    inst = NlpInstance(net=net)
+    inst = NlpInstance(net=net, pipe_states=state)
     nodes, comps = net.nodes.values(), net.compressors.values()
     arcs = [*net.pipes.values(), *comps]
     n_nodes, n_pipes, n_comps = len(nodes), len(net.pipes), len(comps)
@@ -308,8 +308,6 @@ def assemble(
     rows, cols = np.divmod(keys, inst.n_vars)
     data = np.bincount(at, data[keep], len(keys))
     inst.linear = rows, cols, data
-    by_col = np.lexsort((rows, cols))
-    inst.linear_t = cols[by_col], rows[by_col], data[by_col]
     flows_at = [scn.flow_at(n) for n in net.nodes][:-1]
     inst.linear_b = np.array(flows_at + [0.0] * n_comps, dtype=float)
     inst.n_cons = n_lin + len(inst.ipk)
@@ -399,6 +397,7 @@ def _extract_solution(
         interior_pressures=interior,
         kkt_error=kkt_error,
         n_iterations=iterations,
+        pipe_states=dict(inst.pipe_states),
         solve_seconds=seconds,
         iterate=iterate,
         reason=reason,
@@ -824,8 +823,12 @@ def solve(
         shrink = (dz < 0.0) & (z > 0.0)
         alpha_d = (-tau * z[shrink] / dz[shrink]).min(initial=1.0)
 
-        # Armijo backtracking on the l1 merit function
-        nu = max(nu, 2.0 * abs(y).max(initial=0.0) + 1.0)
+        # Armijo backtracking on the l1 merit function. The penalty weight
+        # stays above 2 |y|_inf, and falls back to 2 |y|_inf + 1 from ten
+        # times that: kept high after the multipliers fall, nu |c|_1 outgrows
+        # the objective's decrease, and full steps fail the test
+        req = 2.0 * abs(y).max(initial=0.0) + 1.0
+        nu = req if nu > 10.0 * req else max(nu, req)
         phi0 = merit(x, c)
         dphi = inst.objective(dx) - nu * abs(c).sum()
         dphi -= mu * (ds / s).sum()

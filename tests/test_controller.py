@@ -45,7 +45,6 @@ def test_config_defaults_are_consistent():
         {"eps_opt": float("nan")},
         {"eps_opt": float("inf")},
         {"initial_intervals": 6},
-        {"split_tolerance": True, "eps_opt": 100.0},
         {"mu": 2.5},
         {"max_outer_iterations": 1.5},
     ],
@@ -53,12 +52,6 @@ def test_config_defaults_are_consistent():
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         AdaptiveConfig(**kwargs)
-
-
-def test_split_tolerance_shifts_feasibility_threshold():
-    config = AdaptiveConfig(eps=10.0, eps_opt=1.0, split_tolerance=True)
-    assert config.eps_feasibility == 9.0
-    assert AdaptiveConfig(eps=10.0).eps_feasibility == 10.0
 
 
 # -- parameter validator ------------------------------------------------------
@@ -237,6 +230,17 @@ def test_mesh_7x8_adaptive_run_pins_solves_and_objective(grid_mesh):
     assert sum(q < 0.0 for q in sol.arc_flows.values()) == 11
     assert len(state.trace) == 10
     assert sol.objective == pytest.approx(2.736851288587666, rel=1e-9)
+
+
+def test_mesh_15x16_run_from_level_1_ends_eps_feasible(grid_mesh):
+    # its cold level-1 solve at 4 intervals stalled while the l1 penalty
+    # weight could only grow, and the run raised InfeasibleProblem at solve 0
+    net, gas, scn = grid_mesh(15, 16)
+    config = AdaptiveConfig(initial_level=1)
+    sol, state = run(net, scn, gas, config)
+    assert is_eps_feasible(state.estimates.values(), config.eps)
+    assert len(state.trace) == 7
+    assert sol.objective == pytest.approx(2.1472761348740756, rel=1e-9)
 
 
 @pytest.mark.parametrize(

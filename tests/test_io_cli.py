@@ -131,6 +131,7 @@ def test_config_bad_value_is_parse_error():
     [
         {"thetad": 0.5},  # misspelled theta_d
         {"adaptive_eps_opt": True},  # removed, never implemented
+        {"split_tolerance": True},  # removed, moved the stop by eps_opt Pa
     ],
 )
 def test_config_unknown_key_is_parse_error(doc, chain5_files, tmp_path):
@@ -166,15 +167,15 @@ def test_solution_round_trip(tmp_path):
         interior_pressures={"p": np.array([49e5, 48e5])},
         kkt_error=1e-9,
         n_iterations=7,
+        pipe_states={"p": (ModelLevel.GRAVITY, 250.0)},
     )
     path = tmp_path / "sol.json"
-    states = {"p": (ModelLevel.GRAVITY, 250.0)}
-    fileio.save_solution(sol, path, states)
-    loaded, loaded_states = fileio.load_solution(path)
+    fileio.save_solution(sol, path)
+    loaded = fileio.load_solution(path)
     assert loaded.node_pressures == sol.node_pressures
     assert loaded.arc_flows == sol.arc_flows
     assert list(loaded.interior_pressures["p"]) == [49e5, 48e5]
-    assert loaded_states == states
+    assert loaded.pipe_states == sol.pipe_states
 
 
 def test_solution_reason_round_trip(tmp_path):
@@ -189,16 +190,17 @@ def test_solution_reason_round_trip(tmp_path):
         interior_pressures={},
         kkt_error=1.0,
         n_iterations=500,
+        pipe_states={},
         reason="iteration limit reached",
     )
     path = tmp_path / "sol.json"
     fileio.save_solution(sol, path)
-    assert fileio.load_solution(path)[0].reason == "iteration limit reached"
+    assert fileio.load_solution(path).reason == "iteration limit reached"
     # files written before the reason existed load with an empty one
     doc = fileio.solution_to_dict(sol)
     del doc["reason"]
     path.write_text(json.dumps(doc))
-    assert fileio.load_solution(path)[0].reason == ""
+    assert fileio.load_solution(path).reason == ""
 
 
 def test_solution_file_is_one_line_and_round_trips_every_float(tmp_path):
@@ -210,13 +212,15 @@ def test_solution_file_is_one_line_and_round_trips_every_float(tmp_path):
 
     net, gas, scn = chain5()
     sol, state = run(net, scn, gas, AdaptiveConfig())
-    states = {pid: (state.levels[pid], state.stepsizes[pid]) for pid in net.pipes}
     path = tmp_path / "sol.json"
-    fileio.save_solution(sol, path, states)
+    fileio.save_solution(sol, path)
     text = path.read_text()
     assert text.count("\n") == 1 and text.endswith("}\n")
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
-    loaded, _ = fileio.load_solution(path)
+    loaded = fileio.load_solution(path)
+    # the grid of the last solve, which the run ends on
+    states = {pid: (state.levels[pid], state.stepsizes[pid]) for pid in net.pipes}
+    assert loaded.pipe_states == sol.pipe_states == states
     for name in ("node_pressures", "arc_flows", "compressor_lifts"):
         assert getattr(loaded, name) == getattr(sol, name)
     assert loaded.interior_pressures.keys() == sol.interior_pressures.keys()
@@ -381,7 +385,9 @@ def _exits_one(argv, content, chain5_files, tmp_path, capsys):
     }
     code = cli_main([names.get(arg, arg) for arg in argv])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    return err
 
 
 @pytest.mark.parametrize(
@@ -493,6 +499,14 @@ def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, caps
     _exits_one(argv, content, chain5_files, tmp_path, capsys)
 
 
+def test_cli_estimate_needs_the_grid_of_the_solution(chain5_files, tmp_path, capsys):
+    # the estimators are defined against each pipe's level and stepsize, so a
+    # solution without them is an error that names the field, not a guess
+    content = _edited(SOLUTION, ["pipe_states"], None)
+    err = _exits_one(ESTIMATE, content, chain5_files, tmp_path, capsys)
+    assert "missing required field 'pipe_states'" in err
+
+
 SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
 
 
@@ -524,6 +538,7 @@ SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
         ([], 1),
         (["--help"], 0),
         (["nlp-solve", "--help"], 0),
+        (["estimate", "--network", "NET", "--solution", "SCN", "--level", "2"], 1),
     ],
     ids=[
         "level-4",
@@ -551,6 +566,7 @@ SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
         "no-command",
         "help",
         "subcommand-help",
+        "estimate-level",
     ],
 )
 def test_cli_usage_errors_exit_one(argv, code, chain5_files, capsys):
@@ -598,6 +614,10 @@ def test_cli_nlp_solve_and_estimate(chain5_files, tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == fileio.ESTIMATE_COLUMNS
     assert [r[0] for r in rows[1:]] == ["p1", "p2", "p3", "p4", "p5"]
+    # at the grid the solution names, the one nlp-solve solved on
+    lengths = {p["id"]: p["length"] for p in NETWORK["pipes"]}
+    for pid, level, stepsize, *_ in rows[1:]:
+        assert (level, float(stepsize)) == ("3", lengths[pid] / 8)
 
 
 @pytest.fixture
@@ -675,27 +695,6 @@ def test_cli_run_without_outer_iterations_exits_one(chain5_files, tmp_path, caps
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: no eps-feasible solution within 0 outer iterations\n"
-
-
-def test_cli_estimate_falls_back_to_the_given_level_and_intervals(
-    chain5_files, tmp_path, capsys
-):
-    # a solution without pipe states is estimated at --level and --intervals
-    doc = copy.deepcopy(SOLUTION)
-    del doc["pipe_states"]
-    path = tmp_path / "sol.json"
-    path.write_text(json.dumps(doc))
-    code = cli_main(
-        ["estimate", "--network", chain5_files[0], "--solution", str(path),
-         "--level", "2", "--intervals", "8"]
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    lengths = {p["id"]: p["length"] for p in NETWORK["pipes"]}
-    assert [r[0] for r in rows[1:]] == sorted(lengths)
-    for pid, level, stepsize, *_ in rows[1:]:
-        assert level == "2"
-        assert float(stepsize) == lengths[pid] / 8
 
 
 @pytest.mark.parametrize("command", ["nlp-solve", "run"])

@@ -357,13 +357,11 @@ def test_assemble_layout_matches_a_per_pipe_build(case, grid_mesh):
     want = per_pipe_build(net, scn, counts)
     A = want.pop("linear_A")
     got = {key: getattr(inst, key) for key in want}
-    # the linear rows' nonzeros, row by row in `linear` and column by
-    # column in `linear_t`, as scipy's CSR and CSC forms of A hold them
-    for triples, form in ((inst.linear, sp.csr_matrix), (inst.linear_t, sp.csc_matrix)):
-        m = form(A)
-        outer = np.repeat(np.arange(len(m.indptr) - 1), np.diff(m.indptr))
-        for got_part, want_part in zip(triples, (outer, m.indices, m.data)):
-            assert np.array_equal(got_part, want_part)
+    # the linear rows' nonzeros, row by row, as scipy's CSR form of A holds them
+    m = sp.csr_matrix(A)
+    outer = np.repeat(np.arange(len(m.indptr) - 1), np.diff(m.indptr))
+    for got_part, want_part in zip(inst.linear, (outer, m.indices, m.data)):
+        assert np.array_equal(got_part, want_part)
     assert inst.n_lin == len(A)
     assert got.pop("interior_idx").keys() == want["interior_idx"].keys()
     for pid, idx in inst.interior_idx.items():
@@ -523,6 +521,19 @@ def test_solution_determinism():
     assert np.array_equal(a.interior_pressures["p"], b.interior_pressures["p"])
 
 
+def test_solution_names_the_grid_it_was_solved_on():
+    # each pipe at its own level and interval count; the solution keeps a
+    # copy of the map, which a caller may go on to change
+    net, gas, scn = chain5()
+    state = {
+        pid: (ModelLevel.of(1 + k % 3), p.length / (4 * (k + 1)))
+        for k, (pid, p) in enumerate(net.pipes.items())
+    }
+    sol = nlp.solve(nlp.assemble(net, scn, gas, state))
+    assert sol.pipe_states == state
+    assert sol.pipe_states is not state
+
+
 # -- KKT factorization: pipe bands plus a border ----------------------------
 
 
@@ -539,8 +550,10 @@ def kkt_reference(inst, W, J, sigma, delta_w):
 
 
 def step_residual(inst, kkt, W, J, sigma, delta_w, rng):
-    """max |K z - rhs| / max |rhs| of the step `kkt` takes at delta_w for a
-    random right-hand side, against the sp.bmat reference K."""
+    """The normwise backward error max |K z - rhs| / (||K||_inf max |z| +
+    max |rhs|) of the step z that `kkt` takes at delta_w for a random
+    right-hand side, against the sp.bmat reference K: a residual relative
+    to max |rhs| alone grows with the condition of K and the draw."""
     # c in the range of J, as the linearization of a feasible problem has it
     v = np.zeros(inst.n_vars)
     v[kkt.free_idx] = rng.standard_normal(len(kkt.free_idx))
@@ -551,8 +564,10 @@ def step_residual(inst, kkt, W, J, sigma, delta_w, rng):
     assert np.all(np.delete(dx, kkt.free_idx) == 0.0)
     rhs = -np.concatenate([rd[kkt.free_idx], c])
     z = np.concatenate([dx[kkt.free_idx], dy])
-    residual = kkt_reference(inst, W, J, sigma, delta_w) @ z - rhs
-    return np.max(np.abs(residual)) / np.max(np.abs(rhs))
+    K = kkt_reference(inst, W, J, sigma, delta_w)
+    k_norm = abs(K).sum(axis=1).max()  # the largest row sum
+    residual = np.max(np.abs(K @ z - rhs))
+    return residual / (k_norm * np.max(np.abs(z)) + np.max(np.abs(rhs)))
 
 
 @pytest.mark.parametrize("fixture", [chain5, tree12])
@@ -623,7 +638,7 @@ def test_fixed_patterns_match_coo_construction(fixture, level):
         scale = np.max(np.abs(want), initial=0.0)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
 
-    assert step_residual(inst, kkt, W, J, sigma, delta_w, rng) <= 1e-10
+    assert step_residual(inst, kkt, W, J, sigma, delta_w, rng) <= 1e-11
 
 
 @pytest.mark.parametrize("fixture", [chain5, tree12, pipeless])
@@ -639,7 +654,7 @@ def test_step_on_the_smallest_and_the_empty_band(fixture):
     x = nlp._initial_point(inst)
     W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
     sigma = rng.uniform(1.0, 10.0, inst.n_vars)
-    assert step_residual(inst, kkt, W, inst.jacobian(x), sigma, 0.0, rng) <= 1e-10
+    assert step_residual(inst, kkt, W, inst.jacobian(x), sigma, 0.0, rng) <= 1e-11
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -782,8 +797,8 @@ def test_refinement_sharpens_an_inexact_back_solve(error, solves, monkeypatch):
     sigma = rng.uniform(1.0, 10.0, inst.n_vars)
     counter = CountingSplu(nlp.spla.splu, error)
     monkeypatch.setattr(nlp.spla, "splu", counter)
-    # the residual against the sp.bmat K, against 1e-6 unrefined
-    assert step_residual(inst, kkt, W, J, sigma, 0.0, rng) <= 1e-10
+    # the backward error against the sp.bmat K, near 1e-6 unrefined
+    assert step_residual(inst, kkt, W, J, sigma, 0.0, rng) <= 1e-11
     assert (counter.factorizations, counter.solves) == (1, solves)
 
 
@@ -814,11 +829,7 @@ def test_band_solves_per_factorization_and_back_solve(error, solves, monkeypatch
     rng = np.random.default_rng(5)
     x = nlp._initial_point(inst)
     J = inst.jacobian(x)
-    # one draw per mass balance, the implied one included, as the bound
-    # below was set with: one draw fewer shifts every later one, and at
-    # n = 64 the step residual under a 1e-6 error sits near its bound
-    y = rng.standard_normal(inst.n_cons + 1)[1:]
-    W = inst.lagrangian_hessian(x, y)
+    W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
     sigma = rng.uniform(1.0, 10.0, inst.n_vars)
     kkt = nlp.KktSystem(inst)
     calls = []
@@ -831,7 +842,7 @@ def test_band_solves_per_factorization_and_back_solve(error, solves, monkeypatch
     counter = CountingSplu(nlp.spla.splu, error)
     monkeypatch.setattr(nlp.spla, "splu", counter)
     monkeypatch.setattr(nlp.lapack, "dtbtrs", counting_dtbtrs)
-    assert step_residual(inst, kkt, W, J, sigma, 0.0, rng) <= 1e-10
+    assert step_residual(inst, kkt, W, J, sigma, 0.0, rng) <= 1e-11
     assert (counter.factorizations, counter.solves) == (1, solves)
     assert calls == ["N"] + ["N", "T"] * solves
 
@@ -1161,7 +1172,7 @@ def test_warm_start_from_another_network_or_a_file_is_rejected(tmp_path):
     inst = nlp.assemble(net, scn, gas, state)
     chain = nlp.solve(inst)
     fileio.save_solution(chain, tmp_path / "sol.json")
-    loaded, _ = fileio.load_solution(tmp_path / "sol.json")
+    loaded = fileio.load_solution(tmp_path / "sol.json")
     with pytest.raises(ValueError, match="iterate of a solve on this network"):
         nlp.solve(inst, warm_start=loaded)
     net, gas, scn = tree12()
@@ -1241,3 +1252,42 @@ def test_solve_rejects_an_infinite_eps_opt():
     inst = nlp.assemble(net, scn, gas, state)
     with pytest.raises(ValueError, match=r"^eps_opt = inf must be finite$"):
         nlp.solve(inst, eps_opt=float("inf"))
+
+
+# -- the l1 penalty weight ----------------------------------------------------
+
+FALSE_INFEASIBLE = pytest.mark.xfail(
+    strict=True,
+    reason="the stall heuristic calls this feasible NLP Infeasible after 48-49 "
+    "iterations; an Infeasible verdict needs a certificate: a stationary point "
+    "of the constraint violation well above eps_opt",
+)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, n, level",
+    [(7, 8, 16, 1), (7, 8, 16, 2), (7, 8, 64, 1), (7, 8, 64, 2),
+     (10, 10, 64, 1), (10, 10, 64, 2),
+     pytest.param(10, 10, 16, 1, marks=FALSE_INFEASIBLE),
+     pytest.param(10, 10, 16, 2, marks=FALSE_INFEASIBLE)],
+)
+def test_cold_mesh_solve_converges_as_the_penalty_weight_comes_down(
+    rows, cols, n, level, grid_mesh
+):
+    # a weight that could only grow reached 3.2e4 on 7x8 within 5
+    # iterations and kept it while the multipliers fell to about 1: each
+    # full step then raised nu ||c||_1 by more than it lowered the objective,
+    # and the cold solve ran into its iteration limit at about ten times the
+    # optimum; the reference is a warm start from the solve at level 3
+    net, gas, scn = grid_mesh(rows, cols)
+
+    def state(level):
+        return {pid: (ModelLevel.of(level), p.length / n) for pid, p in net.pipes.items()}
+
+    inst = nlp.assemble(net, scn, gas, state(level))
+    level_3 = nlp.solve(nlp.assemble(net, scn, gas, state(3)))
+    warm = nlp.solve(inst, warm_start=level_3)
+    cold = nlp.solve(inst, max_iterations=100)
+    assert warm.status == nlp.STATUS_OPTIMAL
+    assert cold.status == nlp.STATUS_OPTIMAL
+    assert cold.objective == pytest.approx(warm.objective, rel=1e-8)

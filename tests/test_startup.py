@@ -64,7 +64,7 @@ def test_startup_loads_scipy_only_for_the_nlp(tmp_path):
     state = {pid: (ModelLevel.of(1), Grid.for_pipe(pipe.length, 4).stepsize)
              for pid, pipe in net.pipes.items()}
     sol = nlp.solve(nlp.assemble(net, scn, gas, state))
-    doc = fileio.solution_to_dict(sol, state)
+    doc = fileio.solution_to_dict(sol)
     sol_path = tmp_path / "sol.json"
     fileio.write_json(doc, sol_path)
 
