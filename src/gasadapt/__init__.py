@@ -40,7 +40,6 @@ from .estimators import (
     ErrorEstimate,
     discretization_error,
     estimate_with_alternatives,
-    model_error,
     network_error_summary,
     total_error,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "mark_refine",
     "mark_switch_down",
     "mark_switch_up",
-    "model_error",
     "network_error_summary",
     "restrict_to_grid",
     "rhs",

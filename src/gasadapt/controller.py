@@ -217,9 +217,9 @@ def compute_estimates(
             ),
         )
 
-    bundles = {pid: one(net.pipes[pid]) for pid in sorted(net.pipes)}
-    estimates = {pid: b.estimate for pid, b in bundles.items()}
-    return estimates, {pid: b.eta_m_by_level for pid, b in bundles.items()}
+    pairs = {pid: one(net.pipes[pid]) for pid in sorted(net.pipes)}
+    estimates = {pid: estimate for pid, (estimate, _) in pairs.items()}
+    return estimates, {pid: by_level for pid, (_, by_level) in pairs.items()}
 
 
 def _switch_up_targets(levels, eta_m_by_level, eps):

@@ -28,21 +28,13 @@ class ErrorEstimate:
         return self.eta_d + self.eta_m
 
 
-@dataclass(frozen=True)
-class PipeEstimateBundle:
-    """Estimate at the current level plus model errors at alternative levels
-    needed by the marking strategies."""
-
-    estimate: ErrorEstimate
-    eta_m_by_level: dict  # ModelLevel -> eta_m at that level
-
-
 def estimate_with_alternatives(
     pipe, gas, p0, q, level, h, slope=0.0, extra_levels=()
-) -> PipeEstimateBundle:
-    """eta_d, and eta_m at the current and the extra levels, from one march
-    per grid and level: level 1 at 2h (the reference) and 4h, and each
-    distinct level other than 1 at h; eta_m is 0 at level 1."""
+) -> tuple:
+    """The estimate at the current level and {level: eta_m} at the current
+    and the extra levels, from one march per grid and level: level 1 at 2h
+    (the reference) and 4h, and each distinct level other than 1 at h; eta_m
+    is 0 at level 1."""
     level = ModelLevel.of(level)
     n = interval_count(pipe, h)
 
@@ -61,26 +53,19 @@ def estimate_with_alternatives(
         other: 0.0 if other == ModelLevel.FULL else distance(march(other, 1))
         for other in dict.fromkeys(map(ModelLevel.of, (level, *extra_levels)))
     }
-    estimate = ErrorEstimate(pipe.id, eta_d, by_level[level], level, h)
-    return PipeEstimateBundle(estimate, by_level)
+    return ErrorEstimate(pipe.id, eta_d, by_level[level], level, h), by_level
 
 
 def total_error(pipe, gas, p0, q, level, h, slope=0.0) -> ErrorEstimate:
     """The (eta_d, eta_m) pair at the current level: level 1 at 2h and 4h,
     and below level 1 the current level at h."""
-    return estimate_with_alternatives(pipe, gas, p0, q, level, h, slope).estimate
+    return estimate_with_alternatives(pipe, gas, p0, q, level, h, slope)[0]
 
 
 def discretization_error(pipe, gas, p0, q, h, slope=0.0) -> float:
     """Max-norm difference of the level-1 profiles at 2h and 4h on the
     evaluation grid."""
     return total_error(pipe, gas, p0, q, ModelLevel.FULL, h, slope).eta_d
-
-
-def model_error(pipe, gas, p0, q, level, h, slope=0.0) -> float:
-    """Max-norm difference between the level-1 2h profile and the level-l
-    profile at h on the evaluation grid; zero at level 1 by definition."""
-    return total_error(pipe, gas, p0, q, level, h, slope).eta_m
 
 
 def network_error_summary(estimates) -> float:

@@ -53,13 +53,6 @@ class Grid:
     def positions(self) -> np.ndarray:
         return np.arange(self.n_intervals + 1) * self.stepsize
 
-    def coarsened(self, factor: int) -> "Grid":
-        if self.n_intervals % factor != 0:
-            raise InvalidGrid(
-                f"cannot coarsen {self.n_intervals} intervals by factor {factor}"
-            )
-        return Grid(self.stepsize * factor, self.n_intervals // factor)
-
 
 def interval_count(pipe: Pipe, h: float) -> int:
     """L/h for the pipe at a positive and finite stepsize h; it must be a

@@ -191,7 +191,7 @@ def test_compute_estimates_marches_only_the_neighbours_asked_for(monkeypatch, le
         net, gas, sol, levels, stepsizes, neighbours=(-1, 1)
     )
     for pid, pipe in net.pipes.items():
-        bundle = estimators.estimate_with_alternatives(
+        _, by_level_of_pipe = estimators.estimate_with_alternatives(
             pipe,
             gas,
             sol.node_pressures[pipe.from_node],
@@ -201,7 +201,7 @@ def test_compute_estimates_marches_only_the_neighbours_asked_for(monkeypatch, le
             slope=slope_of(pipe, net),
             extra_levels=(ModelLevel.FULL, max(level - 1, 1), min(level + 1, 3)),
         )
-        assert by_level_both[pid] == bundle.eta_m_by_level
+        assert by_level_both[pid] == by_level_of_pipe
     down, _ = compute_estimates(net, gas, sol, levels, stepsizes, neighbours=(-1,))
     assert estimates == down == both
 

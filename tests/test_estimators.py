@@ -10,7 +10,6 @@ from gasadapt.estimators import (
     ErrorEstimate,
     discretization_error,
     estimate_with_alternatives,
-    model_error,
     network_error_summary,
     total_error,
 )
@@ -40,7 +39,7 @@ def test_eta_d_evaluation_grid_has_quarter_plus_one_points(test_pipe, gas):
 
 
 def test_eta_m_zero_at_level_one(test_pipe, gas):
-    assert model_error(test_pipe, gas, P0, Q, ModelLevel.FULL, H) == 0.0
+    assert total_error(test_pipe, gas, P0, Q, ModelLevel.FULL, H).eta_m == 0.0
 
 
 def test_eta_d_halves_under_refinement(test_pipe, gas):
@@ -54,11 +53,11 @@ def test_model_error_stable_under_grid_change(test_pipe, gas):
     slope = 0.03
     h = 10000.0 / 64
     eta_d = discretization_error(test_pipe, gas, P0, Q, h, slope)
-    eta_m = model_error(test_pipe, gas, P0, Q, ModelLevel.FRICTION, h, slope)
+    eta_m = total_error(test_pipe, gas, P0, Q, ModelLevel.FRICTION, h, slope).eta_m
     assert eta_m >= 100.0 * eta_d
-    eta_m_fine = model_error(
+    eta_m_fine = total_error(
         test_pipe, gas, P0, Q, ModelLevel.FRICTION, h / 2, slope
-    )
+    ).eta_m
     assert abs(eta_m_fine - eta_m) <= 0.05 * eta_m
 
 
@@ -74,9 +73,9 @@ def test_eta_m_gravity_head_for_level3_no_flow(test_pipe, gas):
     slope = 0.02
     alpha = gravity_coefficient(test_pipe, gas, slope)
     expected = abs(P0 * (math.exp(-alpha * test_pipe.length) - 1.0))
-    eta_m = model_error(
+    eta_m = total_error(
         test_pipe, gas, P0, 0.0, ModelLevel.FRICTION, 10000.0 / 64, slope
-    )
+    ).eta_m
     assert eta_m == pytest.approx(expected, rel=0.05)
 
 
@@ -94,7 +93,7 @@ def test_eta_m_level2_below_ram_term_bound(test_pipe, gas):
     drop = P0 - p_min
     c = sound_speed(gas)
     bound = q * q * c * c / (test_pipe.cross_area**2 * p_min**2) * drop
-    eta_m = model_error(test_pipe, gas, P0, q, ModelLevel.GRAVITY, h)
+    eta_m = total_error(test_pipe, gas, P0, q, ModelLevel.GRAVITY, h).eta_m
     assert eta_m <= 1.5 * bound
 
 
@@ -105,12 +104,12 @@ def test_total_error_consistency(test_pipe, gas):
         discretization_error(test_pipe, gas, P0, Q, H, 0.01)
     )
     assert est.eta_m == pytest.approx(
-        model_error(test_pipe, gas, P0, Q, ModelLevel.GRAVITY, H, 0.01)
+        total_error(test_pipe, gas, P0, Q, ModelLevel.GRAVITY, H, 0.01).eta_m
     )
 
 
 def test_estimate_with_alternatives_shares_reference(test_pipe, gas):
-    bundle = estimate_with_alternatives(
+    estimate, by_level = estimate_with_alternatives(
         test_pipe,
         gas,
         P0,
@@ -120,14 +119,11 @@ def test_estimate_with_alternatives_shares_reference(test_pipe, gas):
         0.01,
         extra_levels=(ModelLevel.GRAVITY,),
     )
-    assert bundle.estimate.level is ModelLevel.FRICTION
-    assert set(bundle.eta_m_by_level) == {ModelLevel.FRICTION, ModelLevel.GRAVITY}
-    assert bundle.eta_m_by_level[ModelLevel.FRICTION] == bundle.estimate.eta_m
+    assert estimate.level is ModelLevel.FRICTION
+    assert set(by_level) == {ModelLevel.FRICTION, ModelLevel.GRAVITY}
+    assert by_level[ModelLevel.FRICTION] == estimate.eta_m
     # the one-level-better model cannot have a larger model error here
-    assert (
-        bundle.eta_m_by_level[ModelLevel.GRAVITY]
-        <= bundle.eta_m_by_level[ModelLevel.FRICTION]
-    )
+    assert by_level[ModelLevel.GRAVITY] <= by_level[ModelLevel.FRICTION]
 
 
 def test_network_error_summary_average():

@@ -141,14 +141,6 @@ def test_grid_positions_and_length():
     assert np.array_equal(grid.positions(), np.arange(9) * 125.0)
 
 
-def test_grid_coarsened():
-    grid = Grid(125.0, 8)
-    coarse = grid.coarsened(2)
-    assert coarse.stepsize == 250.0 and coarse.n_intervals == 4
-    with pytest.raises(InvalidGrid):
-        grid.coarsened(3)
-
-
 def test_grid_length_must_match_pipe(test_pipe, gas):
     with pytest.raises(InvalidGrid):
         integrate(ModelLevel.FRICTION, test_pipe, gas, 60e5, 100.0, Grid(100.0, 8))

@@ -1291,3 +1291,33 @@ def test_cold_mesh_solve_converges_as_the_penalty_weight_comes_down(
     assert warm.status == nlp.STATUS_OPTIMAL
     assert cold.status == nlp.STATUS_OPTIMAL
     assert cold.objective == pytest.approx(warm.objective, rel=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: nu follows the old multipliers y, not y + dy, so "
+    "the Newton step can ascend the merit function; the line search then "
+    "halves 30 times and falls back to a step of 1e-8",
+)
+def test_line_search_finds_a_decrease_at_every_iteration(monkeypatch):
+    # one call of `constraints` per trial, and one more at the fallback step,
+    # before the next iterate's Jacobian: a failed search makes 31 calls
+    net, scn, gas, state = compressor_chain()
+    inst = nlp.assemble(net, scn, gas, state)
+    constraints, jacobian = nlp.NlpInstance.constraints, nlp.NlpInstance.jacobian
+    calls, per_iterate = [0], []
+
+    def counting_constraints(self, x):
+        calls[0] += 1
+        return constraints(self, x)
+
+    def counting_jacobian(self, x):
+        per_iterate.append(calls[0])
+        calls[0] = 0
+        return jacobian(self, x)
+
+    monkeypatch.setattr(nlp.NlpInstance, "constraints", counting_constraints)
+    monkeypatch.setattr(nlp.NlpInstance, "jacobian", counting_jacobian)
+    sol = nlp.solve(inst)
+    assert sol.status == nlp.STATUS_OPTIMAL
+    assert max(per_iterate) < 30
