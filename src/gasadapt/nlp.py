@@ -317,59 +317,59 @@ def assemble(
 # -- warm starting -------------------------------------------------------
 
 
-def _regrid(values, n_old, k0, k1, n_new):
-    """Each pipe's values at its gridpoints k/n_old, k = k0..n_old - k1,
-    pipe after pipe, interpolated onto its gridpoints k/n_new, k = 1..n_new,
-    in one `np.interp`: pipe i's gridpoints move to [2i, 2i + 1], exactly for
-    power-of-two counts, and a new point outside a pipe's old range is
-    clipped to it, as `np.interp` holds the end values of a single pipe."""
-    if not len(values):  # no pipes: np.interp rejects an empty grid
-        return values
-    # per-pipe values are repeated to the points: a gather by pipe index
-    # costs more
-    count = n_old + 1 - k0 - k1  # old values per pipe
-    pipe = np.repeat(np.arange(len(count)), count)
-    k = np.arange(len(values)) - np.repeat(np.cumsum(count) - count - k0, count)
-    old_pos = 2 * pipe + k / np.repeat(n_old, count)
-    pipe = np.repeat(np.arange(len(n_new)), n_new)
-    k = np.arange(len(pipe)) - np.repeat(np.cumsum(n_new) - n_new - 1, n_new)
-    lo, hi = (np.repeat(bound / n_old, n_new) for bound in (k0, n_old - k1))
-    new_pos = np.minimum(np.maximum(k / np.repeat(n_new, n_new), lo), hi)
-    return np.interp(2 * pipe + new_pos, old_pos, values)
+def _regrid(profiles, n_old, n_new):
+    """Each profile, each pipe's values at its gridpoints k/n_old, k =
+    0..n_old, pipe after pipe, interpolated onto its gridpoints k/n_new, k =
+    1..n_new by one `np.interp` on positions shared by all profiles: pipe i's
+    gridpoints move to [2i, 2i + 1], exactly for power-of-two counts."""
+    if not len(n_old):  # no pipes: np.interp rejects an empty grid
+        return profiles
+
+    def positions(n, k0):  # repeated per point: a gather by pipe costs more
+        count = n + 1 - k0
+        pipe = np.repeat(np.arange(len(n)), count)
+        k = np.arange(len(pipe)) - np.repeat(np.cumsum(count) - count - k0, count)
+        return 2 * pipe + k / np.repeat(n, count)
+
+    old_pos, new_pos = positions(n_old, 0), positions(n_new, 1)
+    return [np.interp(new_pos, old_pos, values) for values in profiles]
 
 
-def _initial_point(inst: NlpInstance, warm: Iterate = None) -> np.ndarray:
-    """The midpoints of the bounds and a straight line between the end
-    pressures of each pipe; or the iterate `warm`, its scalar variables as
-    they are and the pressure profile of each pipe regridded."""
+def _initial_point(inst: NlpInstance, warm: Iterate = None) -> tuple:
+    """(x, y, z), z the bound multipliers as Iterate lays them out: the
+    midpoints of the bounds, a straight line between the end pressures of
+    each pipe and zero multipliers; or the iterate `warm`, each pipe's
+    pressures and multipliers regridded and the rest as it is."""
+    n_scalar, n_lin = inst.n_scalar, inst.n_lin
     finite_lb = np.where(np.isfinite(inst.lb), inst.lb, 0.0)
     finite_ub = np.where(np.isfinite(inst.ub), inst.ub, finite_lb + 100.0)
     x = 0.5 * (finite_lb + finite_ub)
+    y, z = np.zeros(inst.n_cons), np.zeros((2, inst.n_vars))
     # cold, each pipe is regridded from one interval: its end pressures
-    old_x, old_n = x[: inst.n_scalar], np.ones_like(inst.pipe_n)
+    old_x, old_n = x[:n_scalar], np.ones_like(inst.pipe_n)
     if warm is not None:
-        x[: inst.n_scalar] = warm.x[: inst.n_scalar]
         old_x, old_n = warm.x, warm.pipe_n
-    # each pipe's old profile p_from, interior pressures, p_to: its end
-    # pressures inserted at the start s_i and the end e_i of its block of
-    # n_old - 1; where e_i = s_{i+1}, np.insert keeps the order given
+        x[:n_scalar], y[:n_lin] = old_x[:n_scalar], warm.y[:n_lin]
+        z[:, :n_scalar] = warm.z[:, :n_scalar]
+    # each pipe's old profile at k = 0..n_old: p_from, interior pressures,
+    # p_to, its end pressures inserted at the start s_i and the end e_i of its
+    # block of n_old - 1; where e_i = s_{i+1}, np.insert keeps the order given
     at = np.cumsum(np.column_stack([np.zeros_like(old_n), old_n - 1]))
-    profile = np.insert(old_x[inst.n_scalar :], at, old_x[inst.ends[:2]].ravel("F"))
-    x[inst.n_scalar :] = _regrid(profile, old_n, 0, 0, inst.pipe_n)[inst.inner]
-    return x
-
-
-def _warm_multipliers(inst: NlpInstance, warm: Iterate, y, zl, zu):
-    """Overwrite y, zl and zu in place with the multipliers of `warm`: as
-    they are for the linear rows and scalar variables, regridded onto this
-    instance's grid for each pipe; an interior pressure has no upper bound,
-    so zu keeps its zero there."""
-    n_lin = inst.n_lin
-    y[:n_lin] = warm.y[:n_lin]
-    zl[: inst.n_scalar], zu[: inst.n_scalar] = warm.z[:, : inst.n_scalar]
-    y[n_lin:] = _regrid(warm.y[n_lin:], warm.pipe_n, 1, 0, inst.pipe_n)
-    zl_pipes = _regrid(warm.z[0, inst.n_scalar :], warm.pipe_n, 1, 1, inst.pipe_n)
-    zl[inst.n_scalar :] = zl_pipes[inst.inner]
+    profiles = [np.insert(old_x[n_scalar:], at, old_x[inst.ends[:2]].ravel("F"))]
+    if warm is not None:
+        # a multiplier repeats its nearest value where it has none, which
+        # np.interp returns there: y of k = 1..n_old at k = 0, and zl of the
+        # interior pressures at both ends (an interior zu is zero: no bound)
+        y_old, zl_old = warm.y[n_lin:], warm.z[0, n_scalar:]
+        first = np.cumsum(old_n) - old_n
+        profiles.append(np.insert(y_old, first, y_old[first]))
+        held = at - np.tile([0, 1], len(old_n))  # s_i and e_i - 1
+        profiles.append(np.insert(zl_old, at, zl_old[held]))
+    x_pipes, *multipliers = _regrid(profiles, old_n, inst.pipe_n)
+    x[n_scalar:] = x_pipes[inst.inner]
+    if warm is not None:
+        y[n_lin:], z[0, n_scalar:] = multipliers[0], multipliers[1][inst.inner]
+    return x, y, z
 
 
 def _extract_solution(
@@ -647,7 +647,7 @@ class KktSystem:
         k_wj = max(abs(W).max(initial=1.0), abs(J).max(initial=1.0))
         delta_w = self.delta_w
         for _ in range(12):
-            with contextlib.suppress(RuntimeError, ValueError):
+            with contextlib.suppress(RuntimeError):
                 factors = self._factor(W, J, sigma, delta_w)
                 z = self._solve(factors, rhs)
                 # one round of iterative refinement, when the residual needs it
@@ -717,7 +717,7 @@ def solve(
         x[upper[high]] = edge[n_lower:][high]
         return low.any() or high.any()
 
-    x = _initial_point(inst, warm)
+    x, y, z = _initial_point(inst, warm)
     x[fixed] = inst.lb[fixed]
     # push strictly inside the bounds; a warm start is presumed near-optimal,
     # so barely perturb it
@@ -735,12 +735,10 @@ def solve(
     # a warm start continues at the final barrier parameter from the
     # multipliers of the previous solve, carried over onto this instance
     mu = 0.1 if warm is None else mu_min
-    y = np.zeros(m)
-    z = np.clip(mu / np.maximum(slack(x), 1e-8), 0.0, 1e8)
-    if warm is not None:
-        z_rows = np.zeros((2, n))
-        _warm_multipliers(inst, warm, y, *z_rows)
-        z = np.maximum(z_rows.ravel()[at], 1e-16)
+    if warm is None:
+        z = np.clip(mu / np.maximum(slack(x), 1e-8), 0.0, 1e8)
+    else:
+        z = np.maximum(z.ravel()[at], 1e-16)
     nu = 1.0  # l1 penalty weight for the merit function
     best_viol = np.inf
     stall = 0

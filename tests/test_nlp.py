@@ -421,7 +421,7 @@ def test_derivatives_match_central_differences():
     }
     inst = nlp.assemble(net, scn, gas, state)
     rng = np.random.default_rng(7)
-    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    x = nlp._initial_point(inst)[0] + rng.uniform(-1.0, 1.0, inst.n_vars)
     for i in inst.flow_idx.values():
         x[i] = rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 80.0)
     y = rng.standard_normal(inst.n_cons)
@@ -462,7 +462,7 @@ def test_evaluation_matches_the_gridpoint_formulas():
     }
     inst = nlp.assemble(net, scn, gas, state)
     rng = np.random.default_rng(11)
-    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    x = nlp._initial_point(inst)[0] + rng.uniform(-1.0, 1.0, inst.n_vars)
     for i in inst.flow_idx.values():
         x[i] = rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 80.0)
     y = rng.standard_normal(inst.n_cons)
@@ -586,7 +586,7 @@ def test_kkt_ordering_is_a_permutation(fixture):
 
     # random values: the sparse sum in kkt_reference drops explicit zeros
     rng = np.random.default_rng(1)
-    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    x = nlp._initial_point(inst)[0] + rng.uniform(-1.0, 1.0, inst.n_vars)
     W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
     K = kkt_reference(inst, W, inst.jacobian(x), np.ones(inst.n_vars), 0.0).tocoo()
     in_band = np.full(K.shape[0], -1)
@@ -621,7 +621,7 @@ def test_fixed_patterns_match_coo_construction(fixture, level):
     inst = nlp.assemble(net, scn, gas, state)
     n, m = inst.n_vars, inst.n_cons
     rng = np.random.default_rng(level)
-    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, n)
+    x = nlp._initial_point(inst)[0] + rng.uniform(-1.0, 1.0, n)
     y = rng.standard_normal(m)
     sigma = rng.uniform(0.0, 10.0, n)
     delta_w = rng.uniform(0.0, 1e-3)
@@ -651,7 +651,7 @@ def test_step_on_the_smallest_and_the_empty_band(fixture):
     kkt = nlp.KktSystem(inst)
     assert len(kkt.band) == 6 * len(net.pipes)
     rng = np.random.default_rng(4)
-    x = nlp._initial_point(inst)
+    x = nlp._initial_point(inst)[0]
     W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
     sigma = rng.uniform(1.0, 10.0, inst.n_vars)
     assert step_residual(inst, kkt, W, inst.jacobian(x), sigma, 0.0, rng) <= 1e-11
@@ -669,7 +669,7 @@ def test_band_solve_matches_the_dense_band(fixture, level, n):
     state = {pid: (ModelLevel.of(level), p.length / n) for pid, p in net.pipes.items()}
     inst = nlp.assemble(net, scn, gas, state)
     rng = np.random.default_rng(10 * n + level)
-    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    x = nlp._initial_point(inst)[0] + rng.uniform(-1.0, 1.0, inst.n_vars)
     J = inst.jacobian(x)
     W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
     sigma = rng.uniform(0.0, 10.0, inst.n_vars)
@@ -722,7 +722,7 @@ def test_schur_complement_matches_the_dense_one(
     state = {pid: (ModelLevel.of(level), p.length / n) for pid, p in net.pipes.items()}
     inst = nlp.assemble(net, scn, gas, state)
     rng = np.random.default_rng(100 * n + level)
-    x = nlp._initial_point(inst) + rng.uniform(-1.0, 1.0, inst.n_vars)
+    x = nlp._initial_point(inst)[0] + rng.uniform(-1.0, 1.0, inst.n_vars)
     # signed flows large enough that the ram term of W(p_1, p_from) shows
     for i in inst.flow_idx.values():
         x[i] = rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 80.0)
@@ -791,7 +791,7 @@ def test_refinement_sharpens_an_inexact_back_solve(error, solves, monkeypatch):
     state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
     inst = nlp.assemble(net, scn, gas, state)
     rng = np.random.default_rng(3)
-    x = nlp._initial_point(inst)
+    x = nlp._initial_point(inst)[0]
     J, W = inst.jacobian(x), inst.lagrangian_hessian(x, np.zeros(inst.n_cons))
     kkt = nlp.KktSystem(inst)
     sigma = rng.uniform(1.0, 10.0, inst.n_vars)
@@ -827,7 +827,7 @@ def test_band_solves_per_factorization_and_back_solve(error, solves, monkeypatch
     state = {pid: (ModelLevel.FULL, p.length / 64) for pid, p in net.pipes.items()}
     inst = nlp.assemble(net, scn, gas, state)
     rng = np.random.default_rng(5)
-    x = nlp._initial_point(inst)
+    x = nlp._initial_point(inst)[0]
     J = inst.jacobian(x)
     W = inst.lagrangian_hessian(x, rng.standard_normal(inst.n_cons))
     sigma = rng.uniform(1.0, 10.0, inst.n_vars)
@@ -860,6 +860,25 @@ def test_factorization_failure_names_its_reason(monkeypatch):
     assert sol.n_iterations == 1
     assert sol.reason == nlp.REASON_FACTORIZATION
     assert "factorization" in sol.reason
+
+
+def test_factorization_value_error_is_not_retried(monkeypatch):
+    # splu raises ValueError only for a matrix it cannot take, such as a
+    # non-square one: a programming error, not a singular factor that a
+    # larger delta_w could mend, so the solve raises it
+    calls = []
+
+    def rejecting_splu(*args, **kwargs):
+        calls.append(1)
+        raise ValueError("can only factor square matrices")
+
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    monkeypatch.setattr(nlp.spla, "splu", rejecting_splu)
+    with pytest.raises(ValueError, match="square"):
+        nlp.solve(inst)
+    assert len(calls) == 1
 
 
 def test_singular_band_names_the_factorization_reason(monkeypatch):
@@ -1049,7 +1068,7 @@ def test_kkt_fill_stays_proportional_to_nnz(tree12_uniform_solve):
     # row, within the 7 per band row of a band LU; S is factored by SuperLU
     _, factors, inst = tree12_uniform_solve
     n_band = len(nlp.KktSystem(inst).band)
-    x = nlp._initial_point(inst)
+    x = nlp._initial_point(inst)[0]
     W = inst.lagrangian_hessian(x, np.ones(inst.n_cons))
     nnz = kkt_reference(inst, W, inst.jacobian(x), np.ones(inst.n_vars), 0.0).nnz
     assert factors
@@ -1091,10 +1110,10 @@ def test_warm_start_carries_multipliers(instance, before, after):
     cold = nlp.solve(inst)
 
     # the multipliers carried onto the new instance are close to its own
-    carried = [np.zeros(inst.n_cons), np.zeros(inst.n_vars), np.zeros(inst.n_vars)]
-    nlp._warm_multipliers(inst, previous.iterate, *carried)
-    converged = [np.zeros(inst.n_cons), np.zeros(inst.n_vars), np.zeros(inst.n_vars)]
-    nlp._warm_multipliers(inst, cold.iterate, *converged)
+    _, y, z = nlp._initial_point(inst, previous.iterate)
+    carried = [y, *z]
+    _, y, z = nlp._initial_point(inst, cold.iterate)
+    converged = [y, *z]
     for got, want in zip(carried, converged):
         scale = max(1.0, np.max(np.abs(want)))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-2 * scale)
@@ -1108,8 +1127,8 @@ def test_warm_start_carries_multipliers(instance, before, after):
 
 
 def per_pipe_regrid(values, n_old, k0, k1, n_new):
-    """`nlp._regrid` by one `np.interp` per pipe: its values at k/n_old,
-    k = k0..n_old - k1, onto k/n_new, k = 1..n_new, the end values held."""
+    """One `np.interp` per pipe: its values at k/n_old, k = k0..n_old - k1,
+    onto k/n_new, k = 1..n_new, the end values held."""
     out, start = [np.zeros(0)], 0
     for m, n in zip(n_old, n_new):
         old_pos = np.arange(k0, m - k1 + 1) / m
@@ -1139,8 +1158,11 @@ def test_regrid_matches_a_per_pipe_interpolation(k0, k1, n_old, n_new):
         50.0 + 10.0 * np.cos(3.0 * (i + np.arange(k0, m - k1 + 1) / m))
         for i, m in enumerate(n_old)
     ]
+    # nlp._regrid takes each pipe's values at k = 0..n_old, so a multiplier
+    # with none at an end repeats its nearest value there
+    profile = [np.pad(v, (k0, k1), mode="edge") for v in values[1:]]
+    got = nlp._regrid([np.concatenate([np.zeros(0), *profile])], n_old, n_new)[0]
     values = np.concatenate(values)
-    got = nlp._regrid(values, n_old, k0, k1, n_new)
     want = per_pipe_regrid(values, n_old, k0, k1, n_new)
     if all(n & (n - 1) == 0 for n in np.r_[n_old, n_new]):
         assert np.array_equal(got, want)
@@ -1192,7 +1214,7 @@ def test_refine_warm_start_keeps_the_old_gridpoints_bit_for_bit():
     coarse_inst = nlp.assemble(net, scn, gas, coarse)
     previous = nlp.solve(coarse_inst).iterate
     inst = nlp.assemble(net, scn, gas, fine)
-    x = nlp._initial_point(inst, previous)
+    x = nlp._initial_point(inst, previous)[0]
     assert np.array_equal(x[: inst.n_scalar], previous.x[: inst.n_scalar])
     for pid, idx in inst.interior_idx.items():
         old = previous.x[coarse_inst.interior_idx[pid]]
