@@ -1,11 +1,15 @@
 """Start-up without scipy: only the NLP needs it, and it is imported when the
-first instance is assembled. Each check runs in a fresh interpreter, as this
-suite's own process has scipy loaded."""
+first instance is assembled. The package root loads nothing, and each module
+imports on its own. Each check runs in a fresh interpreter, as this suite's
+own process has scipy loaded."""
 
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gasadapt
 from gasadapt import controller, fileio, nlp
@@ -117,3 +121,38 @@ def test_splu_patched_before_the_first_assemble_counts_every_factorization(
     _, state = controller.run(net, scn, gas, controller.AdaptiveConfig())
     assert calls["solves"] == len(state.trace) == 13
     assert calls["splu"] == calls["factor"] == len(counted) > 0
+
+
+ROOT = """
+import json
+import gasadapt
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("gasadapt", "numpy"))))
+"""
+
+
+def test_package_root_loads_no_submodule_and_no_numpy():
+    assert _fresh(ROOT) == ["gasadapt"]
+
+
+SUBMODULE = """
+import json
+import gasadapt.integrate as m
+print(json.dumps([m is sys.modules["gasadapt.integrate"], hasattr(m, "Grid")]))
+"""
+
+
+def test_import_as_binds_the_integrate_module_not_the_function():
+    assert _fresh(SUBMODULE) == [True, True]
+
+
+# every module of the package, each imported first in a fresh interpreter,
+# so that no import cycle hides behind an import order that works
+MODULES = sorted(m.name for m in pkgutil.iter_modules(gasadapt.__path__))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_on_its_own(module):
+    code = ("import importlib, json\n"
+            "print(json.dumps(importlib.import_module(sys.argv[1]).__name__))")
+    assert _fresh(code, f"gasadapt.{module}") == f"gasadapt.{module}"
