@@ -306,7 +306,7 @@ def run(
             sum_eta_d=sum_d,
             sum_eta_m=sum_m,
             sum_eta=sum_d + sum_m,
-            avg_eta=(sum_d + sum_m) / len(estimates),
+            avg_eta=network_error_summary(estimates.values()),
             n_refined=len(refined),
             n_switched_up=len(up),
             n_coarsened=len(coarsened),

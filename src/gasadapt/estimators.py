@@ -69,8 +69,9 @@ def discretization_error(pipe, gas, p0, q, h, slope=0.0) -> float:
 
 
 def network_error_summary(estimates) -> float:
-    """Average total error per pipe."""
+    """(sum eta_d + sum eta_m) / n, the trace's avg_eta and the loop's stop."""
     estimates = list(estimates)
     if not estimates:
         raise EmptyNetwork("no pipe estimates to average")
-    return sum(e.eta for e in estimates) / len(estimates)
+    sum_d, sum_m = sum(e.eta_d for e in estimates), sum(e.eta_m for e in estimates)
+    return (sum_d + sum_m) / len(estimates)

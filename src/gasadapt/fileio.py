@@ -17,7 +17,7 @@ from dataclasses import MISSING
 import numpy as np
 
 from .controller import AdaptiveConfig, AdaptiveState, TraceRecord
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .models import ModelLevel
 from .network import (
     Compressor,
@@ -27,7 +27,6 @@ from .network import (
     Pipe,
     Scenario,
     nikuradse_friction,
-    validate_network,
 )
 from .nlp import NlpSolution
 
@@ -196,11 +195,7 @@ def network_from_dict(doc) -> tuple:
         _record(Compressor, entry, "compressor", to_si, ARC_KEYS)
         for entry in _get(doc, "compressors", "network", "list", [])
     ]
-    net = Network(nodes, pipes, compressors)
-    problems = validate_network(net)
-    if problems:
-        raise ValidationError(problems)
-    return net, gas
+    return Network(nodes, pipes, compressors), gas
 
 
 def _as_dict(record, keys=None):

@@ -87,8 +87,8 @@ class Scenario:
 
 class Network:
     def __init__(self, nodes, pipes, compressors=()):
-        """ValidationError when two nodes share an id, or two arcs, pipes and
-        compressors alike: each record is kept by its id."""
+        """ValidationError listing each id that two nodes, or two arcs, share
+        (records are kept by id), else each of `_structural_problems`."""
         nodes, pipes, compressors = list(nodes), list(pipes), list(compressors)
         repeated = [
             f"{kind} {id_}: duplicate id"
@@ -96,17 +96,16 @@ class Network:
             for id_, count in Counter(record.id for record in records).items()
             if count > 1
         ]
-        if repeated:
-            raise ValidationError(repeated)
         self.nodes = {n.id: n for n in nodes}
         self.pipes = {p.id: p for p in pipes}
         self.compressors = {c.id: c for c in compressors}
+        problems = repeated or _structural_problems(self)
+        if problems:
+            raise ValidationError(problems)
 
     @property
     def arcs(self):
-        arcs = dict(self.pipes)
-        arcs.update(self.compressors)
-        return arcs
+        return {**self.pipes, **self.compressors}
 
 
 def slope_of(pipe: Pipe, net: Network) -> float:
@@ -127,8 +126,8 @@ def mass_balance_residual(net: Network, scn: Scenario, flows: dict) -> dict:
     return residual
 
 
-def validate_network(net: Network, scn: Scenario = None) -> list:
-    """Collect every violated structural invariant; empty list means valid."""
+def _structural_problems(net: Network) -> list:
+    """Every violated invariant of a network with unique ids, in order."""
     # every NaN number, and an infinite one among FINITE_FIELDS
     problems = [
         f"{kind} {record.id}: {name} {value} is not finite"
@@ -175,38 +174,40 @@ def validate_network(net: Network, scn: Scenario = None) -> list:
 
     if not problems and net.nodes and not _is_connected(net):
         problems.append("network is not connected")
-
-    if scn is not None:
-        for node_id, flow in scn.flows.items():
-            node = net.nodes.get(node_id)
-            if node is None:
-                problems.append(f"scenario: unknown node '{node_id}'")
-                continue
-            if node.kind == "entry" and flow > 0.0:
-                problems.append(f"scenario: positive flow {flow} at entry {node_id}")
-            if node.kind == "exit" and flow < 0.0:
-                problems.append(f"scenario: negative flow {flow} at exit {node_id}")
-            if node.kind == "inner" and flow != 0.0:
-                problems.append(f"scenario: nonzero flow {flow} at inner node {node_id}")
-        imbalance = sum(scn.flows.get(n, 0.0) for n in net.nodes)
-        if abs(imbalance) > BALANCE_TOL:
-            problems.append(f"global imbalance {imbalance}")
     return problems
 
 
+def validate_scenario(net: Network, scn: Scenario) -> None:
+    """ValidationError listing each boundary flow at an unknown node or of
+    the wrong sign for its node's kind, and a global imbalance."""
+    problems = []
+    for node_id, flow in scn.flows.items():
+        node = net.nodes.get(node_id)
+        if node is None:
+            problems.append(f"scenario: unknown node '{node_id}'")
+            continue
+        if node.kind == "entry" and flow > 0.0:
+            problems.append(f"scenario: positive flow {flow} at entry {node_id}")
+        if node.kind == "exit" and flow < 0.0:
+            problems.append(f"scenario: negative flow {flow} at exit {node_id}")
+        if node.kind == "inner" and flow != 0.0:
+            problems.append(f"scenario: nonzero flow {flow} at inner node {node_id}")
+    imbalance = sum(scn.flows.get(n, 0.0) for n in net.nodes)
+    if abs(imbalance) > BALANCE_TOL:
+        problems.append(f"global imbalance {imbalance}")
+    if problems:
+        raise ValidationError(problems)
+
+
 def _is_connected(net: Network) -> bool:
-    start = next(iter(net.nodes))
-    seen = {start}
-    stack = [start]
     adjacency = {n: set() for n in net.nodes}
     for arc in net.arcs.values():
-        if arc.from_node in adjacency and arc.to_node in adjacency:
-            adjacency[arc.from_node].add(arc.to_node)
-            adjacency[arc.to_node].add(arc.from_node)
+        adjacency[arc.from_node].add(arc.to_node)
+        adjacency[arc.to_node].add(arc.from_node)
+    seen, stack = set(), [next(iter(net.nodes))]
     while stack:
         node = stack.pop()
-        for neighbor in adjacency[node]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                stack.append(neighbor)
+        if node not in seen:
+            seen.add(node)
+            stack.extend(adjacency[node])
     return len(seen) == len(net.nodes)

@@ -10,15 +10,15 @@ variable vector; the public solution is plain SI.
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
 from .integrate import interval_count
 from .models import pipe_coefficients
-from .network import GasParameters, Network, Scenario, slope_of, validate_network
+from .network import GasParameters, Network, Scenario, slope_of, validate_scenario
 
 PRESSURE_SCALE = 1e5  # internal pressure unit is bar
 FLOW_SMOOTHING = 1e-6  # kg/s, smooths |q| q at q = 0
@@ -230,10 +230,8 @@ def assemble(
 ) -> NlpInstance:
     """Build the NLP for the given per-pipe (level, stepsize) assignment,
     which the instance keeps and its solutions name; ValidationError for a
-    network or scenario that `validate_network` rejects."""
-    problems = validate_network(net, scn)
-    if problems:
-        raise ValidationError(problems)
+    scenario that `validate_scenario` rejects on this network."""
+    validate_scenario(net, scn)
     _load_scipy()
     inst = NlpInstance(net=net, pipe_states=state)
     nodes, comps = net.nodes.values(), net.compressors.values()
@@ -640,8 +638,8 @@ class KktSystem:
     def step(self, W, J, sigma, rd, c):
         """(dx, dy) from K [dx_free, dy] = -[rd_free, c], with dx zero at
         fixed variables; None when the factorization fails at 12 increasing
-        values of delta_w, as it does when the backward error of the step
-        stays above 1e-10 after refinement."""
+        values of delta_w, as it does when the step is not finite or its
+        backward error stays above 1e-10 after refinement."""
         rhs = -np.concatenate([rd[self.free_idx], c])
         r_max, sigma_max = abs(rhs).max(), sigma.max(initial=0.0)
         k_wj = max(abs(W).max(initial=1.0), abs(J).max(initial=1.0))
@@ -655,8 +653,12 @@ class KktSystem:
                 if abs(res).max() > 1e-12 * max(1.0, r_max):
                     z -= self._solve(factors, res)
                     res = self._product(W, J, sigma, delta_w, z) - rhs
-                k = max(k_wj, sigma_max + delta_w)
-                if abs(res).max() <= 1e-10 * (k * abs(z).max() + r_max):
+                # |res| <= 1e-10 (k |z| + r_max), each term times 2^e with
+                # |z| < 2^-e: exact, free of overflow, and false at inf or NaN
+                res_max, z_max = abs(res).max(), abs(z).max()
+                k, e = max(k_wj, sigma_max + delta_w), -max(0, math.frexp(z_max)[1])
+                res_s, z_s, r_s = (math.ldexp(v, e) for v in (res_max, z_max, r_max))
+                if math.isfinite(z_max) and res_s <= 1e-10 * (k * z_s + r_s):
                     break
             # a singular factor or a backward error above its bound: regularize
             delta_w = max(1e-8, 10.0 * delta_w)

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from gasadapt import fileio
+from gasadapt import fileio, network, nlp
 from gasadapt.cli import main as cli_main
 from gasadapt.controller import AdaptiveConfig, AdaptiveState, TraceRecord, run
 from gasadapt.errors import InfeasibleProblem, ParseError, ValidationError
@@ -106,6 +106,30 @@ def test_invalid_network_raises_validation_error():
     doc["nodes"][0]["kind"] = "bogus"
     with pytest.raises(ValidationError):
         fileio.network_from_dict(doc)
+
+
+def test_cli_run_checks_the_network_once(tmp_path, monkeypatch):
+    # the network is checked where it is built, and each of the 14 NLPs that
+    # the tree-12 run assembles checks only the scenario against it
+    checks, assembles = [], []
+    structural_problems, assemble = network._structural_problems, nlp.assemble
+
+    def counting_problems(net):
+        checks.append(net)
+        return structural_problems(net)
+
+    def counting_assemble(*args):
+        assembles.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(network, "_structural_problems", counting_problems)
+    monkeypatch.setattr(nlp, "assemble", counting_assemble)
+    net_path, scn_path = tmp_path / "net.json", tmp_path / "scn.json"
+    net_path.write_text(json.dumps(tree12_network_dict()))
+    scn_path.write_text(json.dumps(tree12_scenario_dict()))
+    argv = ["run", "--network", str(net_path), "--scenario", str(scn_path)]
+    assert cli_main([*argv, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert (len(checks), len(assembles)) == (1, 14)
 
 
 def test_malformed_json_is_parse_error(tmp_path):

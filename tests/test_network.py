@@ -1,6 +1,8 @@
-"""Network data model, validation report, and mass balance."""
+"""Network data model, its validation at construction, the scenario check,
+and mass balance."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +18,7 @@ from gasadapt.network import (
     mass_balance_residual,
     nikuradse_friction,
     slope_of,
-    validate_network,
+    validate_scenario,
 )
 
 
@@ -86,32 +88,32 @@ def test_mass_balance_residual_linear_in_flows(q1, q2, b1, b2):
 
 
 def test_validate_clean_network():
-    net = _two_node_net()
-    assert validate_network(net) == []
+    # raises at construction on any problem
+    _two_node_net()
 
 
 def test_validate_fixtures_are_clean():
     for fixture in (chain5, tree12):
         net, _, scn = fixture()
-        assert validate_network(net, scn) == []
+        validate_scenario(net, scn)
 
 
 def test_validate_unknown_kind():
-    net = Network([_node("a", kind="blend"), _node("b", "exit")], [_pipe("p", "a", "b")])
-    assert any("unknown kind" in p for p in validate_network(net))
+    with pytest.raises(ValidationError, match="unknown kind"):
+        Network([_node("a", kind="blend"), _node("b", "exit")], [_pipe("p", "a", "b")])
 
 
 def test_validate_inverted_pressure_bounds():
-    net = Network(
-        [_node("a", "entry", pmin=8e6, pmax=5e6), _node("b", "exit")],
-        [_pipe("p", "a", "b")],
-    )
-    assert any("inverted" in p for p in validate_network(net))
+    with pytest.raises(ValidationError, match="inverted"):
+        Network(
+            [_node("a", "entry", pmin=8e6, pmax=5e6), _node("b", "exit")],
+            [_pipe("p", "a", "b")],
+        )
 
 
 def test_validate_dangling_endpoint():
-    net = Network([_node("a", "entry"), _node("b", "exit")], [_pipe("p", "a", "ghost")])
-    assert any("dangling endpoint" in p for p in validate_network(net))
+    with pytest.raises(ValidationError, match="dangling endpoint"):
+        Network([_node("a", "entry"), _node("b", "exit")], [_pipe("p", "a", "ghost")])
 
 
 def test_validate_duplicate_arc_id():
@@ -141,10 +143,10 @@ def test_network_rejects_a_repeated_id(node_ids, pipe_ids, message):
 
 
 def test_validate_geometry():
-    net = _two_node_net(length=-1.0)
-    assert any("non-positive length" in p for p in validate_network(net))
-    net = _two_node_net(slope=1.5)
-    assert any("slope magnitude" in p for p in validate_network(net))
+    with pytest.raises(ValidationError, match="non-positive length"):
+        _two_node_net(length=-1.0)
+    with pytest.raises(ValidationError, match="slope magnitude"):
+        _two_node_net(slope=1.5)
 
 
 def _compressor_net(**comp_kw):
@@ -157,72 +159,112 @@ def _compressor_net(**comp_kw):
     )
 
 
+def _pipeless_net(**entry_kw):
+    return Network([_node("a", "entry", **entry_kw), _node("b", "exit")], [])
+
+
 NAN = float("nan")
 
 
 @pytest.mark.parametrize(
     "net, problem",
     [
-        (_two_node_net(length=NAN), "pipe p: length nan is not finite"),
-        (_two_node_net(diameter=NAN), "pipe p: diameter nan is not finite"),
-        (_two_node_net(cross_area=NAN), "pipe p: cross_area nan is not finite"),
-        (_two_node_net(friction=NAN), "pipe p: friction nan is not finite"),
-        (_two_node_net(slope=NAN), "pipe p: slope nan is not finite"),
-        (_two_node_net(flow_max=NAN), "pipe p: flow_max nan is not finite"),
-        (_two_node_net(length=math.inf), "pipe p: length inf is not finite"),
-        (_two_node_net(friction=math.inf), "pipe p: friction inf is not finite"),
-        (_two_node_net(slope=-math.inf), "pipe p: slope -inf is not finite"),
+        (partial(_two_node_net, length=NAN), "pipe p: length nan is not finite"),
+        (partial(_two_node_net, diameter=NAN), "pipe p: diameter nan is not finite"),
         (
-            Network([_node("a", "entry", elevation=NAN), _node("b", "exit")], []),
-            "node a: elevation nan is not finite",
+            partial(_two_node_net, cross_area=NAN),
+            "pipe p: cross_area nan is not finite",
         ),
+        (partial(_two_node_net, friction=NAN), "pipe p: friction nan is not finite"),
+        (partial(_two_node_net, slope=NAN), "pipe p: slope nan is not finite"),
+        (partial(_two_node_net, flow_max=NAN), "pipe p: flow_max nan is not finite"),
+        (partial(_two_node_net, length=math.inf), "pipe p: length inf is not finite"),
         (
-            Network([_node("a", "entry", elevation=math.inf), _node("b", "exit")], []),
+            partial(_two_node_net, friction=math.inf),
+            "pipe p: friction inf is not finite",
+        ),
+        (partial(_two_node_net, slope=-math.inf), "pipe p: slope -inf is not finite"),
+        (partial(_pipeless_net, elevation=NAN), "node a: elevation nan is not finite"),
+        (
+            partial(_pipeless_net, elevation=math.inf),
             "node a: elevation inf is not finite",
         ),
+        (partial(_pipeless_net, pmax=NAN), "node a: pressure_max nan is not finite"),
         (
-            Network([_node("a", "entry", pmax=NAN), _node("b", "exit")], []),
-            "node a: pressure_max nan is not finite",
+            partial(_compressor_net, lift_max=NAN),
+            "compressor c: lift_max nan is not finite",
         ),
-        (_compressor_net(lift_max=NAN), "compressor c: lift_max nan is not finite"),
-        (_compressor_net(cost_coeff=NAN), "compressor c: cost_coeff nan is not finite"),
+        (
+            partial(_compressor_net, cost_coeff=NAN),
+            "compressor c: cost_coeff nan is not finite",
+        ),
     ],
 )
 def test_validate_reports_each_non_finite_number(net, problem):
-    assert problem in validate_network(net)
+    # each network is built inside the test, where it raises
+    with pytest.raises(ValidationError) as raised:
+        net()
+    assert problem in raised.value.problems
 
 
 def test_validate_keeps_infinite_bounds_as_no_bound():
-    net = Network(
+    # raises at construction on any problem
+    Network(
         [_node("a", "entry", pmax=math.inf), _node("b", "exit")],
         [_pipe("p", "a", "b", flow_min=-math.inf, flow_max=math.inf)],
         [Compressor("c", "b", "a", lift_max=math.inf, cost_coeff=1.0)],
     )
-    assert validate_network(net) == []
 
 
 def test_validate_disconnected():
-    net = Network(
-        [_node("a", "entry"), _node("b", "exit"), _node("c"), _node("d")],
-        [_pipe("p", "a", "b"), _pipe("q", "c", "d")],
-    )
-    assert any("not connected" in p for p in validate_network(net))
+    with pytest.raises(ValidationError, match="not connected"):
+        Network(
+            [_node("a", "entry"), _node("b", "exit"), _node("c"), _node("d")],
+            [_pipe("p", "a", "b"), _pipe("q", "c", "d")],
+        )
+
+
+def _scenario_problems(flows):
+    with pytest.raises(ValidationError) as raised:
+        validate_scenario(_two_node_net(), Scenario(flows))
+    return raised.value.problems
 
 
 def test_validate_scenario_signs():
-    net = _two_node_net()
-    problems = validate_network(net, Scenario({"a": 5.0, "b": -5.0}))
+    problems = _scenario_problems({"a": 5.0, "b": -5.0})
     assert any("positive flow" in p for p in problems)
     assert any("negative flow" in p for p in problems)
 
 
 def test_validate_scenario_global_imbalance():
-    net = _two_node_net()
-    problems = validate_network(net, Scenario({"a": -5.0, "b": 4.0}))
+    problems = _scenario_problems({"a": -5.0, "b": 4.0})
     assert any("global imbalance" in p for p in problems)
 
 
 def test_validate_scenario_unknown_node():
-    net = _two_node_net()
-    problems = validate_network(net, Scenario({"zzz": 1.0, "a": -1.0, "b": 1.0}))
+    problems = _scenario_problems({"zzz": 1.0, "a": -1.0, "b": 1.0})
     assert any("unknown node" in p for p in problems)
+
+
+def test_network_lists_every_problem_in_one_order():
+    # records by kind, each record's checks in turn, then connectivity,
+    # which is checked only on a network without other problems
+    with pytest.raises(ValidationError) as raised:
+        Network(
+            [_node("a", "entry", pmin=8e6, pmax=5e6), _node("b", "blend")],
+            [
+                _pipe("p", "a", "ghost", length=-1.0, friction=NAN),
+                _pipe("q", "b", "a", slope=1.5),
+            ],
+            [Compressor("c", "a", "b", lift_max=-1.0, cost_coeff=-1.0)],
+        )
+    assert raised.value.problems == [
+        "pipe p: friction nan is not finite",
+        "node a: pressure bounds inverted or non-positive [8000000.0, 5000000.0]",
+        "node b: unknown kind 'blend'",
+        "arc p: dangling endpoint 'ghost'",
+        "pipe p: non-positive length",
+        "pipe q: slope magnitude >= 1",
+        "compressor c: negative lift_max",
+        "compressor c: negative cost coefficient",
+    ]

@@ -1,6 +1,7 @@
 """NLP assembly and interior-point solver against closed-form oracles."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -207,16 +208,15 @@ def test_assemble_dimensions():
 def test_assemble_rejects_a_network_that_is_not_connected():
     # the balances of each component imply one of its own, so leaving out
     # only the last node's would leave J rank-deficient; two single-pipe
-    # networks side by side would otherwise solve as one
-    net, scn, gas, state = single_pipe_instance(3)
+    # networks side by side would otherwise solve as one, so no such network
+    # reaches assemble: it fails where it is built
+    net, *_ = single_pipe_instance(3)
     nodes = [Node("c", "entry", 60e5, 60e5), Node("d", "exit", 1e5, 1e7)]
-    twin = Network(
-        [*net.nodes.values(), *nodes],
-        [*net.pipes.values(), Pipe("p2", "c", "d", 20000.0, 0.6, 0.011)],
-    )
-    scn = Scenario({"a": -50.0, "b": 50.0, "c": -50.0, "d": 50.0})
     with pytest.raises(ValidationError, match="^network is not connected$"):
-        nlp.assemble(twin, scn, gas, {**state, "p2": state["p"]})
+        Network(
+            [*net.nodes.values(), *nodes],
+            [*net.pipes.values(), Pipe("p2", "c", "d", 20000.0, 0.6, 0.011)],
+        )
 
 
 def test_assemble_rejects_a_scenario_out_of_balance():
@@ -257,13 +257,10 @@ def _tree12_with(record, **changes):
 )
 def test_nan_in_a_network_built_in_code_fails_validation(record, field):
     # a NaN slope passed validation, and with every estimate NaN the loop
-    # refined every pipe in every round until memory ran out
-    net, gas, scn = _tree12_with(record, **{field: float("nan")})
-    state = {pid: (ModelLevel.FRICTION, p.length / 4) for pid, p in net.pipes.items()}
+    # refined every pipe in every round until memory ran out, so neither
+    # assemble nor run can be handed such a network
     with pytest.raises(ValidationError, match=f"{field} nan is not finite"):
-        nlp.assemble(net, scn, gas, state)
-    with pytest.raises(ValidationError, match=f"{field} nan is not finite"):
-        run(net, scn, gas, AdaptiveConfig(max_outer_iterations=1))
+        _tree12_with(record, **{field: float("nan")})
 
 
 @pytest.mark.parametrize("fixture", [chain5, tree12])
@@ -816,6 +813,45 @@ def test_refinement_that_fails_its_bound_raises_delta_w(monkeypatch):
     assert sol.reason == nlp.REASON_FACTORIZATION
     assert sol.n_iterations == 1
     assert (counter.factorizations, counter.solves) == (12, 24)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_step_check_of_a_drained_pipe_does_not_overflow(n):
+    # 30 kg/s cannot pass 10 km of a 0.2 m pipe from 60 bar: the cold level-3
+    # solve takes steps |z| near 1e190 against a KKT matrix near 1e187, where
+    # k |z| exceeds a double; with warnings as errors it still returns
+    net = Network(
+        [Node("a", "entry", 60e5, 60e5), Node("b", "exit", 1e5, 100e5)],
+        [Pipe("p", "a", "b", length=10000.0, diameter=0.2, friction=0.01)],
+    )
+    scn = Scenario({"a": -30.0, "b": 30.0})
+    state = {"p": (ModelLevel.FRICTION, 1e4 / n)}
+    inst = nlp.assemble(net, scn, GasParameters(), state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = nlp.solve(inst)
+    assert sol.status != nlp.STATUS_OPTIMAL
+
+
+def test_infinite_step_raises_delta_w(monkeypatch):
+    # a step with an infinite entry fails its check however small its
+    # residual: each of the 12 values of delta_w fails, and the solve stops
+    # for the factorization
+    def infinite_solve(kkt, factors, r):
+        return np.where(r > 0.0, np.inf, 0.0)
+
+    def zero_product(kkt, W, J, sigma, delta_w, z):
+        return np.zeros_like(z)
+
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    monkeypatch.setattr(nlp.KktSystem, "_solve", infinite_solve)
+    monkeypatch.setattr(nlp.KktSystem, "_product", zero_product)
+    sol = nlp.solve(inst)
+    assert sol.status == nlp.STATUS_ITERATION_LIMIT
+    assert sol.reason == nlp.REASON_FACTORIZATION
+    assert sol.n_iterations == 1
 
 
 @pytest.mark.parametrize("error, solves", [(0.0, 1), (1e-6, 2)])

@@ -1,10 +1,12 @@
 """Start-up without scipy: only the NLP needs it, and it is imported when the
-first instance is assembled. The package root loads nothing, and each module
-imports on its own. Each check runs in a fresh interpreter, as this suite's
-own process has scipy loaded."""
+first instance is assembled. The package root loads nothing, states the
+version that pyproject.toml declares, and each module imports on its own.
+Each import check runs in a fresh interpreter, as this suite's own process
+has scipy loaded."""
 
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +146,14 @@ print(json.dumps([m is sys.modules["gasadapt.integrate"], hasattr(m, "Grid")]))
 
 def test_import_as_binds_the_integrate_module_not_the_function():
     assert _fresh(SUBMODULE) == [True, True]
+
+
+def test_version_is_the_one_pyproject_declares():
+    # read with a regex: Python 3.10 has no tomllib, and the suite runs from
+    # src/ without the package installed, so no metadata holds the version
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.findall(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
+    assert declared == [gasadapt.__version__]
 
 
 # every module of the package, each imported first in a fresh interpreter,
