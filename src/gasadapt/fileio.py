@@ -114,10 +114,17 @@ def _get(doc, key, context, kind, default=None):
 
 
 def _known(doc, keys, context):
-    """The JSON object `doc`, if each of its keys is one of `keys`."""
+    """The JSON object `doc`, if each of its keys is one of `keys` and its
+    `format_version`, where given, is the integer 1."""
     unknown = sorted(set(_check(doc, "dict", context)) - set(keys))
     if unknown:
         raise ParseError(f"{context}: unknown keys {unknown}")
+    version = doc.get("format_version", FORMAT_VERSION)
+    # 1.0 and true equal 1 in Python
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(
+            f"{context}: format_version {version!r} is not {FORMAT_VERSION}"
+        )
     return doc
 
 
@@ -240,9 +247,12 @@ def save_scenario(scn: Scenario, path):
 
 
 def config_from_dict(doc) -> AdaptiveConfig:
-    """The config; `eps_bar`, in bar, takes precedence over `eps` in Pa."""
+    """The config, with its tolerance given as `eps_bar` in bar or as `eps`
+    in Pa, but not both."""
     extra = ["format_version", "eps", "eps_bar"]
     if isinstance(doc, dict) and "eps_bar" in doc:
+        if "eps" in doc:
+            raise ParseError("config: give one of 'eps' and 'eps_bar', not both")
         bar = {"eps": lambda eps: eps * BAR}
         return _record(AdaptiveConfig, doc, "config", bar, {"eps": "eps_bar"}, extra)
     return _record(AdaptiveConfig, doc, "config", extra=extra)

@@ -72,8 +72,6 @@ def interval_count(pipe: Pipe, h: float) -> int:
 class PressureProfile:
     grid: Grid
     values: np.ndarray  # Pa, one per gridpoint
-    level: ModelLevel
-    flow: float  # kg/s
 
     def endpoint(self) -> float:
         return float(self.values[-1])
@@ -142,7 +140,7 @@ def integrate(
             if p * p <= sonic:
                 raise SonicFlow(f"implicit step from p={values[-1]} is sonic")
             append(p)
-    return PressureProfile(grid, np.array(values), level, q)
+    return PressureProfile(grid, np.array(values))
 
 
 def restrict_to_grid(profile: PressureProfile, target: Grid) -> PressureProfile:
@@ -156,6 +154,4 @@ def restrict_to_grid(profile: PressureProfile, target: Grid) -> PressureProfile:
         )
     if target.n_intervals * factor != profile.grid.n_intervals:
         raise IncompatibleGrids("target gridpoints do not align with the profile")
-    return PressureProfile(
-        target, profile.values[::factor].copy(), profile.level, profile.flow
-    )
+    return PressureProfile(target, profile.values[::factor].copy())

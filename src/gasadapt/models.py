@@ -36,17 +36,6 @@ def sound_speed(gas: GasParameters) -> float:
     return math.sqrt(_sound_speed_squared(gas))
 
 
-def friction_coefficient(pipe: Pipe, gas: GasParameters, q: float) -> float:
-    """K = lambda c^2 |q| q / (2 A^2 D); signed so reverse flow gains pressure."""
-    c2 = _sound_speed_squared(gas)
-    return pipe.friction * c2 * abs(q) * q / (2.0 * pipe.cross_area**2 * pipe.diameter)
-
-
-def gravity_coefficient(pipe: Pipe, gas: GasParameters, slope: float) -> float:
-    """alpha = g s / c^2 in the linear-in-p gravity term."""
-    return gas.gravity * slope / _sound_speed_squared(gas)
-
-
 def pipe_coefficients(
     level: ModelLevel, pipe: Pipe, gas: GasParameters, slope: float = 0.0
 ) -> tuple:
@@ -56,7 +45,7 @@ def pipe_coefficients(
 
     kappa is the friction factor per |q| q, alpha the gravity factor (0 at
     level 3) and beta the ram-pressure factor per q^2 (0 below level 1).
-    The integrator and the NLP both build their discrete relation from it.
+    The integrator, the NLP, `rhs` and the closed forms all read them here.
     """
     # in one pass, without the enum call of ModelLevel.of: the integrator
     # calls this once per march
@@ -102,16 +91,16 @@ def analytic_pressure(
 ) -> float:
     """Exact pressure of models 2/3 at position x, starting from p0 at x=0.
 
-    Level 3: p(x)^2 = p0^2 - 2 K x.
+    With K = kappa |q| q, level 3: p(x)^2 = p0^2 - 2 K x.
     Level 2: (p^2)' + 2 alpha p^2 = -2K, a linear ODE in p^2.
     """
     if level == ModelLevel.FULL:
         raise UnsupportedModel("no closed form for the full momentum model")
     if p0 <= 0.0:
         raise NonPositivePressure(f"initial pressure {p0} <= 0")
-    K = friction_coefficient(pipe, gas, q)
-    alpha = gravity_coefficient(pipe, gas, slope)
-    if level == ModelLevel.FRICTION or alpha == 0.0:
+    kappa, alpha, _ = pipe_coefficients(level, pipe, gas, slope)
+    K = kappa * abs(q) * q
+    if alpha == 0.0:
         p_squared = p0 * p0 - 2.0 * K * x
     else:
         p_squared = (p0 * p0 + K / alpha) * math.exp(-2.0 * alpha * x) - K / alpha

@@ -13,14 +13,11 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 
 BALANCE_TOL = 1e-9
-AREA_RTOL = 1e-9
 
 NODE_KINDS = ("entry", "exit", "inner")
 # the fields that must be finite; an infinite pressure, flow or lift bound
 # means no bound
-FINITE_FIELDS = frozenset(
-    ("length", "diameter", "cross_area", "friction", "slope", "elevation")
-)
+FINITE_FIELDS = frozenset(("length", "diameter", "friction", "slope", "elevation"))
 INFINITIES = (math.inf, -math.inf)
 
 
@@ -41,14 +38,13 @@ class Pipe:
     length: float  # m
     diameter: float  # m
     friction: float  # Darcy friction factor, dimensionless
-    cross_area: float = None  # m^2, derived from diameter when omitted
     slope: float = None  # rise over run; derived from elevations when omitted
     flow_min: float = -1e6  # kg/s
     flow_max: float = 1e6  # kg/s
 
-    def __post_init__(self):
-        if self.cross_area is None:
-            object.__setattr__(self, "cross_area", math.pi * self.diameter**2 / 4.0)
+    @property
+    def cross_area(self) -> float:  # m^2
+        return math.pi * self.diameter**2 / 4.0
 
 
 @dataclass(frozen=True)
@@ -158,10 +154,6 @@ def _structural_problems(net: Network) -> list:
             problems.append(f"pipe {pipe.id}: non-positive length")
         if pipe.diameter <= 0.0:
             problems.append(f"pipe {pipe.id}: non-positive diameter")
-        elif not math.isclose(
-            pipe.cross_area, math.pi * pipe.diameter**2 / 4.0, rel_tol=AREA_RTOL
-        ):
-            problems.append(f"pipe {pipe.id}: cross_area inconsistent with diameter")
         if pipe.friction <= 0.0:
             problems.append(f"pipe {pipe.id}: non-positive friction factor")
         if pipe.slope is not None and abs(pipe.slope) >= 1.0:

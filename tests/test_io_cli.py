@@ -145,6 +145,11 @@ def test_config_from_dict_eps_bar():
     assert config.mu == 6
 
 
+def test_config_with_eps_and_eps_bar_is_parse_error():
+    with pytest.raises(ParseError, match="one of 'eps' and 'eps_bar'"):
+        fileio.config_from_dict({"eps": 10.0, "eps_bar": 1e-3})
+
+
 def test_config_bad_value_is_parse_error():
     with pytest.raises(ParseError):
         fileio.config_from_dict({"tau": 0.5})
@@ -468,6 +473,7 @@ def test_cli_non_object_document_exits_one(
         (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "pressure_max"], float("inf"))),
         (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "elevaton"], 120.0)),
         (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "flow_mni"], -10.0)),
+        (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "cross_area"], 0.2827)),
         (RUN_CONFIG, '{"eps_opt": 1e400}'),
         (SOLVE_NETWORK, _with_literal(NETWORK, ["pipes", 0, "length"], "1e400")),
         (SOLVE_NETWORK, _with_literal(NETWORK, ["pipes", 0, "length"], "9" * 400)),
@@ -504,6 +510,7 @@ def test_cli_non_object_document_exits_one(
         "pressure-max-infinity",
         "node-elevaton",
         "flow-mni",
+        "pipe-cross-area",
         "eps-opt-1e400",
         "length-1e400",
         "length-400-digits",
@@ -603,6 +610,28 @@ def test_cli_usage_errors_exit_one(argv, code, chain5_files, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "load, doc, record",
+    [
+        (fileio.load_network, NETWORK, "network"),
+        (fileio.load_scenario, chain5_scenario_dict(), "scenario"),
+        (fileio.load_config, {"mu": 6}, "config"),
+        (fileio.load_solution, SOLUTION, "solution"),
+    ],
+    ids=["network", "scenario", "config", "solution"],
+)
+def test_format_version_other_than_1_is_parse_error(load, doc, record, tmp_path):
+    path = tmp_path / "doc.json"
+    bare = {key: value for key, value in doc.items() if key != "format_version"}
+    for loadable in (bare, {**bare, "format_version": 1}):
+        path.write_text(json.dumps(loadable))
+        load(path)
+    for version in ("two", 99, 1.0, True):
+        path.write_text(json.dumps({**bare, "format_version": version}))
+        with pytest.raises(ParseError, match=f"^{record}: format_version "):
+            load(path)
+
+
 def test_cli_estimate_accepts_well_formed_solution(chain5_files, tmp_path, capsys):
     # the base document of the solution cases above is itself accepted
     path = tmp_path / "sol.json"
@@ -628,7 +657,8 @@ def test_cli_nlp_solve_and_estimate(chain5_files, tmp_path, capsys):
         ]
     )
     assert code == 0
-    doc = json.loads(open(sol_path).read())
+    with open(sol_path) as handle:
+        doc = json.load(handle)
     assert doc["format_version"] == 1
     assert doc["status"] == "LocalOptimum"
 
@@ -707,6 +737,41 @@ def test_demand_probe_ends_infeasible(scale, tmp_path, capsys):
     assert code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("infeasible: NLP infeasible at solve 1: ")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: the default start grid is too coarse for the pipe, "
+    "and the run ends in SonicFlow (A) or a stalled InfeasibleProblem (B, C)",
+)
+@pytest.mark.parametrize(
+    "diameter, length, flow",
+    [(0.2, 10000.0, 20.0), (0.3, 20000.0, 40.0), (0.5, 20000.0, 150.0)],
+    ids=["A", "B", "C"],
+)
+def test_single_pipe_probe_ends_eps_feasible(diameter, length, flow, tmp_path):
+    # a level-1 march at n = 65,536 ends at 30.27, 27.82 and 22.40 bar, well
+    # inside the exit's bounds
+    doc = {
+        "format_version": 1,
+        "units": "bar",
+        "nodes": [
+            {"id": "in", "kind": "entry", "pressure_min": 60.0,
+             "pressure_max": 60.0},
+            {"id": "out", "kind": "exit", "pressure_min": 1.0,
+             "pressure_max": 100.0},
+        ],
+        "pipes": [{"id": "p", "from": "in", "to": "out", "length": length,
+                   "diameter": diameter, "friction": 0.01}],
+    }
+    net_path, scn_path = tmp_path / "net.json", tmp_path / "scn.json"
+    net_path.write_text(json.dumps(doc))
+    scn_path.write_text(json.dumps({"flows": {"in": -flow, "out": flow}}))
+    code = cli_main(
+        ["run", "--network", str(net_path), "--scenario", str(scn_path),
+         "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == 0
 
 
 def test_cli_run_without_outer_iterations_exits_one(chain5_files, tmp_path, capsys):

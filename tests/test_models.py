@@ -14,8 +14,7 @@ from gasadapt.errors import (
 from gasadapt.models import (
     ModelLevel,
     analytic_pressure,
-    friction_coefficient,
-    gravity_coefficient,
+    pipe_coefficients,
     rhs,
     sound_speed,
 )
@@ -35,15 +34,52 @@ def test_sound_speed_closed_form(gas):
     assert sound_speed(gas) == pytest.approx(C_SOUND, rel=1e-12)
 
 
-def test_friction_coefficient_value(test_pipe, gas):
-    assert friction_coefficient(test_pipe, gas, 100.0) == pytest.approx(
-        K_TEST, rel=1e-12
+def _hand_coefficients(pipe, gas, slope):
+    """(kappa, alpha, beta) of level 1 written out by hand: with A = pi D^2 / 4,
+    kappa |q| q = lambda c^2 |q| q / (2 A^2 D), alpha = g s / c^2 and
+    beta = c^2 / A^2."""
+    c2 = C_SOUND**2
+    area = math.pi * pipe.diameter**2 / 4.0
+    return (
+        pipe.friction * c2 / (2.0 * area**2 * pipe.diameter),
+        gas.gravity * slope / c2,
+        c2 / area**2,
     )
 
 
+def test_friction_coefficient_value(test_pipe, gas):
+    kappa, _, _ = _hand_coefficients(test_pipe, gas, 0.0)
+    for level in ModelLevel:
+        got, _, _ = pipe_coefficients(level, test_pipe, gas)
+        assert got == pytest.approx(kappa, rel=1e-12)
+        assert got * 100.0 * 100.0 == pytest.approx(K_TEST, rel=1e-12)
+
+
 def test_friction_coefficient_sign_reverses_with_flow(test_pipe, gas):
-    forward = friction_coefficient(test_pipe, gas, 100.0)
-    assert friction_coefficient(test_pipe, gas, -100.0) == pytest.approx(-forward)
+    # the friction term kappa |q| q / p of dp/dx changes sign with the flow
+    kappa, _, _ = _hand_coefficients(test_pipe, gas, 0.0)
+    for q in (100.0, -100.0):
+        got = rhs(ModelLevel.FRICTION, 50e5, q, test_pipe, gas)
+        assert got == pytest.approx(-kappa * abs(q) * q / 50e5, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "level, has_gravity, has_ram",
+    [
+        (ModelLevel.FULL, True, True),
+        (ModelLevel.GRAVITY, True, False),
+        (ModelLevel.FRICTION, False, False),
+    ],
+)
+def test_pipe_coefficients_gravity_and_ram_by_level(
+    level, has_gravity, has_ram, test_pipe, gas
+):
+    # alpha = g s / c^2 at levels 1-2 and 0 at level 3; beta = c^2 / A^2 at
+    # level 1 and 0 below
+    _, alpha, beta = _hand_coefficients(test_pipe, gas, 0.02)
+    got = pipe_coefficients(level, test_pipe, gas, slope=0.02)
+    assert got[1] == pytest.approx(alpha if has_gravity else 0.0, rel=1e-12)
+    assert got[2] == pytest.approx(beta if has_ram else 0.0, rel=1e-12)
 
 
 def test_level3_analytic_endpoint(test_pipe, gas):
@@ -67,8 +103,8 @@ def test_level2_no_flow_is_pure_gravity_head(test_pipe, gas):
 
 def test_level2_ode_residual_pointwise(test_pipe, gas):
     # d(p^2)/dx + 2 alpha p^2 + 2K = 0, checked by central differences
-    K = friction_coefficient(test_pipe, gas, 100.0)
-    alpha = gravity_coefficient(test_pipe, gas, 0.02)
+    K = K_TEST
+    _, alpha, _ = _hand_coefficients(test_pipe, gas, 0.02)
     dx = 1e-3
     for i in range(1, 11):
         x = i * 900.0

@@ -172,8 +172,8 @@ NAN = float("nan")
         (partial(_two_node_net, length=NAN), "pipe p: length nan is not finite"),
         (partial(_two_node_net, diameter=NAN), "pipe p: diameter nan is not finite"),
         (
-            partial(_two_node_net, cross_area=NAN),
-            "pipe p: cross_area nan is not finite",
+            partial(_two_node_net, diameter=math.inf),
+            "pipe p: diameter inf is not finite",
         ),
         (partial(_two_node_net, friction=NAN), "pipe p: friction nan is not finite"),
         (partial(_two_node_net, slope=NAN), "pipe p: slope nan is not finite"),
