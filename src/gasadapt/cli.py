@@ -241,15 +241,7 @@ def _cmd_nlp_solve(args) -> int:
     fileio.write_json(
         fileio.solution_to_dict(sol), args.out if args.out else sys.stdout
     )
-    if sol.status == nlp.STATUS_INFEASIBLE:
-        print("infeasible", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    if sol.status != nlp.STATUS_OPTIMAL:
-        print(
-            f"error: solver stopped with status {sol.status}: {sol.reason}",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
+    nlp.raise_unless_optimal(sol)
     return EXIT_OK
 
 

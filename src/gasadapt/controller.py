@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import nlp
-from .errors import EmptyNetwork, InfeasibleProblem, IterationLimit
+from .errors import EmptyNetwork, IterationLimit
 from .estimators import estimate_with_alternatives, network_error_summary
 from .models import ModelLevel
 from .network import GasParameters, Network, Scenario, slope_of
@@ -89,16 +89,17 @@ class AdaptiveState:
 # -- model switch-up rule --------------------------------------------------
 
 
-def switch_up_target(level, eta_m_at, eps) -> ModelLevel:
-    """Next level when switching up: one step if that alone reduces the model
-    error by more than eps, otherwise straight to the most accurate model."""
+def switch_up_target(level, eta_m, eps) -> tuple:
+    """(new level, eta_m[level] - eta_m[new level]) of a pipe with the
+    {level: eta_m} table `eta_m`: one step finer if that alone cuts the
+    model error by more than eps, otherwise level 1, where eta_m is 0."""
     level = ModelLevel.of(level)
-    if level == ModelLevel.FULL:
-        return ModelLevel.FULL
-    reduction = eta_m_at(level) - eta_m_at(ModelLevel.of(level - 1))
-    if reduction > eps:
-        return ModelLevel.of(level - 1)
-    return ModelLevel.FULL
+    if level != ModelLevel.FULL:
+        finer = ModelLevel.of(level - 1)
+        reduction = eta_m[level] - eta_m[finer]
+        if reduction > eps:
+            return finer, reduction
+    return ModelLevel.FULL, eta_m[level] - eta_m[ModelLevel.FULL]
 
 
 # -- marking strategies ------------------------------------------------------
@@ -157,10 +158,6 @@ def mark_switch_down(eta_m_increase: dict, phi_m: float, tau: float, eps: float)
     pipes whose increase stays below tau * eps."""
     eligible = {p: inc for p, inc in eta_m_increase.items() if inc <= tau * eps}
     return _mark_within(eligible, phi_m * sum(eligible.values()), eligible)
-
-
-def is_eps_feasible(estimates, eps: float) -> bool:
-    return network_error_summary(estimates) <= eps
 
 
 def validate_parameters(config: AdaptiveConfig, n_pipes: int) -> list:
@@ -222,26 +219,6 @@ def compute_estimates(
     return estimates, {pid: by_level for pid, (_, by_level) in pairs.items()}
 
 
-def _switch_up_targets(levels, eta_m_by_level, eps):
-    """Per pipe, the level the switch-up rule picks and the model-error
-    reduction eta_m(level) - eta_m(new level) it brings."""
-    targets = {}
-    for pid, level in levels.items():
-        by_level = eta_m_by_level[pid]
-        target = switch_up_target(level, by_level.__getitem__, eps)
-        targets[pid] = (target, by_level[level] - by_level[target])
-    return targets
-
-
-def _switch_down_increases(levels, eta_m_by_level):
-    """eta_m(min(level+1, 3)) - eta_m(level) for pipes below level 3."""
-    return {
-        pid: eta_m_by_level[pid][ModelLevel.of(level + 1)] - eta_m_by_level[pid][level]
-        for pid, level in levels.items()
-        if level != ModelLevel.FRICTION
-    }
-
-
 # -- the control loop --------------------------------------------------------
 
 
@@ -275,12 +252,7 @@ def run(
         }
         instance = nlp.assemble(net, scn, gas, pipe_state)
         sol = nlp.solve(instance, warm_start=state.solution, eps_opt=config.eps_opt)
-        if sol.status == nlp.STATUS_INFEASIBLE:
-            raise InfeasibleProblem(
-                f"NLP infeasible at solve {solve_index}: {sol.reason}"
-            )
-        if sol.status == nlp.STATUS_ITERATION_LIMIT:
-            raise IterationLimit(f"NLP stopped at solve {solve_index}: {sol.reason}")
+        nlp.raise_unless_optimal(sol, f" at solve {solve_index}")
         # a switch-up round reads eta_m one level down; the switch-down round
         # after the mu-th solve also one level up, and the switch-up round
         # after it the switched pipes' old level, one below their new one
@@ -323,7 +295,10 @@ def run(
     marked_coarsen = marked_down = ()
     for k in range(1, config.max_outer_iterations + 1):
         for j in range(1, config.mu + 1):
-            targets = _switch_up_targets(state.levels, state.eta_m_by_level, eps)
+            targets = {
+                pid: switch_up_target(level, state.eta_m_by_level[pid], eps)
+                for pid, level in state.levels.items()
+            }
             reductions = {pid: r for pid, (_, r) in targets.items()}
             marked_up = mark_switch_up(reductions, config.theta_m, eps)
             eta_d = {pid: e.eta_d for pid, e in state.estimates.items()}
@@ -339,7 +314,12 @@ def run(
                 return state.solution, state
             marked_coarsen = marked_down = ()
 
-        increases = _switch_down_increases(state.levels, state.eta_m_by_level)
+        eta_m = state.eta_m_by_level
+        increases = {
+            pid: eta_m[pid][level + 1] - eta_m[pid][level]
+            for pid, level in state.levels.items()
+            if level != ModelLevel.FRICTION
+        }
         marked_down = mark_switch_down(increases, config.phi_m, config.tau, eps)
         eta_d = {pid: e.eta_d for pid, e in state.estimates.items()}
         coarsenable = {
@@ -350,7 +330,7 @@ def run(
         marked_coarsen = mark_coarsen(eta_d, config.phi_d, eligible=coarsenable)
 
         for pid in marked_down:
-            state.levels[pid] = ModelLevel.of(min(state.levels[pid] + 1, 3))
+            state.levels[pid] = ModelLevel.of(state.levels[pid] + 1)
         for pid in marked_coarsen:
             state.stepsizes[pid] *= 2.0
 

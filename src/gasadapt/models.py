@@ -2,8 +2,10 @@
 
 Level 1 is the full stationary momentum balance (friction, gravity, ram
 pressure), level 2 drops the ram-pressure factor, level 3 additionally
-drops gravity. Closed forms exist for levels 2 and 3 and serve as test
-oracles for the integrator and the error estimators.
+drops gravity. `pipe_coefficients` states each level's momentum balance
+once; the integrator and the NLP discretize it. Closed forms exist for
+levels 2 and 3 and serve as test oracles for the integrator and the error
+estimators.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import DrainedPipe, NonPositivePressure, SonicFlow, UnsupportedModel
+from .errors import DrainedPipe, NonPositivePressure, UnsupportedModel
 from .network import GasParameters, Pipe
 
 SONIC_GUARD = 1e-9
@@ -45,7 +47,7 @@ def pipe_coefficients(
 
     kappa is the friction factor per |q| q, alpha the gravity factor (0 at
     level 3) and beta the ram-pressure factor per q^2 (0 below level 1).
-    The integrator, the NLP, `rhs` and the closed forms all read them here.
+    The integrator, the NLP and the closed forms all read them here.
     """
     # in one pass, without the enum call of ModelLevel.of: the integrator
     # calls this once per march
@@ -57,27 +59,6 @@ def pipe_coefficients(
     alpha = 0.0 if level == ModelLevel.FRICTION else gas.gravity * slope / c2
     beta = c2 / area2 if level == ModelLevel.FULL else 0.0
     return kappa, alpha, beta
-
-
-def rhs(
-    level: ModelLevel,
-    p: float,
-    q: float,
-    pipe: Pipe,
-    gas: GasParameters,
-    slope: float = 0.0,
-) -> float:
-    """dp/dx of the given model level at pressure p and constant mass flow q."""
-    if p <= 0.0:
-        raise NonPositivePressure(f"pressure {p} <= 0")
-    kappa, alpha, beta = pipe_coefficients(level, pipe, gas, slope)
-    dpdx = -kappa * abs(q) * q / p - alpha * p
-    if level != ModelLevel.FULL:
-        return dpdx
-    ram = 1.0 - beta * q * q / (p * p)
-    if abs(ram) < SONIC_GUARD:
-        raise SonicFlow(f"ram factor {ram} at p={p}, q={q}")
-    return dpdx / ram
 
 
 def analytic_pressure(

@@ -113,15 +113,6 @@ def slope_of(pipe: Pipe, net: Network) -> float:
     return (z_to - z_from) / pipe.length
 
 
-def mass_balance_residual(net: Network, scn: Scenario, flows: dict) -> dict:
-    """Per-node defect of inflow minus outflow minus boundary flow."""
-    residual = {node_id: -scn.flow_at(node_id) for node_id in net.nodes}
-    for arc in net.arcs.values():
-        residual[arc.to_node] += flows[arc.id]
-        residual[arc.from_node] -= flows[arc.id]
-    return residual
-
-
 def _structural_problems(net: Network) -> list:
     """Every violated invariant of a network with unique ids, in order."""
     # every NaN number, and an infinite one among FINITE_FIELDS

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InfeasibleProblem, IterationLimit
 from .integrate import interval_count
 from .models import pipe_coefficients
 from .network import GasParameters, Network, Scenario, slope_of, validate_scenario
@@ -867,3 +868,12 @@ def solve(
     z_rows[at] = z
     iterate = Iterate(x, y, z_rows.reshape(2, n), inst.pipe_n, ids)
     return _extract_solution(inst, x, status, kkt, iterations, seconds, iterate, reason)
+
+
+def raise_unless_optimal(sol: NlpSolution, where: str = "") -> None:
+    """InfeasibleProblem or IterationLimit naming the solve (`where`, such as
+    " at solve 3") and its reason, unless the solve reached a local optimum."""
+    if sol.status == STATUS_INFEASIBLE:
+        raise InfeasibleProblem(f"NLP infeasible{where}: {sol.reason}")
+    if sol.status != STATUS_OPTIMAL:
+        raise IterationLimit(f"NLP stopped{where}: {sol.reason}")

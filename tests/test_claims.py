@@ -13,16 +13,13 @@ Run with -s to see both tables.
 
 import numpy as np
 
-from gasadapt.controller import (
-    AdaptiveConfig,
-    is_eps_feasible,
-    run,
-    validate_parameters,
-)
+from gasadapt.controller import AdaptiveConfig, run, validate_parameters
 from gasadapt.fixtures import chain5, tree12
 from gasadapt.integrate import Grid, integrate, interval_count
 from gasadapt.models import ModelLevel
 from gasadapt.network import slope_of
+
+from oracles import is_eps_feasible
 
 CLAIM_EPS = 10.0  # Pa
 

@@ -7,7 +7,6 @@ from gasadapt import controller, estimators, nlp
 from gasadapt.controller import (
     AdaptiveConfig,
     compute_estimates,
-    is_eps_feasible,
     run,
     validate_parameters,
 )
@@ -16,6 +15,8 @@ from gasadapt.fixtures import chain5, tree12
 from gasadapt.integrate import integrate
 from gasadapt.models import ModelLevel
 from gasadapt.network import GasParameters, Network, Node, Pipe, Scenario, slope_of
+
+from oracles import is_eps_feasible
 
 
 # -- configuration ------------------------------------------------------------

@@ -15,10 +15,11 @@ from gasadapt.models import (
     ModelLevel,
     analytic_pressure,
     pipe_coefficients,
-    rhs,
     sound_speed,
 )
 from gasadapt.network import Network, Node, Scenario
+
+from oracles import rhs
 
 
 def _max_error(level, pipe, gas, p0, q, grid, slope=0.0):

@@ -701,6 +701,9 @@ def test_cli_nlp_solve_infeasible_exits_two(infeasible_files, capsys):
     net_path, scn_path = infeasible_files
     code = cli_main(["nlp-solve", "--network", net_path, "--scenario", scn_path])
     assert code == 2
+    out, err = capsys.readouterr()
+    assert err == f"infeasible: NLP infeasible: {nlp.REASON_STALLED}\n"
+    assert json.loads(out)["status"] == "Infeasible"
 
 
 def test_cli_run_infeasible_exits_two(infeasible_files, tmp_path, capsys):

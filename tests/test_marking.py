@@ -129,17 +129,34 @@ def test_marking_determinism():
 
 def test_switch_up_target_one_level_when_reduction_large():
     eta_m = {ModelLevel.FRICTION: 100.0, ModelLevel.GRAVITY: 20.0, ModelLevel.FULL: 0.0}
-    target = switch_up_target(ModelLevel.FRICTION, lambda lv: eta_m[lv], 10.0)
-    assert target is ModelLevel.GRAVITY
+    target = switch_up_target(ModelLevel.FRICTION, eta_m, 10.0)
+    assert target == (ModelLevel.GRAVITY, 80.0)
+    assert target[0] is ModelLevel.GRAVITY
 
 
 def test_switch_up_target_jumps_to_full_when_reduction_small():
     eta_m = {ModelLevel.FRICTION: 100.0, ModelLevel.GRAVITY: 95.0, ModelLevel.FULL: 0.0}
-    target = switch_up_target(ModelLevel.FRICTION, lambda lv: eta_m[lv], 10.0)
-    assert target is ModelLevel.FULL
+    target = switch_up_target(ModelLevel.FRICTION, eta_m, 10.0)
+    assert target == (ModelLevel.FULL, 100.0)
+    assert target[0] is ModelLevel.FULL
 
 
 def test_switch_up_target_full_is_fixed_point():
-    assert (
-        switch_up_target(ModelLevel.FULL, lambda lv: 0.0, 10.0) is ModelLevel.FULL
-    )
+    target = switch_up_target(ModelLevel.FULL, {ModelLevel.FULL: 0.0}, 10.0)
+    assert target == (ModelLevel.FULL, 0.0)
+    assert target[0] is ModelLevel.FULL
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    level=st.sampled_from(ModelLevel),
+    eta_2=st.floats(0.0, 200.0),
+    eta_3=st.floats(0.0, 200.0),
+    eps=st.floats(0.0, 50.0),
+)
+def test_switch_up_target_rule_and_reduction(level, eta_2, eta_3, eps):
+    eta_m = {ModelLevel.FULL: 0.0, ModelLevel.GRAVITY: eta_2, ModelLevel.FRICTION: eta_3}
+    target, reduction = switch_up_target(level, eta_m, eps)
+    one_step = level != ModelLevel.FULL and eta_m[level] - eta_m[level - 1] > eps
+    assert target is ModelLevel.of(level - 1 if one_step else ModelLevel.FULL)
+    assert reduction == eta_m[level] - eta_m[target]

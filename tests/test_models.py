@@ -15,10 +15,11 @@ from gasadapt.models import (
     ModelLevel,
     analytic_pressure,
     pipe_coefficients,
-    rhs,
     sound_speed,
 )
 from gasadapt.network import GasParameters, Pipe
+
+from oracles import rhs
 
 # frozen oracle values, recomputed from the closed forms with independent
 # code (see docstrings); test pipe: L=10 km, D=0.6 m, lambda=0.01,

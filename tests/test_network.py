@@ -15,11 +15,12 @@ from gasadapt.network import (
     Node,
     Pipe,
     Scenario,
-    mass_balance_residual,
     nikuradse_friction,
     slope_of,
     validate_scenario,
 )
+
+from oracles import mass_balance_residual
 
 
 def _node(nid, kind="inner", pmin=1e5, pmax=1e7, elevation=0.0):

@@ -20,8 +20,9 @@ from gasadapt.network import (
     Node,
     Pipe,
     Scenario,
-    mass_balance_residual,
 )
+
+from oracles import mass_balance_residual
 
 # objective of the cold level-1 n=512 solve on tree-12
 TREE12_UNIFORM_OBJECTIVE = 1.0719919384122125
