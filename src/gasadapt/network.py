@@ -138,6 +138,8 @@ def _structural_problems(net: Network) -> list:
         for endpoint in (arc.from_node, arc.to_node):
             if endpoint not in net.nodes:
                 problems.append(f"arc {arc.id}: dangling endpoint '{endpoint}'")
+        if arc.from_node == arc.to_node:
+            problems.append(f"arc {arc.id}: joins node '{arc.to_node}' to itself")
         if arc.flow_min > arc.flow_max:
             problems.append(f"arc {arc.id}: flow bounds inverted")
     for pipe in net.pipes.values():

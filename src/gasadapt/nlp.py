@@ -294,8 +294,9 @@ def assemble(
     # the linear rows: the mass balance of each node, +1 at the flow of each
     # arc into it and -1 at each arc out of it, then the coupling p_to -
     # p_from - lift of each compressor; the last node's balance, which the
-    # others imply, gets row n_lin and is left out. Entries at one (row,
-    # column) are summed, as scipy sums them
+    # others imply, gets row n_lin and is left out. An arc joins two
+    # different nodes, so no (row, column) repeats; the entries are kept in
+    # CSR order
     n_lin = inst.n_lin = max(n_nodes - 1, 0) + n_comps
     balance = np.append(np.arange(n_nodes - 1), n_lin)  # the row of each node
     coupling = np.arange(n_lin - n_comps, n_lin)
@@ -303,10 +304,8 @@ def assemble(
     cols = np.concatenate([flows, flows, to_node[n_pipes:], from_node[n_pipes:], lifts])
     data = np.repeat([1.0, -1.0, 1.0, -1.0, -1.0], [len(arcs)] * 2 + [n_comps] * 3)
     keep = rows < n_lin
-    keys, at = np.unique(rows[keep] * inst.n_vars + cols[keep], return_inverse=True)
-    rows, cols = np.divmod(keys, inst.n_vars)
-    data = np.bincount(at, data[keep], len(keys))
-    inst.linear = rows, cols, data
+    order = np.lexsort((cols[keep], rows[keep]))
+    inst.linear = rows[keep][order], cols[keep][order], data[keep][order]
     flows_at = [scn.flow_at(n) for n in net.nodes][:-1]
     inst.linear_b = np.array(flows_at + [0.0] * n_comps, dtype=float)
     inst.n_cons = n_lin + len(inst.ipk)
@@ -697,15 +696,13 @@ def solve(
         raise ValueError("a warm start needs the iterate of a solve on this network")
     n, m = inst.n_vars, inst.n_cons
     fixed = _fixed_mask(inst.lb, inst.ub)
-    # the finite bounds of the free variables, the lower bounds and then the
-    # upper ones, as one vector: bound b of variable var[b] has the slack
-    # sign[b] * (x[var[b]] - bound[b]) and the multiplier z[b]; `at` places
-    # them in the two rows, lower and upper, of Iterate.z
+    # the finite bounds of the free variables as one vector, in the order of
+    # their flat index `at` into the two rows (lb, ub) of `bounds`, which
+    # places them in Iterate.z too: bound b of variable var[b] has the slack
+    # sign[b] * (x[var[b]] - bound[b]) and the multiplier z[b]
     bounds = np.array([inst.lb, inst.ub])
     at = np.flatnonzero(np.isfinite(bounds) & ~fixed)
     bound, var = bounds.ravel()[at], at % n
-    n_lower = np.searchsorted(at, n)
-    lower, upper = var[:n_lower], var[n_lower:]
     sign = np.where(at < n, 1.0, -1.0)
 
     def slack(x):
@@ -714,11 +711,9 @@ def solve(
     def inside(x, edge):
         """Move x, in place, onto the inner side of each bound's `edge`;
         whether that moved a coordinate."""
-        low = x[lower] < edge[:n_lower]
-        x[lower[low]] = edge[:n_lower][low]
-        high = x[upper] > edge[n_lower:]
-        x[upper[high]] = edge[n_lower:][high]
-        return low.any() or high.any()
+        moved = sign * (x[var] - edge) < 0.0
+        x[var[moved]] = edge[moved]
+        return moved.any()
 
     x, y, z = _initial_point(inst, warm)
     x[fixed] = inst.lb[fixed]
@@ -747,10 +742,9 @@ def solve(
     stall = 0
 
     def dual_residual(gy, z):
-        """grad f + J^T y - z_lower + z_upper, from gy = grad f + J^T y."""
+        """grad f + J^T y - sign z summed at var, from gy = grad f + J^T y."""
         g = gy.copy()
-        g[lower] -= z[:n_lower]
-        g[upper] += z[n_lower:]
+        np.subtract.at(g, var, sign * z)
         return g
 
     def kkt_errors(s, gy, c, y, z):
@@ -804,9 +798,7 @@ def solve(
             continue
         stepped = True
 
-        sigma = np.zeros(n)
-        sigma[lower] = z[:n_lower] / s[:n_lower]
-        sigma[upper] += z[n_lower:] / s[n_lower:]
+        sigma = np.bincount(var, z / s, n)
         # condensed dual residual with the complementarity equations folded in
         rd = dual_residual(gy, mu / s)
         newton = kkt_system.step(inst.lagrangian_hessian(x, y), J, sigma, rd, c)

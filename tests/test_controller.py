@@ -287,6 +287,18 @@ def test_run_stops_at_the_first_record_within_eps(chain5_run):
     assert all(r.avg_eta > config.eps for r in state.trace[:-1])
 
 
+def test_run_stops_after_solve_0_when_it_is_within_eps():
+    # chain-5's first average error is 2.7e4 Pa, within eps = 1 bar: the run
+    # returns that solve and marks no pipe
+    net, gas, scn = chain5()
+    sol, state = run(net, scn, gas, AdaptiveConfig(eps=1e5))
+    assert len(state.trace) == 1
+    assert state.trace[0].avg_eta <= 1e5
+    assert state.solution is sol
+    assert state.stepsizes == state.initial_stepsizes
+    assert set(state.levels.values()) == {ModelLevel.FRICTION}
+
+
 def test_run_counts_each_round_of_marks_on_the_next_solve(monkeypatch):
     counts = {}
 

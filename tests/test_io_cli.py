@@ -401,6 +401,16 @@ RUN_CONFIG = ["run", "--network", "NET", "--scenario", "SCN", "--config", "BAD",
               "--out", "OUT", "--quiet"]
 RUN_SCENARIO = ["run", "--network", "NET", "--scenario", "BAD", "--out", "OUT",
                 "--quiet"]
+RUN_NETWORK = ["run", "--network", "BAD", "--scenario", "SCN", "--out", "OUT",
+               "--quiet"]
+
+
+def _rough(roughness):
+    """The JSON text of chain-5 with its first pipe's friction factor
+    given by `roughness` instead."""
+    pipe = {key: value for key, value in NETWORK["pipes"][0].items()
+            if key != "friction"}
+    return _edited(NETWORK, ["pipes", 0], {**pipe, "roughness": roughness})
 
 
 def _exits_one(argv, content, chain5_files, tmp_path, capsys):
@@ -411,6 +421,7 @@ def _exits_one(argv, content, chain5_files, tmp_path, capsys):
         "NET": chain5_files[0],
         "SCN": chain5_files[1],
         "OUT": str(tmp_path / "out"),
+        "MISSING": str(tmp_path / "missing" / "file"),
     }
     code = cli_main([names.get(arg, arg) for arg in argv])
     assert code == 1
@@ -487,6 +498,17 @@ def test_cli_non_object_document_exits_one(
         (ESTIMATE, _edited(INTERIOR, ["interior_pressures", "p1", 1], True)),
         (ESTIMATE, _with_literal(INTERIOR, ["interior_pressures", "p1", 1], "1e400")),
         (ESTIMATE, _with_literal(INTERIOR, ["interior_pressures", "p1", 1], "9" * 400)),
+        (SOLVE_NETWORK, _appended(NETWORK, "pipes", 4, id="p6", **{"from": "exit"})),
+        (RUN_NETWORK, _appended(NETWORK, "compressors", 0, id="c2", to="entry")),
+        (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "flow_min"], 2e6)),
+        (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "diameter"], 0.0)),
+        (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "friction"], 0.0)),
+        (SOLVE_SCENARIO, '{"flows": {"entry": -55, "n1": 5, "exit": 50}}'),
+        (CHECK_NETWORK, _rough(0.0)),
+        (CHECK_NETWORK, _rough(0.6)),  # the pipe's diameter
+        (CHECK_NETWORK, _edited(NETWORK, ["units"], "psi")),
+        (["nlp-solve", "--network", "MISSING", "--scenario", "SCN"], ""),
+        (["simulate", "--out", "MISSING"], ""),
     ],
     ids=[
         "length-string",
@@ -524,6 +546,17 @@ def test_cli_non_object_document_exits_one(
         "interior-pressure-boolean",
         "interior-pressure-1e400",
         "interior-pressure-400-digits",
+        "pipe-self-loop",
+        "compressor-self-loop",
+        "flow-bounds-inverted",
+        "diameter-0",
+        "friction-0",
+        "inner-node-flow",
+        "roughness-0",
+        "roughness-diameter",
+        "units-psi",
+        "network-path-missing",
+        "simulate-out-directory-missing",
     ],
 )
 def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, capsys):

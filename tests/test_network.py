@@ -143,6 +143,25 @@ def test_network_rejects_a_repeated_id(node_ids, pipe_ids, message):
         Network(nodes, pipes)
 
 
+@pytest.mark.parametrize(
+    "pipes, compressors",
+    [
+        ([_pipe("p", "a", "b"), _pipe("x", "b", "b")], []),
+        (
+            [_pipe("p", "a", "b")],
+            [Compressor("x", "b", "b", lift_max=1e5, cost_coeff=1.0)],
+        ),
+    ],
+    ids=["pipe", "compressor"],
+)
+def test_network_rejects_an_arc_from_a_node_to_itself(pipes, compressors):
+    # unchecked, a pipe b -> b solves with 0 kg/s in it, and a compressor
+    # b -> b has its lift pinned at 0
+    with pytest.raises(ValidationError) as raised:
+        Network([_node("a", "entry"), _node("b", "exit")], pipes, compressors)
+    assert raised.value.problems == ["arc x: joins node 'b' to itself"]
+
+
 def test_validate_geometry():
     with pytest.raises(ValidationError, match="non-positive length"):
         _two_node_net(length=-1.0)

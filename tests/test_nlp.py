@@ -978,6 +978,22 @@ def test_each_stop_has_its_reason():
     assert infeasible.reason == nlp.REASON_STALLED
 
 
+def test_limit_right_after_the_converging_step_is_an_optimum():
+    # a solve that converges at its k-th iteration took its last step in
+    # iteration k - 1; stopped there by the limit, it reads the same iterate
+    # as converged
+    net, gas, scn = chain5()
+    state = {pid: (ModelLevel.FULL, p.length / 8) for pid, p in net.pipes.items()}
+    inst = nlp.assemble(net, scn, gas, state)
+    cold = nlp.solve(inst)
+    assert cold.reason == nlp.REASON_CONVERGED
+    limited = nlp.solve(inst, max_iterations=cold.n_iterations - 1)
+    assert limited.status == nlp.STATUS_OPTIMAL
+    assert limited.reason == nlp.REASON_CONVERGED
+    assert limited.n_iterations == cold.n_iterations - 1
+    assert np.array_equal(limited.iterate.x, cold.iterate.x)
+
+
 def test_solve_reuses_the_last_kkt_error(monkeypatch):
     # J and c are evaluated once per iterate: a decrease of mu keeps them, a
     # converged solve takes the KKT error of its last iterate from the loop,
