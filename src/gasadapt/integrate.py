@@ -73,9 +73,6 @@ class PressureProfile:
     grid: Grid
     values: np.ndarray  # Pa, one per gridpoint
 
-    def endpoint(self) -> float:
-        return float(self.values[-1])
-
 
 def integrate(
     level: ModelLevel,

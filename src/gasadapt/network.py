@@ -149,7 +149,9 @@ def _structural_problems(net: Network) -> list:
             problems.append(f"pipe {pipe.id}: non-positive diameter")
         if pipe.friction <= 0.0:
             problems.append(f"pipe {pipe.id}: non-positive friction factor")
-        if pipe.slope is not None and abs(pipe.slope) >= 1.0:
+        ends = {pipe.from_node, pipe.to_node}
+        derivable = pipe.length > 0.0 and ends <= net.nodes.keys()
+        if (pipe.slope is not None or derivable) and abs(slope_of(pipe, net)) >= 1.0:
             problems.append(f"pipe {pipe.id}: slope magnitude >= 1")
     for comp in net.compressors.values():
         if comp.lift_max < 0.0:
@@ -163,19 +165,20 @@ def _structural_problems(net: Network) -> list:
 
 
 def validate_scenario(net: Network, scn: Scenario) -> None:
-    """ValidationError listing each boundary flow at an unknown node or of
-    the wrong sign for its node's kind, and a global imbalance."""
+    """ValidationError listing each boundary flow at an unknown node, not
+    finite or of the wrong sign for its node's kind, and a global imbalance."""
     problems = []
     for node_id, flow in scn.flows.items():
         node = net.nodes.get(node_id)
         if node is None:
             problems.append(f"scenario: unknown node '{node_id}'")
-            continue
-        if node.kind == "entry" and flow > 0.0:
+        elif not math.isfinite(flow):
+            problems.append(f"scenario: flow {flow} at node {node_id} is not finite")
+        elif node.kind == "entry" and flow > 0.0:
             problems.append(f"scenario: positive flow {flow} at entry {node_id}")
-        if node.kind == "exit" and flow < 0.0:
+        elif node.kind == "exit" and flow < 0.0:
             problems.append(f"scenario: negative flow {flow} at exit {node_id}")
-        if node.kind == "inner" and flow != 0.0:
+        elif node.kind == "inner" and flow != 0.0:
             problems.append(f"scenario: nonzero flow {flow} at inner node {node_id}")
     imbalance = sum(scn.flows.get(n, 0.0) for n in net.nodes)
     if abs(imbalance) > BALANCE_TOL:

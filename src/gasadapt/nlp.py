@@ -335,13 +335,14 @@ def _regrid(profiles, n_old, n_new):
 
 def _initial_point(inst: NlpInstance, warm: Iterate = None) -> tuple:
     """(x, y, z), z the bound multipliers as Iterate lays them out: the
-    midpoints of the bounds, a straight line between the end pressures of
-    each pipe and zero multipliers; or the iterate `warm`, each pipe's
-    pressures and multipliers regridded and the rest as it is."""
+    midpoint of two finite bounds, else the point of the bounds nearest 0, a
+    straight line between the end pressures of each pipe and zero
+    multipliers; or the iterate `warm`, each pipe's pressures and
+    multipliers regridded and the rest as it is."""
     n_scalar, n_lin = inst.n_scalar, inst.n_lin
-    finite_lb = np.where(np.isfinite(inst.lb), inst.lb, 0.0)
-    finite_ub = np.where(np.isfinite(inst.ub), inst.ub, finite_lb + 100.0)
-    x = 0.5 * (finite_lb + finite_ub)
+    x = np.clip(0.0, inst.lb, inst.ub)
+    both = np.isfinite(inst.lb) & np.isfinite(inst.ub)
+    x[both] = 0.5 * (inst.lb[both] + inst.ub[both])
     y, z = np.zeros(inst.n_cons), np.zeros((2, inst.n_vars))
     # cold, each pipe is regridded from one interval: its end pressures
     old_x, old_n = x[:n_scalar], np.ones_like(inst.pipe_n)
@@ -403,10 +404,6 @@ def _extract_solution(
 
 
 # -- interior-point solver ------------------------------------------------
-
-
-def _fixed_mask(lb, ub):
-    return (ub - lb) <= 1e-12 * np.maximum(1.0, np.abs(lb))
 
 
 def _lower_solve(band, b, trans="N"):
@@ -472,12 +469,14 @@ class KktSystem:
 
     def __init__(self, inst: NlpInstance):
         self.inst = inst
-        free = ~_fixed_mask(inst.lb, inst.ub)
-        self.free_idx = np.flatnonzero(free)
+        # fixed where the bounds meet and lb is finite: -inf reads inf <= inf
+        lb, ub = inst.lb, inst.ub
+        self.fixed = np.isfinite(lb) & (ub - lb <= 1e-12 * np.maximum(1.0, abs(lb)))
+        self.free_idx = np.flatnonzero(~self.fixed)
         nfree = len(self.free_idx)
         size = nfree + inst.n_cons
         pos = np.full(inst.n_vars, -1)  # the row of each variable in K
-        pos[free] = np.arange(nfree)
+        pos[self.free_idx] = np.arange(nfree)
         row0 = nfree + inst.n_lin  # the row of the first relation
 
         # the band relations, whose p_k is an interior pressure; a pipe's
@@ -695,7 +694,8 @@ def solve(
     if warm_start is not None and (warm is None or warm.ids != ids):
         raise ValueError("a warm start needs the iterate of a solve on this network")
     n, m = inst.n_vars, inst.n_cons
-    fixed = _fixed_mask(inst.lb, inst.ub)
+    kkt_system = KktSystem(inst)
+    fixed = kkt_system.fixed
     # the finite bounds of the free variables as one vector, in the order of
     # their flat index `at` into the two rows (lb, ub) of `bounds`, which
     # places them in Iterate.z too: bound b of variable var[b] has the slack
@@ -727,7 +727,6 @@ def solve(
     # instance pushes the iterate onto its bounds
     eps_edge = bound + sign * (np.finfo(float).eps * scale)
 
-    kkt_system = KktSystem(inst)
     mu_min = max(eps_opt / 10.0, 1e-14)
 
     # a warm start continues at the final barrier parameter from the

@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 from gasadapt import nlp
-from gasadapt.errors import DrainedPipe, IncompatibleGrids, InvalidGrid, SonicFlow
-from gasadapt.integrate import Grid, integrate, restrict_to_grid
+from gasadapt.errors import (
+    DrainedPipe,
+    IncompatibleGrids,
+    InvalidGrid,
+    NonPositivePressure,
+    SonicFlow,
+)
+from gasadapt.integrate import Grid, PressureProfile, integrate, restrict_to_grid
 from gasadapt.models import (
     ModelLevel,
     analytic_pressure,
@@ -82,7 +88,7 @@ def test_downhill_no_flow_pressure_increases(test_pipe, gas):
     assert np.all(np.diff(profile.values) > 0.0)
     alpha = gas.gravity * -0.02 / sound_speed(gas) ** 2
     exact = 60e5 * math.exp(-alpha * test_pipe.length)
-    assert profile.endpoint() == pytest.approx(exact, rel=1e-4)
+    assert profile.values[-1] == pytest.approx(exact, rel=1e-4)
 
 
 def test_reverse_flow_gains_pressure(test_pipe, gas):
@@ -111,6 +117,23 @@ def test_level1_runs_sonic_where_lower_levels_drain(test_pipe, gas):
     grid = Grid.for_pipe(10000.0, 16)
     with pytest.raises(SonicFlow):
         integrate(ModelLevel.FULL, test_pipe, gas, 6e5, 100.0, grid)
+
+
+@pytest.mark.parametrize("p0", [0.0, -1.0])
+def test_non_positive_initial_pressure_raises(test_pipe, gas, p0):
+    grid = Grid.for_pipe(10000.0, 16)
+    with pytest.raises(NonPositivePressure):
+        integrate(ModelLevel.FRICTION, test_pipe, gas, p0, 100.0, grid)
+
+
+def test_step_that_lands_on_the_sonic_limit_raises(test_pipe, gas):
+    # 1 - b / p0^2 = 2e-9 sits just above the guard of 1e-9: each step has a
+    # subsonic root, but even a step of 1e-20 m lands on the guard
+    pipe = dataclasses.replace(test_pipe, length=4e-20, diameter=0.5)
+    beta = pipe_coefficients(ModelLevel.FULL, pipe, gas)[2]
+    p0 = math.sqrt(beta * 100.0**2 / (1.0 - 2e-9))
+    with pytest.raises(SonicFlow, match="is sonic"):
+        integrate(ModelLevel.FULL, pipe, gas, p0, 100.0, Grid(1e-20, 4))
 
 
 def test_grid_for_pipe_requires_multiple_of_four():
@@ -160,6 +183,13 @@ def test_restrict_to_grid_misaligned_raises(test_pipe, gas):
     profile = integrate(ModelLevel.FRICTION, test_pipe, gas, 60e5, 100.0, fine)
     with pytest.raises(IncompatibleGrids):
         restrict_to_grid(profile, Grid(10000.0 / 12.0, 12))
+
+
+def test_restrict_to_grid_of_other_length_raises():
+    # the stepsizes divide, but 4 steps of 250 m end short of 16 of 125 m
+    profile = PressureProfile(Grid(125.0, 16), np.full(17, 60e5))
+    with pytest.raises(IncompatibleGrids, match="do not align"):
+        restrict_to_grid(profile, Grid(250.0, 4))
 
 
 def test_implicit_euler_step_relation(test_pipe, gas):
@@ -259,7 +289,7 @@ def test_sonic_flow_raised_just_past_the_sonic_limit(test_pipe, gas, slope):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if discriminant(mid) > 0 else (lo, mid)
     step = functools.partial(integrate, ModelLevel.FULL, test_pipe, gas, 60e5)
-    assert step(lo * (1.0 - 1e-6), grid, slope).endpoint() > 0.0
+    assert step(lo * (1.0 - 1e-6), grid, slope).values[-1] > 0.0
     with pytest.raises(SonicFlow):
         step(lo * (1.0 + 1e-6), grid, slope)
     with pytest.raises(SonicFlow):  # far past it the cubic is monotone

@@ -509,6 +509,8 @@ def test_cli_non_object_document_exits_one(
         (CHECK_NETWORK, _edited(NETWORK, ["units"], "psi")),
         (["nlp-solve", "--network", "MISSING", "--scenario", "SCN"], ""),
         (["simulate", "--out", "MISSING"], ""),
+        (RUN_NETWORK, _edited(NETWORK, ["nodes", 2, "elevation"], 17000.0)),
+        (SOLVE_NETWORK, _edited(NETWORK, ["nodes", 2, "elevation"], 17000.0)),
     ],
     ids=[
         "length-string",
@@ -557,6 +559,8 @@ def test_cli_non_object_document_exits_one(
         "units-psi",
         "network-path-missing",
         "simulate-out-directory-missing",
+        "run-derived-slope-above-1",
+        "nlp-solve-derived-slope-above-1",
     ],
 )
 def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, capsys):

@@ -183,6 +183,11 @@ def test_model_level_of():
         ModelLevel.of(4)
 
 
+def test_pipe_coefficients_reject_an_unknown_level(test_pipe, gas):
+    with pytest.raises(ValueError, match="4 is not a valid ModelLevel"):
+        pipe_coefficients(4, test_pipe, gas)
+
+
 def test_analytic_matches_fine_rk4_level3(test_pipe, gas):
     # independent fine fixed-step RK4 on the level-3 rhs
     q, p0 = 100.0, 60e5

@@ -169,6 +169,19 @@ def test_validate_geometry():
         _two_node_net(slope=1.5)
 
 
+@pytest.mark.parametrize("rise, valid", [(99.0, True), (100.0, False), (-500.0, False)])
+def test_validate_slope_derived_from_elevations(rise, valid):
+    # checked as a given slope is: 100 m of pipe rising `rise` m
+    nodes = [_node("a", "entry"), _node("b", "exit", elevation=rise)]
+    pipes = [_pipe("p", "a", "b", length=100.0)]
+    if valid:
+        Network(nodes, pipes)
+    else:
+        with pytest.raises(ValidationError) as raised:
+            Network(nodes, pipes)
+        assert raised.value.problems == ["pipe p: slope magnitude >= 1"]
+
+
 def _compressor_net(**comp_kw):
     comp = dict(lift_max=1e5, cost_coeff=1.0)
     comp.update(comp_kw)
@@ -259,6 +272,15 @@ def test_validate_scenario_signs():
 def test_validate_scenario_global_imbalance():
     problems = _scenario_problems({"a": -5.0, "b": 4.0})
     assert any("global imbalance" in p for p in problems)
+
+
+@pytest.mark.parametrize("value", [NAN, math.inf, -math.inf])
+def test_validate_scenario_rejects_a_flow_that_is_not_finite(value):
+    # NaN fails every sign check, and -inf + inf leaves a NaN imbalance that
+    # no tolerance check catches
+    problems = _scenario_problems({"a": -value, "b": value})
+    assert f"scenario: flow {-value} at node a is not finite" in problems
+    assert f"scenario: flow {value} at node b is not finite" in problems
 
 
 def test_validate_scenario_unknown_node():

@@ -79,7 +79,7 @@ def test_single_pipe_reproduces_ivp_endpoint(level):
         50.0,
         Grid.for_pipe(20000.0, 16),
     )
-    assert sol.node_pressures["b"] == pytest.approx(profile.endpoint(), rel=1e-6)
+    assert sol.node_pressures["b"] == pytest.approx(profile.values[-1], rel=1e-6)
     assert sol.objective == 0.0
 
 
@@ -1306,6 +1306,51 @@ def test_tree12_adaptive_run_pins_solves_objective_and_steps(monkeypatch):
     assert len(state.trace) == 14
     assert sol.objective == pytest.approx(TREE12_ADAPTIVE_OBJECTIVE, rel=1e-12)
     assert sum(steps) == 31_095
+
+
+@pytest.mark.parametrize(
+    "flow_min, flow_max",
+    [(-np.inf, np.inf), (-1e6, np.inf), (-np.inf, 1e6)],
+    ids=["free", "no-upper", "no-lower"],
+)
+@pytest.mark.parametrize("fixture", [chain5, tree12])
+def test_infinite_flow_bounds_are_no_bounds(fixture, flow_min, flow_max):
+    # the flows are not at their bounds of -1e6 and 1e6 kg/s, so dropping
+    # them leaves the problem as it is; an unbounded flow used to count as
+    # fixed at -inf (a non-finite KKT error at iteration 1), and one bounded
+    # only below started at -999,950 kg/s (a false Infeasible)
+    net, gas, scn = fixture()
+    pipes = [
+        dataclasses.replace(pipe, flow_min=flow_min, flow_max=flow_max)
+        for pipe in net.pipes.values()
+    ]
+    free = Network(net.nodes.values(), pipes, net.compressors.values())
+    state = {pid: (ModelLevel.FULL, pipe.length / 16) for pid, pipe in net.pipes.items()}
+    bounded = nlp.solve(nlp.assemble(net, scn, gas, state))
+    sol = nlp.solve(nlp.assemble(free, scn, gas, state))
+    assert (sol.status, sol.reason) == (nlp.STATUS_OPTIMAL, nlp.REASON_CONVERGED)
+    assert sol.objective == pytest.approx(bounded.objective, rel=1e-9)
+    bounded, bounded_state = run(net, scn, gas, AdaptiveConfig())
+    sol, state = run(free, scn, gas, AdaptiveConfig())
+    assert len(state.trace) == len(bounded_state.trace)
+    assert sol.objective == pytest.approx(bounded.objective, rel=1e-9)
+
+
+def test_start_point_is_the_midpoint_or_the_bound_nearest_zero():
+    # two finite bounds give their midpoint, one gives the bound if it
+    # excludes 0, and none gives 0; the interior pressures are regridded
+    pipe = Pipe("p", "b", "a", 4000.0, 0.5, 0.01, flow_min=-np.inf, flow_max=np.inf)
+    comp = Compressor("c", "a", "b", np.inf, 1.0, flow_min=5.0, flow_max=np.inf)
+    net = Network(
+        [Node("a", "entry", 40e5, 60e5), Node("b", "exit", 30e5, np.inf)],
+        [pipe],
+        [comp],
+    )
+    state = {"p": (ModelLevel.FULL, 1000.0)}
+    inst = nlp.assemble(net, Scenario({"a": -5.0, "b": 5.0}), GasParameters(), state)
+    x = nlp._initial_point(inst)[0]
+    # a, b in bar; the flows of p and c; the lift of c
+    assert x[: inst.n_scalar].tolist() == [50.0, 30.0, 0.0, 5.0, 0.0]
 
 
 @pytest.mark.parametrize("eps_opt", [0.0, -1.0, float("nan")])
