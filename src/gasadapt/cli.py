@@ -209,9 +209,7 @@ def _cmd_estimate(args) -> int:
     levels = {pid: lv for pid, (lv, _) in sol.pipe_states.items()}
     stepsizes = {pid: h for pid, (_, h) in sol.pipe_states.items()}
     estimates, _ = compute_estimates(net, gas, sol, levels, stepsizes)
-    fileio.export_estimates(
-        estimates.values(), args.out if args.out else sys.stdout
-    )
+    fileio.export_estimates(estimates.values(), args.out if args.out else sys.stdout)
     return EXIT_OK
 
 
@@ -238,9 +236,7 @@ def _cmd_nlp_solve(args) -> int:
         for pid, p in net.pipes.items()
     }
     sol = nlp.solve(nlp.assemble(net, scn, gas, state), eps_opt=args.eps_opt)
-    fileio.write_json(
-        fileio.solution_to_dict(sol), args.out if args.out else sys.stdout
-    )
+    fileio.save_solution(sol, args.out if args.out else sys.stdout)
     nlp.raise_unless_optimal(sol)
     return EXIT_OK
 
@@ -261,10 +257,7 @@ def main(argv=None) -> int:
     except InfeasibleProblem as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except GasAdaptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (GasAdaptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import nlp
 from .errors import EmptyNetwork, IterationLimit
-from .estimators import estimate_with_alternatives, network_error_summary
+from .estimators import estimate_with_alternatives
 from .models import ModelLevel
 from .network import GasParameters, Network, Scenario, slope_of
 
@@ -278,7 +278,7 @@ def run(
             sum_eta_d=sum_d,
             sum_eta_m=sum_m,
             sum_eta=sum_d + sum_m,
-            avg_eta=network_error_summary(estimates.values()),
+            avg_eta=(sum_d + sum_m) / len(estimates),
             n_refined=len(refined),
             n_switched_up=len(up),
             n_coarsened=len(coarsened),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyNetwork
 from .models import ModelLevel
 from .integrate import Grid, integrate, interval_count
 
@@ -66,12 +65,3 @@ def discretization_error(pipe, gas, p0, q, h, slope=0.0) -> float:
     """Max-norm difference of the level-1 profiles at 2h and 4h on the
     evaluation grid."""
     return total_error(pipe, gas, p0, q, ModelLevel.FULL, h, slope).eta_d
-
-
-def network_error_summary(estimates) -> float:
-    """(sum eta_d + sum eta_m) / n, the trace's avg_eta and the loop's stop."""
-    estimates = list(estimates)
-    if not estimates:
-        raise EmptyNetwork("no pipe estimates to average")
-    sum_d, sum_m = sum(e.eta_d for e in estimates), sum(e.eta_m for e in estimates)
-    return (sum_d + sum_m) / len(estimates)

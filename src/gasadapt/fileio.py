@@ -287,8 +287,8 @@ def solution_to_dict(sol: NlpSolution) -> dict:
     }
 
 
-def save_solution(sol: NlpSolution, path):
-    write_json(solution_to_dict(sol), path)
+def save_solution(sol: NlpSolution, path_or_handle):
+    write_json(solution_to_dict(sol), path_or_handle)
 
 
 def _profile(values, context):
@@ -335,17 +335,20 @@ TRACE_COLUMNS = [f.name for f in dataclasses.fields(TraceRecord)]
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    # format, not str: str of an IntEnum is its name before Python 3.11
+    return format(value, ".17g" if isinstance(value, float) else "")
+
+
+def _export(columns, records, path_or_handle):
+    """The header `columns`, then one row per record: its attribute of each
+    column's name."""
+    rows = ([_fmt(getattr(record, col)) for col in columns] for record in records)
+    _write_csv(columns, rows, path_or_handle)
 
 
 def export_trace(state: AdaptiveState, path):
     """One CSV row per NLP solve, ordered by solve index."""
-    rows = (
-        [_fmt(getattr(record, col)) for col in TRACE_COLUMNS] for record in state.trace
-    )
-    _write_csv(TRACE_COLUMNS, rows, path)
+    _export(TRACE_COLUMNS, state.trace, path)
 
 
 ESTIMATE_COLUMNS = ["pipe_id", "level", "stepsize", "eta_d", "eta_m", "eta"]
@@ -353,18 +356,8 @@ ESTIMATE_COLUMNS = ["pipe_id", "level", "stepsize", "eta_d", "eta_m", "eta"]
 
 def export_estimates(estimates, path_or_handle):
     """Per-pipe estimator table, sorted by pipe id for determinism."""
-    rows = (
-        [
-            est.pipe_id,
-            int(est.level),
-            _fmt(est.stepsize),
-            _fmt(est.eta_d),
-            _fmt(est.eta_m),
-            _fmt(est.eta),
-        ]
-        for est in sorted(estimates, key=lambda e: e.pipe_id)
-    )
-    _write_csv(ESTIMATE_COLUMNS, rows, path_or_handle)
+    estimates = sorted(estimates, key=lambda e: e.pipe_id)
+    _export(ESTIMATE_COLUMNS, estimates, path_or_handle)
 
 
 def export_profile(profile, path_or_handle):

@@ -13,6 +13,22 @@ from __future__ import annotations
 from .fileio import network_from_dict, scenario_from_dict
 
 
+def _network_dict(nodes, pipes, compressors) -> dict:
+    """A network file in bar with the fixtures' natural-gas parameters."""
+    return {
+        "format_version": 1,
+        "units": "bar",
+        "gas": {
+            "specific_gas_constant": 518.26,
+            "temperature": 283.15,
+            "compressibility": 0.9,
+        },
+        "nodes": nodes,
+        "pipes": pipes,
+        "compressors": compressors,
+    }
+
+
 def chain5_network_dict() -> dict:
     nodes = [
         {"id": "entry", "kind": "entry", "pressure_min": 50.0, "pressure_max": 50.0},
@@ -44,18 +60,7 @@ def chain5_network_dict() -> dict:
         {"id": "c1", "from": "entry", "to": "n1", "lift_max": 30.0,
          "cost_coeff": 1.0},
     ]
-    return {
-        "format_version": 1,
-        "units": "bar",
-        "gas": {
-            "specific_gas_constant": 518.26,
-            "temperature": 283.15,
-            "compressibility": 0.9,
-        },
-        "nodes": nodes,
-        "pipes": pipes,
-        "compressors": compressors,
-    }
+    return _network_dict(nodes, pipes, compressors)
 
 
 def chain5_scenario_dict() -> dict:
@@ -120,18 +125,7 @@ def tree12_network_dict() -> dict:
         {"id": "c2", "from": "junction", "to": "b0", "lift_max": 25.0,
          "cost_coeff": 1.5},
     ]
-    return {
-        "format_version": 1,
-        "units": "bar",
-        "gas": {
-            "specific_gas_constant": 518.26,
-            "temperature": 283.15,
-            "compressibility": 0.9,
-        },
-        "nodes": nodes,
-        "pipes": pipes,
-        "compressors": compressors,
-    }
+    return _network_dict(nodes, pipes, compressors)
 
 
 def tree12_scenario_dict() -> dict:

@@ -134,6 +134,8 @@ def _structural_problems(net: Network) -> list:
                 f"node {node.id}: pressure bounds inverted or non-positive "
                 f"[{node.pressure_min}, {node.pressure_max}]"
             )
+        if node.pressure_min == math.inf:
+            problems.append(f"node {node.id}: pressure bounds admit no finite value")
     for arc in net.arcs.values():
         for endpoint in (arc.from_node, arc.to_node):
             if endpoint not in net.nodes:
@@ -142,6 +144,8 @@ def _structural_problems(net: Network) -> list:
             problems.append(f"arc {arc.id}: joins node '{arc.to_node}' to itself")
         if arc.flow_min > arc.flow_max:
             problems.append(f"arc {arc.id}: flow bounds inverted")
+        if arc.flow_min == math.inf or arc.flow_max == -math.inf:
+            problems.append(f"arc {arc.id}: flow bounds admit no finite value")
     for pipe in net.pipes.values():
         if pipe.length <= 0.0:
             problems.append(f"pipe {pipe.id}: non-positive length")

@@ -6,7 +6,6 @@ rows, and the control loop compares its average estimate with eps inline.
 """
 
 from gasadapt.errors import NonPositivePressure, SonicFlow
-from gasadapt.estimators import network_error_summary
 from gasadapt.models import SONIC_GUARD, ModelLevel, pipe_coefficients
 
 
@@ -34,4 +33,8 @@ def mass_balance_residual(net, scn, flows):
 
 
 def is_eps_feasible(estimates, eps):
-    return network_error_summary(estimates) <= eps
+    """(sum eta_d + sum eta_m) / number of pipes <= eps."""
+    estimates = list(estimates)
+    sum_d = sum(e.eta_d for e in estimates)
+    sum_m = sum(e.eta_m for e in estimates)
+    return (sum_d + sum_m) / len(estimates) <= eps

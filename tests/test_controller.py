@@ -281,6 +281,17 @@ def test_run_terminates_eps_feasible(chain5_run):
     assert state.trace[-1].avg_eta <= config.eps
 
 
+def test_run_stop_number_is_the_trace_sum_over_the_pipes(chain5_run):
+    # avg_eta, the number the loop stops on, is the record's own sum per pipe
+    net, _, _, state = chain5_run
+    for record in state.trace:
+        assert record.sum_eta == record.sum_eta_d + record.sum_eta_m
+        assert record.avg_eta == record.sum_eta / len(net.pipes)
+    estimates = state.estimates.values()
+    assert state.trace[-1].sum_eta_d == sum(e.eta_d for e in estimates)
+    assert state.trace[-1].sum_eta_m == sum(e.eta_m for e in estimates)
+
+
 def test_run_stops_at_the_first_record_within_eps(chain5_run):
     # the stop is read from the trace: every earlier record is above eps
     _, config, _, state = chain5_run

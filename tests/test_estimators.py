@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gasadapt.errors import EmptyNetwork, InvalidGrid
+from gasadapt.errors import InvalidGrid
 from gasadapt.estimators import (
-    ErrorEstimate,
     discretization_error,
     estimate_with_alternatives,
-    network_error_summary,
     total_error,
 )
 from gasadapt.integrate import Grid, integrate, restrict_to_grid
@@ -124,19 +122,6 @@ def test_estimate_with_alternatives_shares_reference(test_pipe, gas):
     assert by_level[ModelLevel.FRICTION] == estimate.eta_m
     # the one-level-better model cannot have a larger model error here
     assert by_level[ModelLevel.GRAVITY] <= by_level[ModelLevel.FRICTION]
-
-
-def test_network_error_summary_average():
-    estimates = [
-        ErrorEstimate("a", 1.0, 2.0, ModelLevel.GRAVITY, 100.0),
-        ErrorEstimate("b", 3.0, 0.0, ModelLevel.FULL, 100.0),
-    ]
-    assert network_error_summary(estimates) == pytest.approx(3.0)
-
-
-def test_network_error_summary_empty_raises():
-    with pytest.raises(EmptyNetwork):
-        network_error_summary([])
 
 
 def test_stepsize_must_divide_pipe_into_multiple_of_four(test_pipe, gas):

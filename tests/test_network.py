@@ -249,6 +249,32 @@ def test_validate_keeps_infinite_bounds_as_no_bound():
     )
 
 
+@pytest.mark.parametrize(
+    "net, problem",
+    [
+        (
+            partial(_pipeless_net, pmin=math.inf, pmax=math.inf),
+            "node a: pressure bounds admit no finite value",
+        ),
+        (
+            partial(_two_node_net, flow_min=-math.inf, flow_max=-math.inf),
+            "arc p: flow bounds admit no finite value",
+        ),
+        (
+            partial(_compressor_net, flow_min=math.inf, flow_max=math.inf),
+            "arc c: flow bounds admit no finite value",
+        ),
+    ],
+    ids=["node", "pipe", "compressor"],
+)
+def test_validate_rejects_bounds_that_admit_no_finite_value(net, problem):
+    # two equal infinities pass the order checks, but no finite value lies
+    # between them
+    with pytest.raises(ValidationError) as raised:
+        net()
+    assert raised.value.problems == [problem]
+
+
 def test_validate_disconnected():
     with pytest.raises(ValidationError, match="not connected"):
         Network(
