@@ -50,7 +50,7 @@ def one_case(name, fixture, eps):
     }
     t0 = time.perf_counter()
     instance = nlp.assemble(net, scn, gas, uniform_state)
-    uniform_sol = nlp.solve(instance, eps_opt=config.eps_opt)
+    uniform_sol = nlp.solve(instance)
     uniform_seconds = time.perf_counter() - t0
 
     print(f"{name}:")

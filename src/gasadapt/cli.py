@@ -124,9 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nlp.add_argument("--level", type=int, default=1, choices=(1, 2, 3))
     p_nlp.add_argument("--intervals", type=int, default=4,
                        help="intervals per pipe (multiple of 4)")
-    p_nlp.add_argument(
-        "--eps-opt", type=_positive(float), default=nlp.DEFAULT_EPS_OPT
-    )
     p_nlp.add_argument("--out", help="solution JSON path; stdout when omitted")
 
     return parser
@@ -235,7 +232,7 @@ def _cmd_nlp_solve(args) -> int:
         pid: (level, Grid.for_pipe(p.length, args.intervals).stepsize)
         for pid, p in net.pipes.items()
     }
-    sol = nlp.solve(nlp.assemble(net, scn, gas, state), eps_opt=args.eps_opt)
+    sol = nlp.solve(nlp.assemble(net, scn, gas, state))
     fileio.save_solution(sol, args.out if args.out else sys.stdout)
     nlp.raise_unless_optimal(sol)
     return EXIT_OK

@@ -7,6 +7,7 @@ error estimate drops below the tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -27,7 +28,6 @@ class AdaptiveConfig:
     phi_m: float = 0.3
     tau: float = 1.1
     mu: int = 4
-    eps_opt: float = nlp.DEFAULT_EPS_OPT
     max_outer_iterations: int = 100
     initial_intervals: int = 4
     initial_level: int = 3
@@ -47,7 +47,6 @@ class AdaptiveConfig:
             raise ValueError(f"max_outer_iterations = {outer} must be an integer >= 0")
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps = {self.eps} must be positive and finite")
-        nlp.check_eps_opt(self.eps_opt)
         if self.initial_intervals % 4 != 0 or self.initial_intervals <= 0:
             raise ValueError("initial_intervals must be a positive multiple of 4")
         if self.initial_level not in tuple(ModelLevel):
@@ -80,9 +79,6 @@ class AdaptiveState:
     initial_stepsizes: dict = field(default_factory=dict)
     solution: nlp.NlpSolution = None
     estimates: dict = field(default_factory=dict)  # pipe id -> ErrorEstimate
-    # pipe id -> {level: eta_m}: its own level, level 1 at 0, one level down
-    # and, after the mu-th solve of an outer iteration, one level up
-    eta_m_by_level: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
 
@@ -196,27 +192,24 @@ def compute_estimates(
     order, and per pipe its eta_m at its own level, at level 1 (0, no march)
     and at level + d, clamped to 1-3, for each offset d in `neighbours`: the
     levels the next marking round reads."""
-
-    def one(pipe):
+    estimates, eta_m_by_level = {}, {}
+    for pid in sorted(net.pipes):
+        pipe, level = net.pipes[pid], levels[pid]
         # the march the NLP discretizes: from the from-node, with signed flow
-        level = levels[pipe.id]
-        return estimate_with_alternatives(
+        estimates[pid], eta_m_by_level[pid] = estimate_with_alternatives(
             pipe,
             gas,
             sol.node_pressures[pipe.from_node],
-            sol.arc_flows[pipe.id],
+            sol.arc_flows[pid],
             level,
-            stepsizes[pipe.id],
+            stepsizes[pid],
             slope=slope_of(pipe, net),
             extra_levels=(
                 ModelLevel.FULL,
                 *(min(max(level + d, 1), 3) for d in neighbours),
             ),
         )
-
-    pairs = {pid: one(net.pipes[pid]) for pid in sorted(net.pipes)}
-    estimates = {pid: estimate for pid, (estimate, _) in pairs.items()}
-    return estimates, {pid: by_level for pid, (_, by_level) in pairs.items()}
+    return estimates, eta_m_by_level
 
 
 # -- the control loop --------------------------------------------------------
@@ -240,23 +233,38 @@ def run(
         state.stepsizes[pid] = pipe.length / config.initial_intervals
         state.initial_stepsizes[pid] = state.stepsizes[pid]
 
-    eps = config.eps
+    eps, mu = config.eps, config.mu
+    marked_refine = marked_up = marked_coarsen = marked_down = ()
+    # solve 0, then mu inner rounds per outer iteration
+    outer = range(1, config.max_outer_iterations + 1)
+    for k, j in itertools.chain([(0, 0)], itertools.product(outer, range(1, mu + 1))):
+        if j >= 1:  # refine and switch up, by the last solve's estimates
+            targets = {
+                pid: switch_up_target(level, eta_m_by_level[pid], eps)
+                for pid, level in state.levels.items()
+            }
+            reductions = {pid: r for pid, (_, r) in targets.items()}
+            marked_up = mark_switch_up(reductions, config.theta_m, eps)
+            marked_refine = mark_refine(eta_d, config.theta_d)
 
-    def solve_and_estimate(outer_k, inner_j, refined=(), up=(), coarsened=(), down=()):
-        """Solve at the current levels and stepsizes, warm from the last
-        solution, and append the trace record that counts the pipes marked
-        since the last solve; True if its average estimate is within eps."""
+            for pid in marked_up:
+                state.levels[pid] = targets[pid][0]
+            for pid in marked_refine:
+                state.stepsizes[pid] /= 2.0
+
+        # solve at the current levels and stepsizes, warm from the last
+        # solution, and record the pipes marked since the last solve
         solve_index = len(state.trace)
         pipe_state = {
             pid: (state.levels[pid], state.stepsizes[pid]) for pid in net.pipes
         }
         instance = nlp.assemble(net, scn, gas, pipe_state)
-        sol = nlp.solve(instance, warm_start=state.solution, eps_opt=config.eps_opt)
+        sol = nlp.solve(instance, warm_start=state.solution)
         nlp.raise_unless_optimal(sol, f" at solve {solve_index}")
         # a switch-up round reads eta_m one level down; the switch-down round
         # after the mu-th solve also one level up, and the switch-up round
         # after it the switched pipes' old level, one below their new one
-        neighbours = (-1, 1) if inner_j == config.mu else (-1,)
+        neighbours = (-1, 1) if j == mu else (-1,)
         t0 = time.perf_counter()
         estimates, eta_m_by_level = compute_estimates(
             net, gas, sol, state.levels, state.stepsizes, neighbours
@@ -264,13 +272,13 @@ def run(
         ivp_seconds = time.perf_counter() - t0
         state.solution = sol
         state.estimates = estimates
-        state.eta_m_by_level = eta_m_by_level
-        sum_d = sum(e.eta_d for e in estimates.values())
+        eta_d = {pid: e.eta_d for pid, e in estimates.items()}
+        sum_d = sum(eta_d.values())
         sum_m = sum(e.eta_m for e in estimates.values())
         record = TraceRecord(
             solve_index=solve_index,
-            outer_k=outer_k,
-            inner_j=inner_j,
+            outer_k=k,
+            inner_j=j,
             n_vars=instance.n_vars,
             n_cons=instance.n_cons,
             nlp_seconds=sol.solve_seconds,
@@ -279,60 +287,36 @@ def run(
             sum_eta_m=sum_m,
             sum_eta=sum_d + sum_m,
             avg_eta=(sum_d + sum_m) / len(estimates),
-            n_refined=len(refined),
-            n_switched_up=len(up),
-            n_coarsened=len(coarsened),
-            n_switched_down=len(down),
+            n_refined=len(marked_refine),
+            n_switched_up=len(marked_up),
+            n_coarsened=len(marked_coarsen),
+            n_switched_down=len(marked_down),
         )
         state.trace.append(record)
         if progress is not None:
             progress(record)
-        return record.avg_eta <= eps
+        if record.avg_eta <= eps:
+            return state.solution, state
+        marked_coarsen = marked_down = ()
 
-    if solve_and_estimate(0, 0):
-        return state.solution, state
-
-    marked_coarsen = marked_down = ()
-    for k in range(1, config.max_outer_iterations + 1):
-        for j in range(1, config.mu + 1):
-            targets = {
-                pid: switch_up_target(level, state.eta_m_by_level[pid], eps)
+        if j == mu:  # coarsen and switch down
+            increases = {
+                pid: eta_m_by_level[pid][level + 1] - eta_m_by_level[pid][level]
                 for pid, level in state.levels.items()
+                if level != ModelLevel.FRICTION
             }
-            reductions = {pid: r for pid, (_, r) in targets.items()}
-            marked_up = mark_switch_up(reductions, config.theta_m, eps)
-            eta_d = {pid: e.eta_d for pid, e in state.estimates.items()}
-            marked_refine = mark_refine(eta_d, config.theta_d)
+            marked_down = mark_switch_down(increases, config.phi_m, config.tau, eps)
+            coarsenable = {
+                pid
+                for pid in net.pipes
+                if state.stepsizes[pid] < state.initial_stepsizes[pid]
+            }
+            marked_coarsen = mark_coarsen(eta_d, config.phi_d, eligible=coarsenable)
 
-            for pid in marked_up:
-                state.levels[pid] = targets[pid][0]
-            for pid in marked_refine:
-                state.stepsizes[pid] /= 2.0
-
-            marks = (marked_refine, marked_up, marked_coarsen, marked_down)
-            if solve_and_estimate(k, j, *marks):
-                return state.solution, state
-            marked_coarsen = marked_down = ()
-
-        eta_m = state.eta_m_by_level
-        increases = {
-            pid: eta_m[pid][level + 1] - eta_m[pid][level]
-            for pid, level in state.levels.items()
-            if level != ModelLevel.FRICTION
-        }
-        marked_down = mark_switch_down(increases, config.phi_m, config.tau, eps)
-        eta_d = {pid: e.eta_d for pid, e in state.estimates.items()}
-        coarsenable = {
-            pid
-            for pid in net.pipes
-            if state.stepsizes[pid] < state.initial_stepsizes[pid]
-        }
-        marked_coarsen = mark_coarsen(eta_d, config.phi_d, eligible=coarsenable)
-
-        for pid in marked_down:
-            state.levels[pid] = ModelLevel.of(state.levels[pid] + 1)
-        for pid in marked_coarsen:
-            state.stepsizes[pid] *= 2.0
+            for pid in marked_down:
+                state.levels[pid] = ModelLevel.of(state.levels[pid] + 1)
+            for pid in marked_coarsen:
+                state.stepsizes[pid] *= 2.0
 
     raise IterationLimit(
         f"no eps-feasible solution within {config.max_outer_iterations} outer iterations"

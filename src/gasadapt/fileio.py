@@ -128,7 +128,7 @@ def _known(doc, keys, context):
     return doc
 
 
-def _record(cls, doc, context, convert=None, keys=None, extra=(), **given):
+def _record(cls, doc, context, convert=None, keys=None, extra=(), omit=(), **given):
     """The dataclass `cls` read from the JSON object `doc`.
 
     Each field not in `given` is read under its own name or under its
@@ -136,11 +136,12 @@ def _record(cls, doc, context, convert=None, keys=None, extra=(), **given):
     one takes the dataclass default. A value must have the type of the
     field's annotation (None is allowed where the default is None) and is
     then passed through its function in `convert`, if any. A key that names
-    no field and is not in `extra` is an error."""
+    no field and is not in `extra` is an error; a field in `omit` is none
+    and keeps its default."""
     if isinstance(doc, dict) and isinstance(doc.get("id"), str):
         context = f"{context} {doc['id']}"
     convert, keys = convert or {}, keys or {}
-    fields = dataclasses.fields(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in omit]
     _known(doc, [keys.get(f.name, f.name) for f in fields] + list(extra), context)
     values = dict(given)
     for field in fields:
@@ -321,6 +322,7 @@ def load_solution(path) -> NlpSolution:
         doc,
         "solution",
         extra=["format_version"],
+        omit=["solve_seconds", "iterate"],  # solution_to_dict writes neither
         node_pressures=_id_map(doc, "node_pressures", "solution"),
         arc_flows=_id_map(doc, "arc_flows", "solution"),
         compressor_lifts=_id_map(doc, "compressor_lifts", "solution", {}),

@@ -26,7 +26,7 @@ class ModelLevel(enum.IntEnum):
 
     @classmethod
     def of(cls, value) -> "ModelLevel":
-        return cls(int(value))
+        return cls(value)
 
 
 def _sound_speed_squared(gas: GasParameters) -> float:

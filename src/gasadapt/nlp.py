@@ -24,7 +24,7 @@ from .network import GasParameters, Network, Scenario, slope_of, validate_scenar
 PRESSURE_SCALE = 1e5  # internal pressure unit is bar
 FLOW_SMOOTHING = 1e-6  # kg/s, smooths |q| q at q = 0
 PRESSURE_FLOOR = 1e4  # Pa, protects 1/p terms
-DEFAULT_EPS_OPT = 1e-8
+DEFAULT_EPS_OPT = 1e-8  # the KKT error at which every solve stops
 
 STATUS_OPTIMAL = "LocalOptimum"
 STATUS_INFEASIBLE = "Infeasible"
@@ -667,27 +667,15 @@ class KktSystem:
         return self._split(z, len(sigma))
 
 
-def check_eps_opt(eps_opt: float) -> None:
-    """ValueError unless eps_opt is positive and finite: at eps_opt <= 0 no
-    KKT error meets the tolerance, at NaN none is compared true with it, and
-    at inf every one does, the start point included."""
-    if not eps_opt > 0.0:
-        raise ValueError(f"eps_opt = {eps_opt} must be positive")
-    if eps_opt == np.inf:
-        raise ValueError(f"eps_opt = {eps_opt} must be finite")
-
-
 def solve(
     inst: NlpInstance,
     warm_start: NlpSolution = None,
-    eps_opt: float = DEFAULT_EPS_OPT,
     max_iterations: int = 500,
 ) -> NlpSolution:
     """Primal-dual interior-point solve with a logarithmic barrier on bounds,
     damped Newton steps on the perturbed KKT system, and a
     fraction-to-the-boundary rule. A warm start continues from the iterate
     of a solve on the same network; ValueError for any other solution."""
-    check_eps_opt(eps_opt)
     t0 = time.perf_counter()
     ids = (tuple(inst.net.nodes), tuple(inst.net.pipes), tuple(inst.net.compressors))
     warm = None if warm_start is None else warm_start.iterate
@@ -727,7 +715,7 @@ def solve(
     # instance pushes the iterate onto its bounds
     eps_edge = bound + sign * (np.finfo(float).eps * scale)
 
-    mu_min = max(eps_opt / 10.0, 1e-14)
+    mu_min = DEFAULT_EPS_OPT / 10.0
 
     # a warm start continues at the final barrier parameter from the
     # multipliers of the previous solve, carried over onto this instance
@@ -763,19 +751,19 @@ def solve(
         barrier = np.log(np.maximum(slack(x), 1e-300)).sum()
         return inst.objective(x) + nu * abs(c).sum() - mu * barrier
 
-    iterations = 0
     status, reason = STATUS_ITERATION_LIMIT, REASON_ITERATION_LIMIT
     c, J = inst.constraints(x), inst.jacobian(x)  # evaluated once per iterate
     stepped = True  # whether x, y and z moved since the last iteration
-    while iterations < max_iterations:
-        iterations += 1
+    for iterations in range(1, max_iterations + 2):
         if stepped:  # a mu decrease leaves the errors as they are
             s = slack(x)
             gy = inst.grad + inst.jacobian_t_product(J, y)
             e_primal, kkt_at = kkt_errors(s, gy, c, y, z)
             kkt = kkt_at(0.0)
-        if kkt <= eps_opt:
+        if kkt <= DEFAULT_EPS_OPT:
             status, reason = STATUS_OPTIMAL, REASON_CONVERGED
+            break
+        if iterations > max_iterations:  # a last pass only tests the final iterate
             break
         if not np.isfinite(kkt):  # no verdict on the problem from a NaN
             status, reason = STATUS_ITERATION_LIMIT, REASON_NOT_FINITE
@@ -787,7 +775,7 @@ def solve(
             stall = 0
         else:
             stall += 1
-        if stall >= 30 and best_viol > 1e4 * eps_opt:
+        if stall >= 30 and best_viol > 1e4 * DEFAULT_EPS_OPT:
             status, reason = STATUS_INFEASIBLE, REASON_STALLED
             break
 
@@ -848,12 +836,7 @@ def solve(
         # clip duals so sigma stays within a bounded multiple of mu/slack
         z = np.minimum(np.maximum(z + alpha_d * dz, 1e-16), 1e16)
         z = np.minimum(np.maximum(z, mu / (1e10 * s)), 1e10 * mu / s)
-    else:  # the iteration limit, or no iteration at all
-        if stepped:
-            gy = inst.grad + inst.jacobian_t_product(J, y)
-            kkt = kkt_errors(slack(x), gy, c, y, z)[1](0.0)
-    if status == STATUS_ITERATION_LIMIT and kkt <= eps_opt:
-        status, reason = STATUS_OPTIMAL, REASON_CONVERGED
+    iterations = min(iterations, max_iterations)  # the last pass takes no step
     seconds = time.perf_counter() - t0
     z_rows = np.zeros(2 * n)
     z_rows[at] = z

@@ -288,7 +288,7 @@ def test_criterion_8_adaptive_speedup():
         for pid, p in net.pipes.items()
     }
     t_run = time.perf_counter()
-    uniform_sol = nlp.solve(nlp.assemble(net, scn, gas, uniform), eps_opt=config.eps_opt)
+    uniform_sol = nlp.solve(nlp.assemble(net, scn, gas, uniform))
     uniform_seconds = time.perf_counter() - t_run
 
     levels = {pid: lv for pid, (lv, _) in uniform.items()}

@@ -41,10 +41,10 @@ def test_config_defaults_are_consistent():
         {"tau": float("nan")},
         {"tau": float("inf")},
         {"max_outer_iterations": -3},
-        {"eps_opt": 0.0},
-        {"eps_opt": -1.0},
-        {"eps_opt": float("nan")},
-        {"eps_opt": float("inf")},
+        {"theta_m": 1.5},
+        {"phi_d": -0.1},
+        {"initial_intervals": 0},
+        {"initial_level": 4},
         {"initial_intervals": 6},
         {"mu": 2.5},
         {"max_outer_iterations": 1.5},

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -179,8 +180,12 @@ def test_drained_pipe_raises(test_pipe, gas):
 def test_model_level_of():
     assert ModelLevel.of(1) is ModelLevel.FULL
     assert ModelLevel.of(ModelLevel.FRICTION) is ModelLevel.FRICTION
-    with pytest.raises(ValueError):
-        ModelLevel.of(4)
+    assert ModelLevel.of(2.0) is ModelLevel.GRAVITY
+    assert ModelLevel.of(np.int64(2)) is ModelLevel.GRAVITY
+    # a level that is no whole number is no level, not one rounded down
+    for value in (4, 2.5, "2"):
+        with pytest.raises(ValueError):
+            ModelLevel.of(value)
 
 
 def test_pipe_coefficients_reject_an_unknown_level(test_pipe, gas):

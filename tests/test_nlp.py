@@ -192,7 +192,7 @@ def test_mass_balance_holds_at_solution():
 
 def test_kkt_error_below_tolerance():
     net, scn, gas, state = single_pipe_instance(1)
-    sol = nlp.solve(nlp.assemble(net, scn, gas, state), eps_opt=1e-8)
+    sol = nlp.solve(nlp.assemble(net, scn, gas, state))
     assert sol.status == nlp.STATUS_OPTIMAL
     assert sol.kkt_error <= 1e-8
 
@@ -1351,27 +1351,6 @@ def test_start_point_is_the_midpoint_or_the_bound_nearest_zero():
     x = nlp._initial_point(inst)[0]
     # a, b in bar; the flows of p and c; the lift of c
     assert x[: inst.n_scalar].tolist() == [50.0, 30.0, 0.0, 5.0, 0.0]
-
-
-@pytest.mark.parametrize("eps_opt", [0.0, -1.0, float("nan")])
-def test_solve_rejects_a_non_positive_eps_opt(eps_opt):
-    # at 0 chain-5 ended Infeasible after 57 iterations, at NaN it ran all 500
-    net, gas, scn = chain5()
-    state = {pid: (ModelLevel.FULL, pipe.length / 4)
-             for pid, pipe in net.pipes.items()}
-    inst = nlp.assemble(net, scn, gas, state)
-    with pytest.raises(ValueError, match=r"^eps_opt = .* must be positive$"):
-        nlp.solve(inst, eps_opt=eps_opt)
-
-
-def test_solve_rejects_an_infinite_eps_opt():
-    # at inf the start point of chain-5 stopped LocalOptimum after 1 iteration
-    net, gas, scn = chain5()
-    state = {pid: (ModelLevel.FULL, pipe.length / 4)
-             for pid, pipe in net.pipes.items()}
-    inst = nlp.assemble(net, scn, gas, state)
-    with pytest.raises(ValueError, match=r"^eps_opt = inf must be finite$"):
-        nlp.solve(inst, eps_opt=float("inf"))
 
 
 # -- the l1 penalty weight ----------------------------------------------------
