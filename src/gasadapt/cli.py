@@ -60,11 +60,6 @@ def _finite(kind, low=None, high=None):
     return parse
 
 
-def _positive(kind):
-    """argparse type: a finite `kind` above 0."""
-    return _finite(kind, 0)
-
-
 @functools.cache  # argparse parsers can be reused; build once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -85,16 +80,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="single-pipe integration to CSV")
     p_sim.add_argument("--level", type=int, default=3, choices=(1, 2, 3))
-    p_sim.add_argument("--h", type=_positive(float), help="stepsize [m]; default L/100")
     p_sim.add_argument(
-        "--p0", type=_positive(float), default=60e5, help="inlet pressure [Pa]"
+        "--h", type=_finite(float, 0), help="stepsize [m]; default L/100"
+    )
+    p_sim.add_argument(
+        "--p0", type=_finite(float, 0), default=60e5, help="inlet pressure [Pa]"
     )
     p_sim.add_argument(
         "--q", type=_finite(float), default=100.0, help="mass flow [kg/s]"
     )
-    p_sim.add_argument("--length", type=_positive(float), default=10000.0)
-    p_sim.add_argument("--diameter", type=_positive(float), default=0.6)
-    p_sim.add_argument("--friction", type=_positive(float), default=0.01)
+    p_sim.add_argument("--length", type=_finite(float, 0), default=10000.0)
+    p_sim.add_argument("--diameter", type=_finite(float, 0), default=0.6)
+    p_sim.add_argument("--friction", type=_finite(float, 0), default=0.01)
     # of magnitude below 1, as network files require of a pipe's slope
     p_sim.add_argument("--slope", type=_finite(float, -1, 1), default=0.0)
     p_sim.add_argument("--out", help="CSV path; stdout when omitted")
@@ -113,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_val.add_argument("--config", help="JSON config; defaults otherwise")
     group = p_val.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n-pipes", type=_positive(int))
+    group.add_argument("--n-pipes", type=_finite(int, 0))
     group.add_argument("--network")
 
     p_nlp = sub.add_parser(

@@ -101,59 +101,48 @@ def switch_up_target(level, eta_m, eps) -> tuple:
 # -- marking strategies ------------------------------------------------------
 
 
-def _mark_to_reach(values: dict, theta: float) -> set:
-    """Largest values first, until the marked ones reach theta times the sum
-    of all."""
-    target = theta * sum(values.values())
+def mark_refine(eta_d: dict, theta_d: float) -> set:
+    """Greedy bulk marking: largest values first, until the marked ones reach
+    theta_d times the sum of all."""
+    target = theta_d * sum(eta_d.values())
     marked, acc = set(), 0.0
-    for pid in sorted(values, key=lambda p: (-values[p], p)):
+    for pid in sorted(eta_d, key=lambda p: (-eta_d[p], p)):
         if acc >= target:
             break
         marked.add(pid)
-        acc += values[pid]
+        acc += eta_d[pid]
     return marked
 
 
-def _mark_within(values: dict, budget: float, candidates) -> set:
-    """Smallest values first among the candidates, while the marked ones
-    stay within the budget."""
+def mark_switch_up(eta_m_reduction: dict, theta_m: float, eps: float) -> set:
+    """Greedy marking among pipes whose switch-up reduction exceeds eps."""
+    return mark_refine({p: r for p, r in eta_m_reduction.items() if r > eps}, theta_m)
+
+
+def mark_coarsen(eta_d: dict, phi_d: float, eligible=None) -> set:
+    """Greedy maximal set: smallest values first among the eligible pipes,
+    while the marked ones stay within phi_d times the sum over all pipes.
+
+    Pipes already at their coarsest admissible grid are left out of
+    `eligible`; by default every pipe is eligible."""
+    budget = phi_d * sum(eta_d.values())
     marked, acc = set(), 0.0
-    for pid in sorted(set(candidates), key=lambda p: (values[p], p)):
-        if acc + values[pid] <= budget:
+    candidates = eta_d if eligible is None else eligible
+    for pid in sorted(set(candidates), key=lambda p: (eta_d[p], p)):
+        if acc + eta_d[pid] <= budget:
             marked.add(pid)
-            acc += values[pid]
+            acc += eta_d[pid]
         else:
             break
     return marked
 
 
-def mark_refine(eta_d: dict, theta_d: float) -> set:
-    """Greedy bulk marking by descending discretization error."""
-    return _mark_to_reach(eta_d, theta_d)
-
-
-def mark_switch_up(eta_m_reduction: dict, theta_m: float, eps: float) -> set:
-    """Greedy marking among pipes whose switch-up reduction exceeds eps."""
-    return _mark_to_reach(
-        {p: r for p, r in eta_m_reduction.items() if r > eps}, theta_m
-    )
-
-
-def mark_coarsen(eta_d: dict, phi_d: float, eligible=None) -> set:
-    """Greedy maximal set by ascending discretization error within the budget.
-
-    Pipes already at their coarsest admissible grid are passed via
-    `eligible`; the budget is always taken over all pipes."""
-    return _mark_within(
-        eta_d, phi_d * sum(eta_d.values()), eta_d if eligible is None else eligible
-    )
-
-
 def mark_switch_down(eta_m_increase: dict, phi_m: float, tau: float, eps: float) -> set:
     """Greedy maximal set by ascending model-error increase, restricted to
     pipes whose increase stays below tau * eps."""
-    eligible = {p: inc for p, inc in eta_m_increase.items() if inc <= tau * eps}
-    return _mark_within(eligible, phi_m * sum(eligible.values()), eligible)
+    return mark_coarsen(
+        {p: inc for p, inc in eta_m_increase.items() if inc <= tau * eps}, phi_m
+    )
 
 
 def validate_parameters(config: AdaptiveConfig, n_pipes: int) -> list:

@@ -21,10 +21,6 @@ class UnsupportedModel(GasAdaptError):
     """No closed-form solution exists for the requested model level."""
 
 
-class IncompatibleGrids(GasAdaptError):
-    """Gridpoints of the target grid do not align with the source grid."""
-
-
 class EmptyNetwork(GasAdaptError):
     """An aggregate over pipes was requested for a network without pipes."""
 

@@ -54,14 +54,3 @@ def estimate_with_alternatives(
     }
     return ErrorEstimate(pipe.id, eta_d, by_level[level], level, h), by_level
 
-
-def total_error(pipe, gas, p0, q, level, h, slope=0.0) -> ErrorEstimate:
-    """The (eta_d, eta_m) pair at the current level: level 1 at 2h and 4h,
-    and below level 1 the current level at h."""
-    return estimate_with_alternatives(pipe, gas, p0, q, level, h, slope)[0]
-
-
-def discretization_error(pipe, gas, p0, q, h, slope=0.0) -> float:
-    """Max-norm difference of the level-1 profiles at 2h and 4h on the
-    evaluation grid."""
-    return total_error(pipe, gas, p0, q, ModelLevel.FULL, h, slope).eta_d

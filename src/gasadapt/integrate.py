@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     DrainedPipe,
-    IncompatibleGrids,
     InvalidGrid,
     NonPositivePressure,
     SonicFlow,
@@ -139,16 +138,3 @@ def integrate(
             append(p)
     return PressureProfile(grid, np.array(values))
 
-
-def restrict_to_grid(profile: PressureProfile, target: Grid) -> PressureProfile:
-    """Exact subsampling of a profile onto a coarser, aligned grid."""
-    ratio = target.stepsize / profile.grid.stepsize
-    factor = round(ratio)
-    if factor < 1 or not math.isclose(ratio, factor, rel_tol=GRID_RTOL):
-        raise IncompatibleGrids(
-            f"target stepsize {target.stepsize} is not an integer multiple "
-            f"of {profile.grid.stepsize}"
-        )
-    if target.n_intervals * factor != profile.grid.n_intervals:
-        raise IncompatibleGrids("target gridpoints do not align with the profile")
-    return PressureProfile(target, profile.values[::factor].copy())

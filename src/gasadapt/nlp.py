@@ -25,6 +25,7 @@ PRESSURE_SCALE = 1e5  # internal pressure unit is bar
 FLOW_SMOOTHING = 1e-6  # kg/s, smooths |q| q at q = 0
 PRESSURE_FLOOR = 1e4  # Pa, protects 1/p terms
 DEFAULT_EPS_OPT = 1e-8  # the KKT error at which every solve stops
+MAX_ITERATIONS = 500  # the Newton steps after which a solve gives up
 
 STATUS_OPTIMAL = "LocalOptimum"
 STATUS_INFEASIBLE = "Infeasible"
@@ -667,11 +668,7 @@ class KktSystem:
         return self._split(z, len(sigma))
 
 
-def solve(
-    inst: NlpInstance,
-    warm_start: NlpSolution = None,
-    max_iterations: int = 500,
-) -> NlpSolution:
+def solve(inst: NlpInstance, warm_start: NlpSolution = None) -> NlpSolution:
     """Primal-dual interior-point solve with a logarithmic barrier on bounds,
     damped Newton steps on the perturbed KKT system, and a
     fraction-to-the-boundary rule. A warm start continues from the iterate
@@ -754,7 +751,7 @@ def solve(
     status, reason = STATUS_ITERATION_LIMIT, REASON_ITERATION_LIMIT
     c, J = inst.constraints(x), inst.jacobian(x)  # evaluated once per iterate
     stepped = True  # whether x, y and z moved since the last iteration
-    for iterations in range(1, max_iterations + 2):
+    for iterations in range(1, MAX_ITERATIONS + 2):
         if stepped:  # a mu decrease leaves the errors as they are
             s = slack(x)
             gy = inst.grad + inst.jacobian_t_product(J, y)
@@ -763,7 +760,7 @@ def solve(
         if kkt <= DEFAULT_EPS_OPT:
             status, reason = STATUS_OPTIMAL, REASON_CONVERGED
             break
-        if iterations > max_iterations:  # a last pass only tests the final iterate
+        if iterations > MAX_ITERATIONS:  # a last pass only tests the final iterate
             break
         if not np.isfinite(kkt):  # no verdict on the problem from a NaN
             status, reason = STATUS_ITERATION_LIMIT, REASON_NOT_FINITE
@@ -836,7 +833,7 @@ def solve(
         # clip duals so sigma stays within a bounded multiple of mu/slack
         z = np.minimum(np.maximum(z + alpha_d * dz, 1e-16), 1e16)
         z = np.minimum(np.maximum(z, mu / (1e10 * s)), 1e10 * mu / s)
-    iterations = min(iterations, max_iterations)  # the last pass takes no step
+    iterations = min(iterations, MAX_ITERATIONS)  # the last pass takes no step
     seconds = time.perf_counter() - t0
     z_rows = np.zeros(2 * n)
     z_rows[at] = z

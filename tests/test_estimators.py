@@ -6,62 +6,62 @@ import numpy as np
 import pytest
 
 from gasadapt.errors import InvalidGrid
-from gasadapt.estimators import (
-    discretization_error,
-    estimate_with_alternatives,
-    total_error,
-)
-from gasadapt.integrate import Grid, integrate, restrict_to_grid
+from gasadapt.estimators import estimate_with_alternatives
+from gasadapt.integrate import Grid, integrate
 from gasadapt.models import ModelLevel, sound_speed
 
 P0, Q, H = 60e5, 100.0, 10000.0 / 16
 
 
 def test_eta_d_equals_brute_force_recompute(test_pipe, gas):
-    eta_d = discretization_error(test_pipe, gas, P0, Q, H)
-    double = Grid(2 * H, 8)
-    evaluation = Grid(4 * H, 4)
-    p_2h = integrate(ModelLevel.FULL, test_pipe, gas, P0, Q, double)
-    p_4h = integrate(ModelLevel.FULL, test_pipe, gas, P0, Q, evaluation)
-    brute = np.max(
-        np.abs(restrict_to_grid(p_2h, evaluation).values - p_4h.values)
-    )
-    assert eta_d == pytest.approx(float(brute), rel=0, abs=0)
+    estimate, _ = estimate_with_alternatives(test_pipe, gas, P0, Q, ModelLevel.FULL, H)
+    p_2h = integrate(ModelLevel.FULL, test_pipe, gas, P0, Q, Grid(2 * H, 8))
+    p_4h = integrate(ModelLevel.FULL, test_pipe, gas, P0, Q, Grid(4 * H, 4))
+    brute = np.max(np.abs(p_2h.values[::2] - p_4h.values))
+    assert estimate.eta_d == pytest.approx(float(brute), rel=0, abs=0)
 
 
 def test_eta_d_evaluation_grid_has_quarter_plus_one_points(test_pipe, gas):
     # the norm is over exactly n/4 + 1 points; a profile mismatch there would
     # change the value, so check via a grid the wrong size
     with pytest.raises(InvalidGrid):
-        discretization_error(test_pipe, gas, P0, Q, 10000.0 / 6)
+        estimate_with_alternatives(
+            test_pipe, gas, P0, Q, ModelLevel.FULL, 10000.0 / 6
+        )
 
 
 def test_eta_m_zero_at_level_one(test_pipe, gas):
-    assert total_error(test_pipe, gas, P0, Q, ModelLevel.FULL, H).eta_m == 0.0
+    estimate, _ = estimate_with_alternatives(test_pipe, gas, P0, Q, ModelLevel.FULL, H)
+    assert estimate.eta_m == 0.0
 
 
 def test_eta_d_halves_under_refinement(test_pipe, gas):
-    coarse = discretization_error(test_pipe, gas, P0, Q, H)
-    fine = discretization_error(test_pipe, gas, P0, Q, H / 2)
-    assert 1.8 <= coarse / fine <= 2.2
+    coarse, _ = estimate_with_alternatives(test_pipe, gas, P0, Q, ModelLevel.FULL, H)
+    fine, _ = estimate_with_alternatives(test_pipe, gas, P0, Q, ModelLevel.FULL, H / 2)
+    assert 1.8 <= coarse.eta_d / fine.eta_d <= 2.2
 
 
 def test_model_error_stable_under_grid_change(test_pipe, gas):
     # when eta_d << eta_m (factor >= 100), one refinement moves eta_m by <= 5%
     slope = 0.03
     h = 10000.0 / 64
-    eta_d = discretization_error(test_pipe, gas, P0, Q, h, slope)
-    eta_m = total_error(test_pipe, gas, P0, Q, ModelLevel.FRICTION, h, slope).eta_m
+    eta_d = estimate_with_alternatives(
+        test_pipe, gas, P0, Q, ModelLevel.FULL, h, slope
+    )[0].eta_d
+    eta_m = estimate_with_alternatives(
+        test_pipe, gas, P0, Q, ModelLevel.FRICTION, h, slope
+    )[0].eta_m
     assert eta_m >= 100.0 * eta_d
-    eta_m_fine = total_error(
+    eta_m_fine = estimate_with_alternatives(
         test_pipe, gas, P0, Q, ModelLevel.FRICTION, h / 2, slope
-    ).eta_m
+    )[0].eta_m
     assert abs(eta_m_fine - eta_m) <= 0.05 * eta_m
 
 
 def test_estimator_locality_pure_recompute(test_pipe, gas):
-    first = total_error(test_pipe, gas, P0, Q, ModelLevel.GRAVITY, H, 0.01)
-    second = total_error(test_pipe, gas, P0, Q, ModelLevel.GRAVITY, H, 0.01)
+    args = (test_pipe, gas, P0, Q, ModelLevel.GRAVITY, H, 0.01)
+    first = estimate_with_alternatives(*args)[0]
+    second = estimate_with_alternatives(*args)[0]
     assert first == second
 
 
@@ -71,9 +71,9 @@ def test_eta_m_gravity_head_for_level3_no_flow(test_pipe, gas):
     slope = 0.02
     alpha = gas.gravity * slope / sound_speed(gas) ** 2
     expected = abs(P0 * (math.exp(-alpha * test_pipe.length) - 1.0))
-    eta_m = total_error(
+    eta_m = estimate_with_alternatives(
         test_pipe, gas, P0, 0.0, ModelLevel.FRICTION, 10000.0 / 64, slope
-    ).eta_m
+    )[0].eta_m
     assert eta_m == pytest.approx(expected, rel=0.05)
 
 
@@ -91,19 +91,20 @@ def test_eta_m_level2_below_ram_term_bound(test_pipe, gas):
     drop = P0 - p_min
     c = sound_speed(gas)
     bound = q * q * c * c / (test_pipe.cross_area**2 * p_min**2) * drop
-    eta_m = total_error(test_pipe, gas, P0, q, ModelLevel.GRAVITY, h).eta_m
+    eta_m = estimate_with_alternatives(
+        test_pipe, gas, P0, q, ModelLevel.GRAVITY, h
+    )[0].eta_m
     assert eta_m <= 1.5 * bound
 
 
 def test_total_error_consistency(test_pipe, gas):
-    est = total_error(test_pipe, gas, P0, Q, ModelLevel.GRAVITY, H, 0.01)
+    def estimate(level):
+        return estimate_with_alternatives(test_pipe, gas, P0, Q, level, H, 0.01)[0]
+
+    est = estimate(ModelLevel.GRAVITY)
     assert est.eta == est.eta_d + est.eta_m
-    assert est.eta_d == pytest.approx(
-        discretization_error(test_pipe, gas, P0, Q, H, 0.01)
-    )
-    assert est.eta_m == pytest.approx(
-        total_error(test_pipe, gas, P0, Q, ModelLevel.GRAVITY, H, 0.01).eta_m
-    )
+    assert est.eta_d == pytest.approx(estimate(ModelLevel.FULL).eta_d)
+    assert est.eta_m == pytest.approx(estimate(ModelLevel.GRAVITY).eta_m)
 
 
 def test_estimate_with_alternatives_shares_reference(test_pipe, gas):
@@ -126,4 +127,6 @@ def test_estimate_with_alternatives_shares_reference(test_pipe, gas):
 
 def test_stepsize_must_divide_pipe_into_multiple_of_four(test_pipe, gas):
     with pytest.raises(InvalidGrid):
-        total_error(test_pipe, gas, P0, Q, ModelLevel.FRICTION, 10000.0 / 10)
+        estimate_with_alternatives(
+            test_pipe, gas, P0, Q, ModelLevel.FRICTION, 10000.0 / 10
+        )

@@ -11,12 +11,11 @@ import pytest
 from gasadapt import nlp
 from gasadapt.errors import (
     DrainedPipe,
-    IncompatibleGrids,
     InvalidGrid,
     NonPositivePressure,
     SonicFlow,
 )
-from gasadapt.integrate import Grid, PressureProfile, integrate, restrict_to_grid
+from gasadapt.integrate import Grid, integrate
 from gasadapt.models import (
     ModelLevel,
     analytic_pressure,
@@ -168,28 +167,6 @@ def test_grid_positions_and_length():
 def test_grid_length_must_match_pipe(test_pipe, gas):
     with pytest.raises(InvalidGrid):
         integrate(ModelLevel.FRICTION, test_pipe, gas, 60e5, 100.0, Grid(100.0, 8))
-
-
-def test_restrict_to_grid_exact_subsampling(test_pipe, gas):
-    fine = Grid.for_pipe(10000.0, 32)
-    coarse = Grid.for_pipe(10000.0, 8)
-    profile = integrate(ModelLevel.FRICTION, test_pipe, gas, 60e5, 100.0, fine)
-    restricted = restrict_to_grid(profile, coarse)
-    assert np.array_equal(restricted.values, profile.values[::4])
-
-
-def test_restrict_to_grid_misaligned_raises(test_pipe, gas):
-    fine = Grid.for_pipe(10000.0, 32)
-    profile = integrate(ModelLevel.FRICTION, test_pipe, gas, 60e5, 100.0, fine)
-    with pytest.raises(IncompatibleGrids):
-        restrict_to_grid(profile, Grid(10000.0 / 12.0, 12))
-
-
-def test_restrict_to_grid_of_other_length_raises():
-    # the stepsizes divide, but 4 steps of 250 m end short of 16 of 125 m
-    profile = PressureProfile(Grid(125.0, 16), np.full(17, 60e5))
-    with pytest.raises(IncompatibleGrids, match="do not align"):
-        restrict_to_grid(profile, Grid(250.0, 4))
 
 
 def test_implicit_euler_step_relation(test_pipe, gas):

@@ -965,11 +965,13 @@ def test_non_finite_kkt_error_stops_at_the_iteration_limit(monkeypatch):
     assert sol.n_iterations == 1
 
 
-def test_each_stop_has_its_reason():
+def test_each_stop_has_its_reason(monkeypatch):
     net, scn, gas, state = compressor_chain()
     inst = nlp.assemble(net, scn, gas, state)
     assert nlp.solve(inst).reason == nlp.REASON_CONVERGED
-    limited = nlp.solve(inst, max_iterations=2)
+    monkeypatch.setattr(nlp, "MAX_ITERATIONS", 2)
+    limited = nlp.solve(inst)
+    monkeypatch.undo()
     assert limited.status == nlp.STATUS_ITERATION_LIMIT
     assert limited.reason == nlp.REASON_ITERATION_LIMIT
     net, scn, gas, state = compressor_chain(lift_max=1e5)
@@ -978,7 +980,7 @@ def test_each_stop_has_its_reason():
     assert infeasible.reason == nlp.REASON_STALLED
 
 
-def test_limit_right_after_the_converging_step_is_an_optimum():
+def test_limit_right_after_the_converging_step_is_an_optimum(monkeypatch):
     # a solve that converges at its k-th iteration took its last step in
     # iteration k - 1; stopped there by the limit, it reads the same iterate
     # as converged
@@ -987,7 +989,8 @@ def test_limit_right_after_the_converging_step_is_an_optimum():
     inst = nlp.assemble(net, scn, gas, state)
     cold = nlp.solve(inst)
     assert cold.reason == nlp.REASON_CONVERGED
-    limited = nlp.solve(inst, max_iterations=cold.n_iterations - 1)
+    monkeypatch.setattr(nlp, "MAX_ITERATIONS", cold.n_iterations - 1)
+    limited = nlp.solve(inst)
     assert limited.status == nlp.STATUS_OPTIMAL
     assert limited.reason == nlp.REASON_CONVERGED
     assert limited.n_iterations == cold.n_iterations - 1
@@ -1013,7 +1016,8 @@ def test_solve_reuses_the_last_kkt_error(monkeypatch):
     assert sol.status == nlp.STATUS_OPTIMAL
     assert len({x.tobytes() for x in calls}) == len(calls)
     calls.clear()
-    limited = nlp.solve(inst, max_iterations=1)
+    monkeypatch.setattr(nlp, "MAX_ITERATIONS", 1)
+    limited = nlp.solve(inst)
     assert limited.status == nlp.STATUS_ITERATION_LIMIT
     assert len(calls) == 2
     assert not np.array_equal(calls[0], calls[1])
@@ -1371,7 +1375,7 @@ FALSE_INFEASIBLE = pytest.mark.xfail(
      pytest.param(10, 10, 16, 2, marks=FALSE_INFEASIBLE)],
 )
 def test_cold_mesh_solve_converges_as_the_penalty_weight_comes_down(
-    rows, cols, n, level, grid_mesh
+    rows, cols, n, level, grid_mesh, monkeypatch
 ):
     # a weight that could only grow reached 3.2e4 on 7x8 within 5
     # iterations and kept it while the multipliers fell to about 1: each
@@ -1386,7 +1390,8 @@ def test_cold_mesh_solve_converges_as_the_penalty_weight_comes_down(
     inst = nlp.assemble(net, scn, gas, state(level))
     level_3 = nlp.solve(nlp.assemble(net, scn, gas, state(3)))
     warm = nlp.solve(inst, warm_start=level_3)
-    cold = nlp.solve(inst, max_iterations=100)
+    monkeypatch.setattr(nlp, "MAX_ITERATIONS", 100)
+    cold = nlp.solve(inst)
     assert warm.status == nlp.STATUS_OPTIMAL
     assert cold.status == nlp.STATUS_OPTIMAL
     assert cold.objective == pytest.approx(warm.objective, rel=1e-8)
