@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nlp.add_argument("--network", required=True)
     p_nlp.add_argument("--scenario", required=True)
     p_nlp.add_argument("--level", type=int, default=1, choices=(1, 2, 3))
-    p_nlp.add_argument("--intervals", type=int, default=4,
+    p_nlp.add_argument("--intervals", type=_finite(int, 0), default=4,
                        help="intervals per pipe (multiple of 4)")
     p_nlp.add_argument("--out", help="solution JSON path; stdout when omitted")
 
@@ -179,10 +179,10 @@ def _cmd_simulate(args) -> int:
     gas = GasParameters()
     h = args.h if args.h is not None else args.length / 100.0
     grid = Grid(h, round(args.length / h))
-    profile = integrate(
+    values = integrate(
         ModelLevel.of(args.level), pipe, gas, args.p0, args.q, grid, args.slope
     )
-    fileio.export_profile(profile, args.out if args.out else sys.stdout)
+    fileio.export_profile(grid, values, args.out if args.out else sys.stdout)
     return EXIT_OK
 
 
@@ -225,10 +225,7 @@ def _cmd_validate_params(args) -> int:
 def _cmd_nlp_solve(args) -> int:
     net, gas, scn = _load_problem(args)
     level = ModelLevel.of(args.level)
-    state = {
-        pid: (level, Grid.for_pipe(p.length, args.intervals).stepsize)
-        for pid, p in net.pipes.items()
-    }
+    state = {pid: (level, p.length / args.intervals) for pid, p in net.pipes.items()}
     sol = nlp.solve(nlp.assemble(net, scn, gas, state))
     fileio.save_solution(sol, args.out if args.out else sys.stdout)
     nlp.raise_unless_optimal(sol)

@@ -76,7 +76,6 @@ class TraceRecord:
 class AdaptiveState:
     levels: dict = field(default_factory=dict)  # pipe id -> ModelLevel
     stepsizes: dict = field(default_factory=dict)  # pipe id -> h [m]
-    initial_stepsizes: dict = field(default_factory=dict)
     solution: nlp.NlpSolution = None
     estimates: dict = field(default_factory=dict)  # pipe id -> ErrorEstimate
     trace: list = field(default_factory=list)
@@ -220,7 +219,6 @@ def run(
     for pid, pipe in net.pipes.items():
         state.levels[pid] = ModelLevel.of(config.initial_level)
         state.stepsizes[pid] = pipe.length / config.initial_intervals
-        state.initial_stepsizes[pid] = state.stepsizes[pid]
 
     eps, mu = config.eps, config.mu
     marked_refine = marked_up = marked_coarsen = marked_down = ()
@@ -248,7 +246,9 @@ def run(
             pid: (state.levels[pid], state.stepsizes[pid]) for pid in net.pipes
         }
         instance = nlp.assemble(net, scn, gas, pipe_state)
+        t0 = time.perf_counter()
         sol = nlp.solve(instance, warm_start=state.solution)
+        nlp_seconds = time.perf_counter() - t0
         nlp.raise_unless_optimal(sol, f" at solve {solve_index}")
         # a switch-up round reads eta_m one level down; the switch-down round
         # after the mu-th solve also one level up, and the switch-up round
@@ -270,7 +270,7 @@ def run(
             inner_j=j,
             n_vars=instance.n_vars,
             n_cons=instance.n_cons,
-            nlp_seconds=sol.solve_seconds,
+            nlp_seconds=nlp_seconds,
             ivp_seconds=ivp_seconds,
             sum_eta_d=sum_d,
             sum_eta_m=sum_m,
@@ -297,8 +297,8 @@ def run(
             marked_down = mark_switch_down(increases, config.phi_m, config.tau, eps)
             coarsenable = {
                 pid
-                for pid in net.pipes
-                if state.stepsizes[pid] < state.initial_stepsizes[pid]
+                for pid, pipe in net.pipes.items()
+                if state.stepsizes[pid] < pipe.length / config.initial_intervals
             }
             marked_coarsen = mark_coarsen(eta_d, config.phi_d, eligible=coarsenable)
 

@@ -40,7 +40,7 @@ def estimate_with_alternatives(
     def march(at_level, factor):
         # the profile at factor * h, on the 4h gridpoints
         grid = Grid(factor * h, n // factor)
-        return integrate(at_level, pipe, gas, p0, q, grid, slope).values[:: 4 // factor]
+        return integrate(at_level, pipe, gas, p0, q, grid, slope)[:: 4 // factor]
 
     reference = march(ModelLevel.FULL, 2)
 

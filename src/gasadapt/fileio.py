@@ -176,8 +176,12 @@ def _id_map(doc, key, context, default=None, read=_number):
 
 
 def _pipe(entry):
-    if isinstance(entry, dict) and "friction" not in entry and "roughness" in entry:
+    if isinstance(entry, dict) and "roughness" in entry:
         context = f"pipe {entry.get('id')}"
+        if "friction" in entry:
+            raise ParseError(
+                f"{context}: give one of 'friction' and 'roughness', not both"
+            )
         diameter = _get(entry, "diameter", context, "float")
         roughness = _get(entry, "roughness", context, "float")
         if not 0.0 < roughness < diameter:
@@ -322,7 +326,7 @@ def load_solution(path) -> NlpSolution:
         doc,
         "solution",
         extra=["format_version"],
-        omit=["solve_seconds", "iterate"],  # solution_to_dict writes neither
+        omit=["iterate"],  # solution_to_dict does not write it
         node_pressures=_id_map(doc, "node_pressures", "solution"),
         arc_flows=_id_map(doc, "arc_flows", "solution"),
         compressor_lifts=_id_map(doc, "compressor_lifts", "solution", {}),
@@ -362,10 +366,7 @@ def export_estimates(estimates, path_or_handle):
     _export(ESTIMATE_COLUMNS, estimates, path_or_handle)
 
 
-def export_profile(profile, path_or_handle):
-    """Position/pressure CSV for one integrated pipe profile."""
-    rows = (
-        [_fmt(float(x)), _fmt(float(p))]
-        for x, p in zip(profile.grid.positions(), profile.values)
-    )
+def export_profile(grid, values, path_or_handle):
+    """Position/pressure CSV of the pressures `values` at the grid's points."""
+    rows = ([_fmt(float(x)), _fmt(float(p))] for x, p in zip(grid.positions(), values))
     _write_csv(["x", "pressure"], rows, path_or_handle)

@@ -35,16 +35,6 @@ class Grid:
         if not 0.0 < self.stepsize < math.inf:
             raise InvalidGrid(f"stepsize {self.stepsize} must be positive and finite")
 
-    @classmethod
-    def for_pipe(cls, length: float, n_intervals: int) -> "Grid":
-        """Primary pipe grid; the interval count must allow the 2h and 4h
-        subgrids used by the error estimators."""
-        if n_intervals <= 0 or n_intervals % 4 != 0:
-            raise InvalidGrid(
-                f"n_intervals {n_intervals} is not a positive multiple of 4"
-            )
-        return cls(stepsize=length / n_intervals, n_intervals=n_intervals)
-
     @property
     def length(self) -> float:
         return self.stepsize * self.n_intervals
@@ -67,12 +57,6 @@ def interval_count(pipe: Pipe, h: float) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class PressureProfile:
-    grid: Grid
-    values: np.ndarray  # Pa, one per gridpoint
-
-
 def integrate(
     level: ModelLevel,
     pipe: Pipe,
@@ -81,8 +65,8 @@ def integrate(
     q: float,
     grid: Grid,
     slope: float = 0.0,
-) -> PressureProfile:
-    """March the implicit Euler scheme along the pipe from p(0) = p0.
+) -> np.ndarray:
+    """The gridpoint pressures [Pa] marched by implicit Euler from p(0) = p0.
 
     Each step's p is the largest root of a p^3 - p_prev p^2 + (hK - b) p
     + b p_prev = p^2 (p - p_prev - h rhs(p)), a = 1 + h alpha, hK = h K and
@@ -136,5 +120,5 @@ def integrate(
             if p * p <= sonic:
                 raise SonicFlow(f"implicit step from p={values[-1]} is sonic")
             append(p)
-    return PressureProfile(grid, np.array(values))
+    return np.array(values)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,7 +220,6 @@ class NlpSolution:
     kkt_error: float
     n_iterations: int
     pipe_states: dict  # pipe id -> (level, stepsize) of the grid solved on
-    solve_seconds: float = 0.0
     # the final iterate, from which a solve on the same network can start
     iterate: Iterate = None
     reason: str = ""  # why the solve stopped, one of the REASON_* phrases
@@ -372,9 +370,7 @@ def _initial_point(inst: NlpInstance, warm: Iterate = None) -> tuple:
     return x, y, z
 
 
-def _extract_solution(
-    inst, x, status, kkt_error, iterations, seconds, iterate=None, reason=""
-):
+def _extract_solution(inst, x, status, kkt_error, iterations, iterate, reason):
     node_pressures = {
         node: float(x[i]) * PRESSURE_SCALE for node, i in inst.node_idx.items()
     }
@@ -398,7 +394,6 @@ def _extract_solution(
         kkt_error=kkt_error,
         n_iterations=iterations,
         pipe_states=dict(inst.pipe_states),
-        solve_seconds=seconds,
         iterate=iterate,
         reason=reason,
     )
@@ -673,7 +668,6 @@ def solve(inst: NlpInstance, warm_start: NlpSolution = None) -> NlpSolution:
     damped Newton steps on the perturbed KKT system, and a
     fraction-to-the-boundary rule. A warm start continues from the iterate
     of a solve on the same network; ValueError for any other solution."""
-    t0 = time.perf_counter()
     ids = (tuple(inst.net.nodes), tuple(inst.net.pipes), tuple(inst.net.compressors))
     warm = None if warm_start is None else warm_start.iterate
     if warm_start is not None and (warm is None or warm.ids != ids):
@@ -834,11 +828,10 @@ def solve(inst: NlpInstance, warm_start: NlpSolution = None) -> NlpSolution:
         z = np.minimum(np.maximum(z + alpha_d * dz, 1e-16), 1e16)
         z = np.minimum(np.maximum(z, mu / (1e10 * s)), 1e10 * mu / s)
     iterations = min(iterations, MAX_ITERATIONS)  # the last pass takes no step
-    seconds = time.perf_counter() - t0
     z_rows = np.zeros(2 * n)
     z_rows[at] = z
     iterate = Iterate(x, y, z_rows.reshape(2, n), inst.pipe_n, ids)
-    return _extract_solution(inst, x, status, kkt, iterations, seconds, iterate, reason)
+    return _extract_solution(inst, x, status, kkt, iterations, iterate, reason)
 
 
 def raise_unless_optimal(sol: NlpSolution, where: str = "") -> None:

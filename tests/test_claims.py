@@ -39,7 +39,7 @@ def true_errors(net, gas, sol):
             ModelLevel.FULL, pipe, gas, p_from, sol.arc_flows[pid], fine,
             slope_of(pipe, net),
         )
-        errors[pid] = float(np.abs(reference.values[::256] - profile[::4]).max())
+        errors[pid] = float(np.abs(reference[::256] - profile[::4]).max())
     return errors
 
 

@@ -1,6 +1,7 @@
 """Adaptive control loop: configuration, termination, trace invariants."""
 
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def assert_current_marches_match_nlp(calls, sol, levels, stepsizes):
             sol.interior_pressures[pipe.id],
             [sol.node_pressures[pipe.to_node]],
         ])
-        np.testing.assert_allclose(profile.values, nlp_profile, rtol=0.0, atol=1e-3)
+        np.testing.assert_allclose(profile, nlp_profile, rtol=0.0, atol=1e-3)
     return checked
 
 
@@ -304,11 +305,14 @@ def test_run_stops_after_solve_0_when_it_is_within_eps():
     # chain-5's first average error is 2.7e4 Pa, within eps = 1 bar: the run
     # returns that solve and marks no pipe
     net, gas, scn = chain5()
-    sol, state = run(net, scn, gas, AdaptiveConfig(eps=1e5))
+    config = AdaptiveConfig(eps=1e5)
+    sol, state = run(net, scn, gas, config)
     assert len(state.trace) == 1
     assert state.trace[0].avg_eta <= 1e5
     assert state.solution is sol
-    assert state.stepsizes == state.initial_stepsizes
+    assert state.stepsizes == {
+        pid: pipe.length / config.initial_intervals for pid, pipe in net.pipes.items()
+    }
     assert set(state.levels.values()) == {ModelLevel.FRICTION}
 
 
@@ -345,10 +349,19 @@ def test_run_counts_each_round_of_marks_on_the_next_solve(monkeypatch):
     assert sum(counts["mark_coarsen"]) > 0
 
 
+def test_trace_times_each_solve_and_its_estimates():
+    net, gas, scn = chain5()
+    t0 = time.perf_counter()
+    _, state = run(net, scn, gas, AdaptiveConfig())
+    wall = time.perf_counter() - t0
+    assert all(r.nlp_seconds > 0 and r.ivp_seconds > 0 for r in state.trace)
+    assert sum(r.nlp_seconds + r.ivp_seconds for r in state.trace) <= wall
+
+
 def test_run_respects_grid_floor_and_alignment(chain5_run):
-    net, _, _, state = chain5_run
+    net, config, _, state = chain5_run
     for pid, pipe in net.pipes.items():
-        assert state.stepsizes[pid] <= state.initial_stepsizes[pid]
+        assert state.stepsizes[pid] <= pipe.length / config.initial_intervals
         n = round(pipe.length / state.stepsizes[pid])
         assert n % 4 == 0
         assert n * state.stepsizes[pid] == pytest.approx(pipe.length)

@@ -17,7 +17,7 @@ def test_eta_d_equals_brute_force_recompute(test_pipe, gas):
     estimate, _ = estimate_with_alternatives(test_pipe, gas, P0, Q, ModelLevel.FULL, H)
     p_2h = integrate(ModelLevel.FULL, test_pipe, gas, P0, Q, Grid(2 * H, 8))
     p_4h = integrate(ModelLevel.FULL, test_pipe, gas, P0, Q, Grid(4 * H, 4))
-    brute = np.max(np.abs(p_2h.values[::2] - p_4h.values))
+    brute = np.max(np.abs(p_2h[::2] - p_4h))
     assert estimate.eta_d == pytest.approx(float(brute), rel=0, abs=0)
 
 
@@ -85,9 +85,9 @@ def test_eta_m_level2_below_ram_term_bound(test_pipe, gas):
     q = 20.0
     h = 10000.0 / 1024
     profile = integrate(
-        ModelLevel.GRAVITY, test_pipe, gas, P0, q, Grid.for_pipe(10000.0, 1024)
+        ModelLevel.GRAVITY, test_pipe, gas, P0, q, Grid(10000.0 / 1024, 1024)
     )
-    p_min = float(np.min(profile.values))
+    p_min = float(np.min(profile))
     drop = P0 - p_min
     c = sound_speed(gas)
     bound = q * q * c * c / (test_pipe.cross_area**2 * p_min**2) * drop

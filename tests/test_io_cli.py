@@ -396,6 +396,7 @@ INTERIOR = {**SOLUTION, "interior_pressures": {"p1": [50e5, 50e5, 50e5]}}
 CHECK_NETWORK = ["validate-params", "--network", "BAD"]
 SOLVE_SCENARIO = ["nlp-solve", "--network", "NET", "--scenario", "BAD"]
 SOLVE_NETWORK = ["nlp-solve", "--network", "BAD", "--scenario", "SCN"]
+SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
 ESTIMATE = ["estimate", "--network", "NET", "--solution", "BAD"]
 RUN_CONFIG = ["run", "--network", "NET", "--scenario", "SCN", "--config", "BAD",
               "--out", "OUT", "--quiet"]
@@ -403,6 +404,13 @@ RUN_SCENARIO = ["run", "--network", "NET", "--scenario", "BAD", "--out", "OUT",
                 "--quiet"]
 RUN_NETWORK = ["run", "--network", "BAD", "--scenario", "SCN", "--out", "OUT",
                "--quiet"]
+
+
+# the text that the error of an invalid-input case must contain, by case id
+NAMED_IN_ERROR = {
+    "roughness-with-friction": "pipe p1: give one of 'friction' and 'roughness'",
+    "intervals-6": "pipe p1: L/h = 6.0 is not a multiple of 4",
+}
 
 
 def _rough(roughness):
@@ -477,8 +485,6 @@ def test_cli_non_object_document_exits_one(
         (ESTIMATE, _edited(SOLUTION, ["pipe_states", "p2"], None)),
         (RUN_SCENARIO, '{"flows": {"entry": -55, "nowhere": 55}}'),
         (SOLVE_SCENARIO, '{"flows": {"entry": -55, "nowhere": 55}}'),
-        (["nlp-solve", "--network", "NET", "--scenario", "SCN", "--intervals", "0"],
-         ""),
         (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "length"], float("nan"))),
         (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "pressure_max"], float("inf"))),
         (CHECK_NETWORK, _edited(NETWORK, ["nodes", 1, "elevaton"], 120.0)),
@@ -512,6 +518,8 @@ def test_cli_non_object_document_exits_one(
         # the solve's timing and iterate are no keys of a solution file
         (ESTIMATE, _edited(SOLUTION, ["solve_seconds"], 5.0)),
         (ESTIMATE, json.dumps({**SOLUTION, "iterate": None})),
+        (CHECK_NETWORK, _edited(NETWORK, ["pipes", 0, "roughness"], 5.0)),
+        (SOLVE + ["--intervals", "6"], ""),
     ],
     ids=[
         "length-string",
@@ -529,7 +537,6 @@ def test_cli_non_object_document_exits_one(
         "pipe-states-miss-pipe",
         "run-scenario-unknown-node",
         "nlp-solve-scenario-unknown-node",
-        "intervals-0",
         "length-nan",
         "pressure-max-infinity",
         "node-elevaton",
@@ -562,10 +569,15 @@ def test_cli_non_object_document_exits_one(
         "nlp-solve-derived-slope-above-1",
         "solution-solve-seconds",
         "solution-iterate-null",
+        "roughness-with-friction",
+        "intervals-6",
     ],
 )
-def test_cli_invalid_input_exits_one(argv, content, chain5_files, tmp_path, capsys):
-    _exits_one(argv, content, chain5_files, tmp_path, capsys)
+def test_cli_invalid_input_exits_one(
+    argv, content, chain5_files, tmp_path, capsys, request
+):
+    err = _exits_one(argv, content, chain5_files, tmp_path, capsys)
+    assert NAMED_IN_ERROR.get(request.node.callspec.id, "") in err
 
 
 def test_cli_estimate_needs_the_grid_of_the_solution(chain5_files, tmp_path, capsys):
@@ -576,13 +588,11 @@ def test_cli_estimate_needs_the_grid_of_the_solution(chain5_files, tmp_path, cap
     assert "missing required field 'pipe_states'" in err
 
 
-SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
-
-
 @pytest.mark.parametrize(
     "argv, code",
     [
         (SOLVE + ["--level", "4"], 1),
+        (SOLVE + ["--intervals", "0"], 1),
         (["simulate", "--q", "abc"], 1),
         (["validate-params", "--n-pipes", "0"], 1),
         (["validate-params", "--n-pipes", "-5"], 1),
@@ -608,6 +618,7 @@ SOLVE = ["nlp-solve", "--network", "NET", "--scenario", "SCN"]
     ],
     ids=[
         "level-4",
+        "intervals-0",
         "q-not-a-number",
         "n-pipes-0",
         "n-pipes-negative",

@@ -77,9 +77,9 @@ def test_single_pipe_reproduces_ivp_endpoint(level):
         gas,
         60e5,
         50.0,
-        Grid.for_pipe(20000.0, 16),
+        Grid(20000.0 / 16, 16),
     )
-    assert sol.node_pressures["b"] == pytest.approx(profile.values[-1], rel=1e-6)
+    assert sol.node_pressures["b"] == pytest.approx(profile[-1], rel=1e-6)
     assert sol.objective == 0.0
 
 
@@ -87,10 +87,10 @@ def test_single_pipe_interior_matches_ivp_profile():
     net, scn, gas, state = single_pipe_instance(3)
     sol = nlp.solve(nlp.assemble(net, scn, gas, state))
     profile = integrate(
-        ModelLevel.FRICTION, net.pipes["p"], gas, 60e5, 50.0, Grid.for_pipe(20000.0, 16)
+        ModelLevel.FRICTION, net.pipes["p"], gas, 60e5, 50.0, Grid(20000.0 / 16, 16)
     )
     assert sol.interior_pressures["p"] == pytest.approx(
-        profile.values[1:-1], rel=1e-6
+        profile[1:-1], rel=1e-6
     )
 
 

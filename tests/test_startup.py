@@ -16,7 +16,6 @@ import pytest
 import gasadapt
 from gasadapt import controller, fileio, nlp
 from gasadapt.fixtures import chain5, chain5_network_dict, chain5_scenario_dict
-from gasadapt.integrate import Grid
 from gasadapt.models import ModelLevel
 
 SRC = str(Path(gasadapt.__file__).resolve().parents[1])
@@ -67,8 +66,7 @@ def test_startup_loads_scipy_only_for_the_nlp(tmp_path):
     # the in-process solve that `nlp-solve` repeats with its defaults, level 1
     # and 4 intervals per pipe; its solution is what `estimate` reads
     net, gas, scn = chain5()
-    state = {pid: (ModelLevel.of(1), Grid.for_pipe(pipe.length, 4).stepsize)
-             for pid, pipe in net.pipes.items()}
+    state = {pid: (ModelLevel.of(1), pipe.length / 4) for pid, pipe in net.pipes.items()}
     sol = nlp.solve(nlp.assemble(net, scn, gas, state))
     doc = fileio.solution_to_dict(sol)
     sol_path = tmp_path / "sol.json"
