@@ -17,10 +17,6 @@ class DrainedPipe(GasAdaptError):
     """The pressure along a pipe would leave the positive domain."""
 
 
-class UnsupportedModel(GasAdaptError):
-    """No closed-form solution exists for the requested model level."""
-
-
 class EmptyNetwork(GasAdaptError):
     """An aggregate over pipes was requested for a network without pipes."""
 

@@ -270,26 +270,25 @@ def load_config(path) -> AdaptiveConfig:
 # -- solutions ---------------------------------------------------------------
 
 
+# NlpSolution fields that live only in memory: the warm-start iterate
+SOLUTION_IN_MEMORY = ("iterate",)
+
+
 def solution_to_dict(sol: NlpSolution) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "status": sol.status,
-        "objective": sol.objective,
-        "kkt_error": sol.kkt_error,
-        "n_iterations": sol.n_iterations,
-        "reason": sol.reason,
-        "node_pressures": sol.node_pressures,
-        "arc_flows": sol.arc_flows,
-        "compressor_lifts": sol.compressor_lifts,
-        "interior_pressures": {
-            pid: np.asarray(values, dtype=float).tolist()
-            for pid, values in sol.interior_pressures.items()
-        },
-        "pipe_states": {
-            pid: {"level": int(level), "stepsize": h}
-            for pid, (level, h) in sol.pipe_states.items()
-        },
+    doc = {
+        field.name: getattr(sol, field.name)
+        for field in dataclasses.fields(sol)
+        if field.name not in SOLUTION_IN_MEMORY
     }
+    doc["interior_pressures"] = {
+        pid: np.asarray(values, dtype=float).tolist()
+        for pid, values in sol.interior_pressures.items()
+    }
+    doc["pipe_states"] = {
+        pid: {"level": int(level), "stepsize": h}
+        for pid, (level, h) in sol.pipe_states.items()
+    }
+    return {"format_version": FORMAT_VERSION, **doc}
 
 
 def save_solution(sol: NlpSolution, path_or_handle):
@@ -326,7 +325,7 @@ def load_solution(path) -> NlpSolution:
         doc,
         "solution",
         extra=["format_version"],
-        omit=["iterate"],  # solution_to_dict does not write it
+        omit=SOLUTION_IN_MEMORY,
         node_pressures=_id_map(doc, "node_pressures", "solution"),
         arc_flows=_id_map(doc, "arc_flows", "solution"),
         compressor_lifts=_id_map(doc, "compressor_lifts", "solution", {}),

@@ -6,6 +6,9 @@ boosted by a second compressor), twelve pipes total. Parameters are
 loosely modeled on transport-grid pipes: lengths of a few tens of km,
 diameters 0.4-0.9 m, Nikuradse-type friction factors around 0.01, and
 operating pressures of 40-80 bar.
+
+It is the one package module that no command runs: only the tests,
+`scripts/generate_fixtures.py` and the benchmark in `perfbench/` import it.
 """
 
 from __future__ import annotations

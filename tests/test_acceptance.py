@@ -31,8 +31,10 @@ from gasadapt.fixtures import (
     tree12,
 )
 from gasadapt.integrate import Grid, integrate
-from gasadapt.models import ModelLevel, analytic_pressure, sound_speed
+from gasadapt.models import ModelLevel
 from gasadapt.network import Compressor, GasParameters, Network, Node, Pipe, Scenario
+
+from oracles import analytic_pressure, sound_speed
 
 GAS = GasParameters()
 TEST_PIPE = Pipe(
@@ -305,7 +307,7 @@ def test_criterion_8_adaptive_speedup():
             f"uniform {uniform_seconds:.1f}s, n={max_intervals})")
 
 
-def test_criterion_9_parallel_determinism(tmp_path):
+def test_criterion_9_estimate_determinism(tmp_path):
     t0 = time.perf_counter()
     net_path = tmp_path / "net.json"
     scn_path = tmp_path / "scn.json"
@@ -336,4 +338,4 @@ def test_criterion_9_parallel_determinism(tmp_path):
         outputs.append(out_path.read_bytes())
     elapsed = time.perf_counter() - t0
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0 and elapsed < 10.0
-    _report(9, "parallel determinism", ok, f"{len(outputs[0])} bytes identical")
+    _report(9, "estimate determinism", ok, f"{len(outputs[0])} bytes identical")

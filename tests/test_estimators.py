@@ -8,7 +8,9 @@ import pytest
 from gasadapt.errors import InvalidGrid
 from gasadapt.estimators import estimate_with_alternatives
 from gasadapt.integrate import Grid, integrate
-from gasadapt.models import ModelLevel, sound_speed
+from gasadapt.models import ModelLevel
+
+from oracles import sound_speed
 
 P0, Q, H = 60e5, 100.0, 10000.0 / 16
 

@@ -16,15 +16,10 @@ from gasadapt.errors import (
     SonicFlow,
 )
 from gasadapt.integrate import Grid, integrate
-from gasadapt.models import (
-    ModelLevel,
-    analytic_pressure,
-    pipe_coefficients,
-    sound_speed,
-)
+from gasadapt.models import ModelLevel, pipe_coefficients
 from gasadapt.network import Network, Node, Scenario
 
-from oracles import rhs
+from oracles import analytic_pressure, rhs, sound_speed
 
 
 def _max_error(level, pipe, gas, p0, q, grid, slope=0.0):

@@ -881,6 +881,42 @@ def test_cli_run_writes_artifacts(chain5_files, tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["p1", "p2", "p3", "p4", "p5"]
 
 
+@pytest.mark.parametrize(
+    "config",
+    [{}, {"initial_level": 1, "tau": 10.0, "phi_m": 0.9}],
+    ids=["default", "switch-down"],
+)
+def test_cli_estimate_reproduces_the_run_estimates(config, chain5_files, tmp_path):
+    # `estimate` on the run's solution.json reads back the grid and the
+    # pressures the run ended on, so it writes the run's own estimates.csv
+    net_path, scn_path = chain5_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "artifacts"
+    code = cli_main(
+        [
+            "run",
+            "--network", net_path,
+            "--scenario", scn_path,
+            "--config", str(cfg_path),
+            "--out", str(out_dir),
+            "--quiet",
+        ]
+    )
+    assert code == 0
+    est_path = tmp_path / "estimates.csv"
+    code = cli_main(
+        [
+            "estimate",
+            "--network", net_path,
+            "--solution", str(out_dir / "solution.json"),
+            "--out", str(est_path),
+        ]
+    )
+    assert code == 0
+    assert est_path.read_bytes() == (out_dir / "estimates.csv").read_bytes()
+
+
 def test_cli_run_prints_one_progress_line_per_trace_row(
     chain5_files, tmp_path, capsys
 ):

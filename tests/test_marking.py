@@ -2,7 +2,6 @@
 
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasadapt.controller import (

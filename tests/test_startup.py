@@ -2,8 +2,10 @@
 first instance is assembled. The package root loads nothing, states the
 version that pyproject.toml declares, and each module imports on its own.
 Each import check runs in a fresh interpreter, as this suite's own process
-has scipy loaded."""
+has scipy loaded. No module of the package, the tests or the scripts
+imports a name it never reads."""
 
+import ast
 import json
 import pkgutil
 import re
@@ -164,3 +166,36 @@ def test_each_module_imports_on_its_own(module):
     code = ("import importlib, json\n"
             "print(json.dumps(importlib.import_module(sys.argv[1]).__name__))")
     assert _fresh(code, f"gasadapt.{module}") == f"gasadapt.{module}"
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _unread_imports(path):
+    """(line, name) of each name that the module at `path` imports and never
+    reads; `from __future__` imports are directives, not names."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]  # a of a.b
+                imported.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_every_imported_name_is_read():
+    unread = [
+        f"{path.relative_to(REPO)}:{line}: {name}"
+        for folder in ("src/gasadapt", "tests", "scripts")
+        for path in sorted((REPO / folder).rglob("*.py"))
+        for line, name in _unread_imports(path)
+    ]
+    assert unread == []
